@@ -75,9 +75,8 @@ secondsOf(std::chrono::steady_clock::duration d)
 }
 
 ConfigTweak
-engineTweak(const std::string &engine)
+engineTweak(core::EngineKind kind)
 {
-    core::EngineKind kind = core::engineByName(engine);
     return [kind](core::MachineConfig &cfg) { cfg.engine = kind; };
 }
 
@@ -349,9 +348,12 @@ main(int argc, char **argv)
     const auto configs = sim::Configs::allNames();
 
     const bool both = args.engine == "both";
-    const std::string primary = args.engine == "tick" ? "tick" : "event";
+    // "both" measures the default (event) engine against tick.
+    const core::EngineKind primary =
+        enumLookup<core::EngineKind>(args.engine)
+            .value_or(core::EngineKind::Event);
     const ConfigTweak primary_tweak = engineTweak(primary);
-    const ConfigTweak tick_tweak = engineTweak("tick");
+    const ConfigTweak tick_tweak = engineTweak(core::EngineKind::Tick);
 
     std::printf("Campaign throughput: serial cells/sec per kernel x "
                 "mechanism (engine %s, best of %d, %llu iterations)\n\n",
@@ -401,7 +403,7 @@ main(int argc, char **argv)
                          k.c_str(), c.c_str(),
                          static_cast<unsigned long long>(
                              tick_res.cycles),
-                         primary.c_str(),
+                         enumName(primary),
                          static_cast<unsigned long long>(
                              rate.result.cycles));
                 }
@@ -460,7 +462,7 @@ main(int argc, char **argv)
                            : args.threads;
 
     std::printf("\ngeomean serial rate : %8.1f cells/sec (%s)\n", gm,
-                primary.c_str());
+                enumName(primary));
     std::printf("cell latency        : p50 %.1f ms, p95 %.1f ms, "
                 "p99 %.1f ms (%zu samples)\n",
                 lat_p50, lat_p95, lat_p99, all_lat_ms.size());

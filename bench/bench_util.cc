@@ -83,9 +83,10 @@ benchArgs(int argc, char **argv, std::uint64_t default_iters)
                 std::strtoull(next(), nullptr, 10);
         } else if (arg == "--engine") {
             args.engine = next();
-            fatal_if(args.engine != "tick" && args.engine != "event" &&
-                         args.engine != "both",
-                     "--engine expects 'tick', 'event' or 'both'");
+            fatal_if(args.engine != "both" &&
+                         !enumLookup<core::EngineKind>(args.engine),
+                     "--engine expects both or one of: %s",
+                     enumNameList<core::EngineKind>().c_str());
         } else if (arg == "--baseline") {
             args.baselinePath = next();
         } else if (arg == "--max-regress") {

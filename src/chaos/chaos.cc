@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace edge::chaos {
 
 namespace {
@@ -19,71 +17,6 @@ deriveSeed(std::uint64_t seed, std::uint64_t site)
 }
 
 } // namespace
-
-const char *
-mutationName(Mutation m)
-{
-    switch (m) {
-      case Mutation::None: return "none";
-      case Mutation::SkipSquash: return "skip-squash";
-      case Mutation::DropUpgrade: return "drop-upgrade";
-      case Mutation::MisorderForward: return "misorder-forward";
-    }
-    return "?";
-}
-
-Mutation
-mutationByName(const std::string &name)
-{
-    for (Mutation m : {Mutation::None, Mutation::SkipSquash,
-                       Mutation::DropUpgrade, Mutation::MisorderForward}) {
-        if (name == mutationName(m))
-            return m;
-    }
-    fatal("unknown mutation '%s' (try: none skip-squash drop-upgrade "
-          "misorder-forward)",
-          name.c_str());
-}
-
-const char *
-faultSiteName(FaultEvent::Site site)
-{
-    switch (site) {
-      case FaultEvent::Site::HopDelay: return "hop-delay";
-      case FaultEvent::Site::Duplicate: return "duplicate";
-      case FaultEvent::Site::MemJitter: return "mem-jitter";
-      case FaultEvent::Site::StoreDelay: return "store-delay";
-      case FaultEvent::Site::Spurious: return "spurious";
-    }
-    return "?";
-}
-
-FaultEvent::Site
-faultSiteByName(const std::string &name)
-{
-    for (FaultEvent::Site s :
-         {FaultEvent::Site::HopDelay, FaultEvent::Site::Duplicate,
-          FaultEvent::Site::MemJitter, FaultEvent::Site::StoreDelay,
-          FaultEvent::Site::Spurious}) {
-        if (name == faultSiteName(s))
-            return s;
-    }
-    fatal("unknown fault site '%s'", name.c_str());
-}
-
-const char *
-profileName(Profile profile)
-{
-    switch (profile) {
-      case Profile::None: return "none";
-      case Profile::Light: return "light";
-      case Profile::Heavy: return "heavy";
-      case Profile::Net: return "net";
-      case Profile::Mem: return "mem";
-      case Profile::Lsq: return "lsq";
-    }
-    return "?";
-}
 
 ChaosParams
 ChaosParams::byProfile(Profile profile, std::uint64_t seed)
@@ -133,26 +66,6 @@ ChaosParams::byProfile(Profile profile, std::uint64_t seed)
         break;
     }
     return p;
-}
-
-Profile
-ChaosParams::profileByName(const std::string &name)
-{
-    for (Profile p : {Profile::None, Profile::Light, Profile::Heavy,
-                      Profile::Net, Profile::Mem, Profile::Lsq}) {
-        if (name == profileName(p))
-            return p;
-    }
-    fatal("unknown chaos profile '%s' (try: none light heavy net mem lsq)",
-          name.c_str());
-}
-
-const std::vector<std::string> &
-ChaosParams::profileNames()
-{
-    static const std::vector<std::string> names = {"none",  "light", "heavy",
-                                                   "net",   "mem",   "lsq"};
-    return names;
 }
 
 ChaosEngine::ChaosEngine(const ChaosParams &params)

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
@@ -48,10 +49,14 @@ enum class Mutation : std::uint8_t
     MisorderForward,
 };
 
-const char *mutationName(Mutation m);
-
-/** Parse a mutation name (fatal on unknown name). */
-Mutation mutationByName(const std::string &name);
+inline constexpr EnumName<Mutation> kMutationNames[] = {
+    {Mutation::None, "none"},
+    {Mutation::SkipSquash, "skip-squash"},
+    {Mutation::DropUpgrade, "drop-upgrade"},
+    {Mutation::MisorderForward, "misorder-forward"},
+};
+constexpr auto &enumNames(Mutation) { return kMutationNames; }
+static_assert(enumTableCovers(kMutationNames, Mutation::MisorderForward));
 
 /** Built-in fault-mix presets selectable with --chaos-profile. */
 enum class Profile : std::uint8_t
@@ -64,7 +69,16 @@ enum class Profile : std::uint8_t
     Lsq,   ///< store-resolve delay + spurious re-fire waves only
 };
 
-const char *profileName(Profile profile);
+inline constexpr EnumName<Profile> kProfileNames[] = {
+    {Profile::None, "none"},
+    {Profile::Light, "light"},
+    {Profile::Heavy, "heavy"},
+    {Profile::Net, "net"},
+    {Profile::Mem, "mem"},
+    {Profile::Lsq, "lsq"},
+};
+constexpr auto &enumNames(Profile) { return kProfileNames; }
+static_assert(enumTableCovers(kProfileNames, Profile::Lsq));
 
 struct ChaosParams
 {
@@ -103,12 +117,6 @@ struct ChaosParams
 
     /** The canned parameter set for a profile, with the given seed. */
     static ChaosParams byProfile(Profile profile, std::uint64_t seed);
-
-    /** Parse a --chaos-profile name (fatal on unknown name). */
-    static Profile profileByName(const std::string &name);
-
-    /** All profile names, presentation order. */
-    static const std::vector<std::string> &profileNames();
 };
 
 /**
@@ -140,10 +148,15 @@ struct FaultEvent
     }
 };
 
-const char *faultSiteName(FaultEvent::Site site);
-
-/** Parse a fault-site name (fatal on unknown name). */
-FaultEvent::Site faultSiteByName(const std::string &name);
+inline constexpr EnumName<FaultEvent::Site> kFaultSiteNames[] = {
+    {FaultEvent::Site::HopDelay, "hop-delay"},
+    {FaultEvent::Site::Duplicate, "duplicate"},
+    {FaultEvent::Site::MemJitter, "mem-jitter"},
+    {FaultEvent::Site::StoreDelay, "store-delay"},
+    {FaultEvent::Site::Spurious, "spurious"},
+};
+constexpr auto &enumNames(FaultEvent::Site) { return kFaultSiteNames; }
+static_assert(enumTableCovers(kFaultSiteNames, FaultEvent::Site::Spurious));
 
 /** What the engine actually injected during one run (replay aid). */
 struct InjectionCounts

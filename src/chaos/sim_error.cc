@@ -1,52 +1,8 @@
 #include "chaos/sim_error.hh"
 
-#include "common/logging.hh"
 #include "common/strutil.hh"
 
 namespace edge::chaos {
-
-const char *
-reasonName(SimError::Reason reason)
-{
-    switch (reason) {
-      case SimError::Reason::None: return "none";
-      case SimError::Reason::Watchdog: return "watchdog";
-      case SimError::Reason::InvariantViolation: return "invariant-violation";
-      case SimError::Reason::ProtocolPanic: return "protocol-panic";
-      case SimError::Reason::Livelock: return "livelock";
-      case SimError::Reason::HostDeadline: return "host-deadline";
-      case SimError::Reason::WorkerCrash: return "worker-crash";
-      case SimError::Reason::WorkerKilled: return "worker-killed";
-      case SimError::Reason::WorkerTimeout: return "worker-timeout";
-      case SimError::Reason::WorkerProtocol: return "worker-protocol";
-      case SimError::Reason::AgentLost: return "agent-lost";
-      case SimError::Reason::AgentCorrupt: return "agent-corrupt";
-      case SimError::Reason::ProvenanceMismatch: return "provenance-mismatch";
-      case SimError::Reason::FabricSimViolation: return "fabric-sim-violation";
-    }
-    return "?";
-}
-
-SimError::Reason
-reasonByName(const std::string &name)
-{
-    for (SimError::Reason r :
-         {SimError::Reason::None, SimError::Reason::Watchdog,
-          SimError::Reason::InvariantViolation,
-          SimError::Reason::ProtocolPanic, SimError::Reason::Livelock,
-          SimError::Reason::HostDeadline, SimError::Reason::WorkerCrash,
-          SimError::Reason::WorkerKilled,
-          SimError::Reason::WorkerTimeout,
-          SimError::Reason::WorkerProtocol,
-          SimError::Reason::AgentLost,
-          SimError::Reason::AgentCorrupt,
-          SimError::Reason::ProvenanceMismatch,
-          SimError::Reason::FabricSimViolation}) {
-        if (name == reasonName(r))
-            return r;
-    }
-    fatal("unknown SimError reason '%s'", name.c_str());
-}
 
 int
 exitCodeFor(SimError::Reason reason)
@@ -100,7 +56,7 @@ SimError::format() const
 {
     if (ok())
         return "ok";
-    std::string out = strfmt("%s at cycle %llu", reasonName(reason),
+    std::string out = strfmt("%s at cycle %llu", enumName(reason),
                              (unsigned long long)cycle);
     if (!invariant.empty())
         out += strfmt(" [invariant: %s]", invariant.c_str());

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/enum_names.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -84,10 +85,25 @@ struct SimError
     std::string format() const;
 };
 
-const char *reasonName(SimError::Reason reason);
-
-/** Parse a reason name (fatal on unknown name). */
-SimError::Reason reasonByName(const std::string &name);
+inline constexpr EnumName<SimError::Reason> kReasonNames[] = {
+    {SimError::Reason::None, "none"},
+    {SimError::Reason::Watchdog, "watchdog"},
+    {SimError::Reason::InvariantViolation, "invariant-violation"},
+    {SimError::Reason::ProtocolPanic, "protocol-panic"},
+    {SimError::Reason::Livelock, "livelock"},
+    {SimError::Reason::HostDeadline, "host-deadline"},
+    {SimError::Reason::WorkerCrash, "worker-crash"},
+    {SimError::Reason::WorkerKilled, "worker-killed"},
+    {SimError::Reason::WorkerTimeout, "worker-timeout"},
+    {SimError::Reason::WorkerProtocol, "worker-protocol"},
+    {SimError::Reason::AgentLost, "agent-lost"},
+    {SimError::Reason::AgentCorrupt, "agent-corrupt"},
+    {SimError::Reason::ProvenanceMismatch, "provenance-mismatch"},
+    {SimError::Reason::FabricSimViolation, "fabric-sim-violation"},
+};
+constexpr auto &enumNames(SimError::Reason) { return kReasonNames; }
+static_assert(enumTableCovers(kReasonNames,
+                             SimError::Reason::FabricSimViolation));
 
 /**
  * The documented process exit status for each failure kind (see

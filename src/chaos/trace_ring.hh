@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hh"
 #include "common/strutil.hh"
 #include "common/types.hh"
 
@@ -44,22 +45,19 @@ struct TraceEvent
     bool final = false;
 };
 
-inline const char *
-traceKindName(TraceEvent::Kind kind)
-{
-    switch (kind) {
-      case TraceEvent::Kind::Deliver: return "deliver";
-      case TraceEvent::Kind::Send: return "send";
-      case TraceEvent::Kind::Squash: return "squash";
-      case TraceEvent::Kind::LoadReply: return "load-reply";
-      case TraceEvent::Kind::StoreResolve: return "store-resolve";
-      case TraceEvent::Kind::Violation: return "violation";
-      case TraceEvent::Kind::Commit: return "commit";
-      case TraceEvent::Kind::Flush: return "flush";
-      case TraceEvent::Kind::Inject: return "inject";
-    }
-    return "?";
-}
+inline constexpr EnumName<TraceEvent::Kind> kTraceKindNames[] = {
+    {TraceEvent::Kind::Deliver, "deliver"},
+    {TraceEvent::Kind::Send, "send"},
+    {TraceEvent::Kind::Squash, "squash"},
+    {TraceEvent::Kind::LoadReply, "load-reply"},
+    {TraceEvent::Kind::StoreResolve, "store-resolve"},
+    {TraceEvent::Kind::Violation, "violation"},
+    {TraceEvent::Kind::Commit, "commit"},
+    {TraceEvent::Kind::Flush, "flush"},
+    {TraceEvent::Kind::Inject, "inject"},
+};
+constexpr auto &enumNames(TraceEvent::Kind) { return kTraceKindNames; }
+static_assert(enumTableCovers(kTraceKindNames, TraceEvent::Kind::Inject));
 
 class TraceRing
 {
@@ -98,7 +96,7 @@ class TraceRing
             const TraceEvent &ev = _buf[(start + i) % _buf.size()];
             out.push_back(strfmt(
                 "cycle %llu %-13s seq=%llu node=%u wave=%u value=%#llx%s",
-                (unsigned long long)ev.cycle, traceKindName(ev.kind),
+                (unsigned long long)ev.cycle, enumName(ev.kind),
                 (unsigned long long)ev.seq, ev.node, (unsigned)ev.wave,
                 (unsigned long long)ev.value, ev.final ? " final" : ""));
         }

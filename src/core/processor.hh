@@ -22,6 +22,7 @@
 #include "chaos/sim_error.hh"
 #include "chaos/trace_ring.hh"
 #include "common/arena.hh"
+#include "common/enum_names.hh"
 #include "compiler/placement.hh"
 #include "core/exec_node.hh"
 #include "core/msg.hh"
@@ -51,29 +52,12 @@ enum class EngineKind : std::uint8_t
     Event,
 };
 
-inline const char *
-engineName(EngineKind kind)
-{
-    return kind == EngineKind::Tick ? "tick" : "event";
-}
-
-/**
- * Parse an engine name; returns Event and sets *ok = false (when
- * provided) if the name is not recognised.
- */
-inline EngineKind
-engineByName(const std::string &name, bool *ok = nullptr)
-{
-    if (ok)
-        *ok = true;
-    if (name == "tick")
-        return EngineKind::Tick;
-    if (name == "event")
-        return EngineKind::Event;
-    if (ok)
-        *ok = false;
-    return EngineKind::Event;
-}
+inline constexpr EnumName<EngineKind> kEngineNames[] = {
+    {EngineKind::Tick, "tick"},
+    {EngineKind::Event, "event"},
+};
+constexpr auto &enumNames(EngineKind) { return kEngineNames; }
+static_assert(enumTableCovers(kEngineNames, EngineKind::Event));
 
 /** Everything configurable about one simulated machine. */
 struct MachineConfig

@@ -10,24 +10,6 @@
 
 namespace edge::fuzz {
 
-const char *
-outcomeName(Outcome outcome)
-{
-    switch (outcome) {
-      case Outcome::Pass:
-        return "pass";
-      case Outcome::Divergence:
-        return "divergence";
-      case Outcome::Crash:
-        return "crash";
-      case Outcome::Hang:
-        return "hang";
-      case Outcome::RefHang:
-        return "ref-hang";
-    }
-    return "?";
-}
-
 const std::vector<std::string> &
 defaultConfigs()
 {
@@ -70,7 +52,7 @@ std::string
 signatureOf(const std::string &config, const sim::RunResult &r)
 {
     return strfmt("%s|%s|%s|h%d|a%d", config.c_str(),
-                  chaos::reasonName(r.error.reason),
+                  enumName(r.error.reason),
                   r.error.invariant.c_str(), r.halted, r.archMatch);
 }
 

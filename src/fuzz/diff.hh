@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hh"
 #include "fuzz/generator.hh"
 #include "sim/run_pool.hh"
 
@@ -39,7 +40,15 @@ enum class Outcome : std::uint8_t
     RefHang,    ///< the *reference* did not halt (a generator bug)
 };
 
-const char *outcomeName(Outcome outcome);
+inline constexpr EnumName<Outcome> kOutcomeNames[] = {
+    {Outcome::Pass, "pass"},
+    {Outcome::Divergence, "divergence"},
+    {Outcome::Crash, "crash"},
+    {Outcome::Hang, "hang"},
+    {Outcome::RefHang, "ref-hang"},
+};
+constexpr auto &enumNames(Outcome) { return kOutcomeNames; }
+static_assert(enumTableCovers(kOutcomeNames, Outcome::RefHang));
 
 /** One failing (program, mechanism) cell of a campaign. */
 struct FuzzFailure

@@ -7,38 +7,6 @@
 
 namespace edge::log {
 
-const char *
-logCrashPointName(LogCrashPoint point)
-{
-    switch (point) {
-      case LogCrashPoint::None: return "none";
-      case LogCrashPoint::BeforeWrite: return "before-write";
-      case LogCrashPoint::MidWrite: return "mid-write";
-      case LogCrashPoint::AfterWrite: return "after-write";
-      case LogCrashPoint::BeforeFsync: return "before-fsync";
-      case LogCrashPoint::AfterFsync: return "after-fsync";
-      case LogCrashPoint::BeforeRotate: return "before-rotate";
-      case LogCrashPoint::FailFsync: return "fail-fsync";
-    }
-    return "?";
-}
-
-bool
-logCrashPointByName(const std::string &name, LogCrashPoint *out)
-{
-    for (LogCrashPoint p :
-         {LogCrashPoint::None, LogCrashPoint::BeforeWrite,
-          LogCrashPoint::MidWrite, LogCrashPoint::AfterWrite,
-          LogCrashPoint::BeforeFsync, LogCrashPoint::AfterFsync,
-          LogCrashPoint::BeforeRotate, LogCrashPoint::FailFsync}) {
-        if (name == logCrashPointName(p)) {
-            *out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
 namespace {
 
 // Same keyed-decision construction as FabricChaos::decision: FNV-1a

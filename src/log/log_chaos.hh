@@ -26,6 +26,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/enum_names.hh"
+
 namespace edge::log {
 
 enum class LogCrashPoint : std::uint8_t
@@ -41,10 +43,18 @@ enum class LogCrashPoint : std::uint8_t
     FailFsync,    ///< non-lethal: fsync fails, log goes sticky-failed
 };
 
-const char *logCrashPointName(LogCrashPoint point);
-
-/** Parse a crash-point name; returns false on an unknown name. */
-bool logCrashPointByName(const std::string &name, LogCrashPoint *out);
+inline constexpr EnumName<LogCrashPoint> kLogCrashPointNames[] = {
+    {LogCrashPoint::None, "none"},
+    {LogCrashPoint::BeforeWrite, "before-write"},
+    {LogCrashPoint::MidWrite, "mid-write"},
+    {LogCrashPoint::AfterWrite, "after-write"},
+    {LogCrashPoint::BeforeFsync, "before-fsync"},
+    {LogCrashPoint::AfterFsync, "after-fsync"},
+    {LogCrashPoint::BeforeRotate, "before-rotate"},
+    {LogCrashPoint::FailFsync, "fail-fsync"},
+};
+constexpr auto &enumNames(LogCrashPoint) { return kLogCrashPointNames; }
+static_assert(enumTableCovers(kLogCrashPointNames, LogCrashPoint::FailFsync));
 
 struct LogChaosOptions
 {

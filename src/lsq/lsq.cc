@@ -10,16 +10,6 @@ namespace edge::lsq {
 
 using pred::rangesOverlap;
 
-const char *
-recoveryName(Recovery recovery)
-{
-    switch (recovery) {
-      case Recovery::Flush: return "flush";
-      case Recovery::Dsre:  return "dsre";
-    }
-    return "?";
-}
-
 LoadStoreQueue::LoadStoreQueue(const LsqParams &params,
                                mem::Hierarchy *hierarchy,
                                mem::SparseMemory *memory,

@@ -35,6 +35,7 @@
 
 #include "chaos/chaos.hh"
 #include "chaos/invariants.hh"
+#include "common/enum_names.hh"
 #include "common/stats.hh"
 #include "isa/block.hh"
 #include "mem/hierarchy.hh"
@@ -50,7 +51,12 @@ enum class Recovery
     Dsre,  ///< distributed selective re-execution (the paper)
 };
 
-const char *recoveryName(Recovery recovery);
+inline constexpr EnumName<Recovery> kRecoveryNames[] = {
+    {Recovery::Flush, "flush"},
+    {Recovery::Dsre, "dsre"},
+};
+constexpr auto &enumNames(Recovery) { return kRecoveryNames; }
+static_assert(enumTableCovers(kRecoveryNames, Recovery::Dsre));
 
 struct LsqParams
 {

@@ -6,18 +6,6 @@
 
 namespace edge::pred {
 
-const char *
-depPolicyName(DepPolicy policy)
-{
-    switch (policy) {
-      case DepPolicy::Blind:        return "blind";
-      case DepPolicy::Conservative: return "conservative";
-      case DepPolicy::StoreSets:    return "store-sets";
-      case DepPolicy::Oracle:       return "oracle";
-    }
-    return "?";
-}
-
 namespace {
 
 /** Always speculate: a load issues the moment its address arrives. */
@@ -30,7 +18,7 @@ class BlindPredictor : public DependencePredictor
         return false;
     }
 
-    const char *name() const override { return "blind"; }
+    DepPolicy policy() const override { return DepPolicy::Blind; }
 };
 
 /** Never speculate: wait for every older store to resolve. */
@@ -52,7 +40,7 @@ class ConservativePredictor : public DependencePredictor
         return true;
     }
 
-    const char *name() const override { return "conservative"; }
+    DepPolicy policy() const override { return DepPolicy::Conservative; }
 
   private:
     Counter &_waits;

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -39,7 +40,14 @@ enum class DepPolicy
     Oracle,
 };
 
-const char *depPolicyName(DepPolicy policy);
+inline constexpr EnumName<DepPolicy> kDepPolicyNames[] = {
+    {DepPolicy::Blind, "blind"},
+    {DepPolicy::Conservative, "conservative"},
+    {DepPolicy::StoreSets, "store-sets"},
+    {DepPolicy::Oracle, "oracle"},
+};
+constexpr auto &enumNames(DepPolicy) { return kDepPolicyNames; }
+static_assert(enumTableCovers(kDepPolicyNames, DepPolicy::Oracle));
 
 /** An older in-flight store whose address is not yet known. */
 struct UnresolvedStore
@@ -117,7 +125,9 @@ class DependencePredictor
     {
     }
 
-    virtual const char *name() const = 0;
+    /** The policy this predictor implements (its name is
+     *  enumName(policy())). */
+    virtual DepPolicy policy() const = 0;
 };
 
 /**

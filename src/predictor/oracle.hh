@@ -70,7 +70,7 @@ class OraclePredictor : public DependencePredictor
 
     bool loadMustWait(const LoadQuery &query) override;
 
-    const char *name() const override { return "oracle"; }
+    DepPolicy policy() const override { return DepPolicy::Oracle; }
 
   private:
     const OracleDb &_db;

@@ -44,7 +44,7 @@ class StoreSetsPredictor : public DependencePredictor
                      BlockId store_block, Lsid store_lsid) override;
     void onFlush(DynBlockSeq from_seq) override;
 
-    const char *name() const override { return "store-sets"; }
+    DepPolicy policy() const override { return DepPolicy::StoreSets; }
 
     /** Exposed for unit tests. */
     bool hasSet(BlockId block, Lsid lsid) const;

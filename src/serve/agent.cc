@@ -364,9 +364,9 @@ agentMain(const AgentOptions &opts)
                            std::chrono::milliseconds(a.heartbeatMs);
                 std::string chaos = doc.getString("chaos");
                 if (!chaos.empty()) {
-                    FabricProfile p;
-                    if (fabricProfileByName(chaos, &p)) {
-                        a.affliction = p;
+                    if (std::optional<FabricProfile> p =
+                            enumLookup<FabricProfile>(chaos)) {
+                        a.affliction = *p;
                         a.chaosSeed = doc.getU64("chaos_seed");
                         warn("agent '%s': afflicted '%s' (seed %llu)",
                              a.opts.name.c_str(), chaos.c_str(),

@@ -3,9 +3,11 @@
 #include "chaos/chaos.hh"
 #include "triage/program_json.hh"
 #include "triage/result_json.hh"
+#include "workloads/workloads.hh"
 
 namespace edge::serve {
 
+using triage::enumFromJson;
 using triage::JsonValue;
 
 namespace {
@@ -41,9 +43,11 @@ programRefFromJson(const JsonValue &o, triage::ProgramRef *ref,
             return false;
         ref->hasEmbedded = true;
     }
-    if (!ref->hasEmbedded && ref->kernel.empty()) {
+    if (!ref->hasEmbedded && !wl::exists(ref->kernel)) {
         if (err)
-            *err = "program has neither kernel nor embedded body";
+            *err = ref->kernel.empty()
+                       ? "program has neither kernel nor embedded body"
+                       : "unknown kernel '" + ref->kernel + "'";
         return false;
     }
     return true;
@@ -73,19 +77,23 @@ retryFromJson(const JsonValue *o, sim::RetryPolicy *retry)
         o->getU64("max_total_backoff_ms", retry->maxTotalBackoffMs);
 }
 
+/** Read a submission's mechanism list; false on an unknown name. */
 bool
-outcomeByName(const std::string &name, fuzz::Outcome *out)
+configsFromJson(const JsonValue &o, std::vector<std::string> *configs,
+                std::string *err)
 {
-    for (fuzz::Outcome o :
-         {fuzz::Outcome::Pass, fuzz::Outcome::Divergence,
-          fuzz::Outcome::Crash, fuzz::Outcome::Hang,
-          fuzz::Outcome::RefHang}) {
-        if (name == fuzz::outcomeName(o)) {
-            *out = o;
-            return true;
+    configs->clear();
+    if (const JsonValue *list = o.get("configs")) {
+        for (const JsonValue &c : list->items()) {
+            if (!sim::Configs::lookup(c.asString())) {
+                if (err)
+                    *err = "unknown mechanism '" + c.asString() + "'";
+                return false;
+            }
+            configs->push_back(c.asString());
         }
     }
-    return false;
+    return true;
 }
 
 } // namespace
@@ -113,12 +121,12 @@ sweepSubmission(const sim::ChaosSweepParams &params,
         configs.push(JsonValue::str(c));
     p.set("configs", std::move(configs));
     p.set("profile",
-          JsonValue::str(chaos::profileName(params.profile)));
+          JsonValue::str(enumName(params.profile)));
     p.set("check_invariants",
           JsonValue::boolean(params.checkInvariants));
     p.set("max_cycles", JsonValue::u64(params.maxCycles));
     p.set("mutation",
-          JsonValue::str(chaos::mutationName(params.mutation)));
+          JsonValue::str(enumName(params.mutation)));
     p.set("mutation_node", JsonValue::u64(params.mutationNode));
     p.set("retry", retryToJson(params.retry));
     o.set("params", std::move(p));
@@ -142,22 +150,19 @@ sweepSubmissionFromJson(const JsonValue &doc,
     if (const JsonValue *seeds = p->get("seeds"))
         for (const JsonValue &s : seeds->items())
             params->seeds.push_back(s.asU64());
-    params->configs.clear();
-    if (const JsonValue *configs = p->get("configs"))
-        for (const JsonValue &c : configs->items())
-            params->configs.push_back(c.asString());
+    if (!configsFromJson(*p, &params->configs, err))
+        return false;
     if (params->seeds.empty() || params->configs.empty()) {
         if (err)
             *err = "sweep submission needs seeds and configs";
         return false;
     }
-    params->profile = chaos::ChaosParams::profileByName(
-        p->getString("profile", chaos::profileName(params->profile)));
+    if (!enumFromJson(*p, "profile", &params->profile, err) ||
+        !enumFromJson(*p, "mutation", &params->mutation, err))
+        return false;
     params->checkInvariants =
         p->getBool("check_invariants", params->checkInvariants);
     params->maxCycles = p->getU64("max_cycles", params->maxCycles);
-    params->mutation = chaos::mutationByName(p->getString(
-        "mutation", chaos::mutationName(params->mutation)));
     params->mutationNode = static_cast<unsigned>(
         p->getU64("mutation_node", params->mutationNode));
     retryFromJson(p->get("retry"), &params->retry);
@@ -213,7 +218,8 @@ sweepReportFromJson(const JsonValue &doc,
         o.seed = row.getU64("seed");
         o.config = row.getString("config");
         if (const JsonValue *m = row.get("machine"))
-            triage::configFromJson(*m, &o.machine);
+            if (!triage::configFromJson(*m, &o.machine, err))
+                return false;
         const JsonValue *res = row.get("result");
         if (!res || !triage::resultFromJson(*res, &o.result, err))
             return false;
@@ -236,9 +242,9 @@ fuzzSubmission(const fuzz::FuzzOptions &opts)
         configs.push(JsonValue::str(c));
     o.set("configs", std::move(configs));
     o.set("chaos_profile",
-          JsonValue::str(chaos::profileName(opts.chaosProfile)));
+          JsonValue::str(enumName(opts.chaosProfile)));
     o.set("mutation",
-          JsonValue::str(chaos::mutationName(opts.mutation)));
+          JsonValue::str(enumName(opts.mutation)));
     o.set("mutation_node", JsonValue::u64(opts.mutationNode));
     o.set("check_invariants",
           JsonValue::boolean(opts.checkInvariants));
@@ -269,15 +275,10 @@ fuzzSubmissionFromJson(const JsonValue &doc, fuzz::FuzzOptions *opts,
     }
     opts->count = doc.getU64("count", opts->count);
     opts->seed = doc.getU64("seed", opts->seed);
-    opts->configs.clear();
-    if (const JsonValue *configs = doc.get("configs"))
-        for (const JsonValue &c : configs->items())
-            opts->configs.push_back(c.asString());
-    opts->chaosProfile = chaos::ChaosParams::profileByName(
-        doc.getString("chaos_profile",
-                      chaos::profileName(opts->chaosProfile)));
-    opts->mutation = chaos::mutationByName(doc.getString(
-        "mutation", chaos::mutationName(opts->mutation)));
+    if (!configsFromJson(doc, &opts->configs, err) ||
+        !enumFromJson(doc, "chaos_profile", &opts->chaosProfile, err) ||
+        !enumFromJson(doc, "mutation", &opts->mutation, err))
+        return false;
     opts->mutationNode = static_cast<unsigned>(
         doc.getU64("mutation_node", opts->mutationNode));
     opts->checkInvariants =
@@ -321,7 +322,7 @@ fuzzReportToJson(const fuzz::FuzzReport &report)
         row.set("seed", JsonValue::u64(f.seed));
         row.set("config", JsonValue::str(f.config));
         row.set("outcome",
-                JsonValue::str(fuzz::outcomeName(f.outcome)));
+                JsonValue::str(enumName(f.outcome)));
         row.set("signature", JsonValue::str(f.signature));
         row.set("unique", JsonValue::boolean(f.unique));
         row.set("result", triage::resultToJson(f.result));
@@ -354,13 +355,8 @@ fuzzReportFromJson(const JsonValue &doc, fuzz::FuzzReport *report,
             fuzz::FuzzFailure f;
             f.seed = row.getU64("seed");
             f.config = row.getString("config");
-            if (!outcomeByName(row.getString("outcome"),
-                               &f.outcome)) {
-                if (err)
-                    *err = "unknown fuzz outcome '" +
-                           row.getString("outcome") + "'";
+            if (!enumFromJson(row, "outcome", &f.outcome, err))
                 return false;
-            }
             f.signature = row.getString("signature");
             f.unique = row.getBool("unique");
             const JsonValue *res = row.get("result");

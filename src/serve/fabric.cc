@@ -119,7 +119,7 @@ Fabric::start(std::string *err)
     _started = true;
     if (_chaos.active())
         inform("fabric: chaos profile '%s' (seed %llu) armed",
-               fabricProfileName(_chaos.profile()),
+               enumName(_chaos.profile()),
                static_cast<unsigned long long>(_opts.chaosSeed));
     return true;
 }

@@ -4,46 +4,6 @@
 
 namespace edge::serve {
 
-const char *
-fabricProfileName(FabricProfile p)
-{
-    switch (p) {
-      case FabricProfile::None:
-        return "none";
-      case FabricProfile::Drop:
-        return "drop";
-      case FabricProfile::Duplicate:
-        return "duplicate";
-      case FabricProfile::Partition:
-        return "partition";
-      case FabricProfile::Kill:
-        return "kill";
-      case FabricProfile::Heavy:
-        return "heavy";
-      case FabricProfile::Slow:
-        return "slow";
-      case FabricProfile::Liar:
-        return "liar";
-    }
-    return "none";
-}
-
-bool
-fabricProfileByName(const std::string &name, FabricProfile *out)
-{
-    for (FabricProfile p :
-         {FabricProfile::None, FabricProfile::Drop,
-          FabricProfile::Duplicate, FabricProfile::Partition,
-          FabricProfile::Kill, FabricProfile::Heavy,
-          FabricProfile::Slow, FabricProfile::Liar}) {
-        if (name == fabricProfileName(p)) {
-            *out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::uint64_t
 FabricChaos::decision(std::uint64_t a, std::uint64_t b,
                       std::uint64_t salt) const

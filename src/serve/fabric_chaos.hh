@@ -38,6 +38,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/enum_names.hh"
+
 namespace edge::serve {
 
 enum class FabricProfile : std::uint8_t
@@ -57,10 +59,18 @@ enum class FabricProfile : std::uint8_t
  *  path fires deterministically in tests and smokes. */
 constexpr std::uint64_t kSlowCellDelayMs = 1500;
 
-const char *fabricProfileName(FabricProfile p);
-
-/** Parse a profile name; false on an unknown name. */
-bool fabricProfileByName(const std::string &name, FabricProfile *out);
+inline constexpr EnumName<FabricProfile> kFabricProfileNames[] = {
+    {FabricProfile::None, "none"},
+    {FabricProfile::Drop, "drop"},
+    {FabricProfile::Duplicate, "duplicate"},
+    {FabricProfile::Partition, "partition"},
+    {FabricProfile::Kill, "kill"},
+    {FabricProfile::Heavy, "heavy"},
+    {FabricProfile::Slow, "slow"},
+    {FabricProfile::Liar, "liar"},
+};
+constexpr auto &enumNames(FabricProfile) { return kFabricProfileNames; }
+static_assert(enumTableCovers(kFabricProfileNames, FabricProfile::Liar));
 
 class FabricChaos
 {

@@ -35,7 +35,7 @@ welcome(std::uint64_t agentId, std::uint64_t heartbeatMs,
     o.set("agent", JsonValue::u64(agentId));
     o.set("heartbeat_ms", JsonValue::u64(heartbeatMs));
     if (affliction != FabricProfile::None) {
-        o.set("chaos", JsonValue::str(fabricProfileName(affliction)));
+        o.set("chaos", JsonValue::str(enumName(affliction)));
         o.set("chaos_seed", JsonValue::u64(chaosSeed));
     }
     return o.dumpCompact();

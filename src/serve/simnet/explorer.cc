@@ -33,6 +33,7 @@ namespace {
 namespace fs = std::filesystem;
 using super::CellOutcome;
 using super::CellSpec;
+using triage::enumFromJson;
 using triage::JsonValue;
 
 /** World-derivation draw, seeded like SimNet's wire draws but in its
@@ -542,7 +543,7 @@ deriveWorld(std::uint64_t seed, const ExplorerOptions &opts)
     if (p.profile == SimProfile::CrashRestart ||
         p.profile == SimProfile::Heavy)
         p.journalPath = opts.fabsimDir + "/journal-" +
-                        simProfileName(p.profile) + "-" +
+                        enumName(p.profile) + "-" +
                         std::to_string(seed);
     return p;
 }
@@ -723,7 +724,7 @@ fabsimToJson(const WorldParams &params, const Violation &violation,
     doc.set("version", JsonValue::u64(1));
     doc.set("seed", JsonValue::u64(params.seed));
     doc.set("profile",
-            JsonValue::str(simProfileName(params.profile)));
+            JsonValue::str(enumName(params.profile)));
     JsonValue pj = JsonValue::object();
     pj.set("agents", JsonValue::u64(params.agents));
     pj.set("cells", JsonValue::u64(params.cells));
@@ -745,7 +746,7 @@ fabsimToJson(const WorldParams &params, const Violation &violation,
         const ChaosEvent &e = sched[i];
         JsonValue ej = JsonValue::object();
         ej.set("ordinal", JsonValue::u64(i));
-        ej.set("kind", JsonValue::str(evKindName(e.kind)));
+        ej.set("kind", JsonValue::str(enumName(e.kind)));
         ej.set("edge", JsonValue::str(e.edge));
         ej.set("ord", JsonValue::u64(e.ord));
         ej.set("param", JsonValue::u64(e.param));
@@ -766,11 +767,9 @@ fabsimFromJson(const JsonValue &doc, WorldParams *params,
         return false;
     }
     params->seed = doc.getU64("seed");
-    if (!simProfileByName(doc.getString("profile", "none"),
-                          &params->profile)) {
-        *err = "unknown profile: " + doc.getString("profile");
+    params->profile = SimProfile::None;
+    if (!enumFromJson(doc, "profile", &params->profile, err))
         return false;
-    }
     const JsonValue *pj = doc.get("params");
     if (!pj) {
         *err = "missing params";
@@ -798,10 +797,8 @@ fabsimFromJson(const JsonValue &doc, WorldParams *params,
     if (arr) {
         for (const JsonValue &ej : arr->items()) {
             ChaosEvent e;
-            if (!evKindByName(ej.getString("kind"), &e.kind)) {
-                *err = "unknown event kind: " + ej.getString("kind");
+            if (!enumFromJson(ej, "kind", &e.kind, err))
                 return false;
-            }
             e.edge = ej.getString("edge");
             e.ord = ej.getU64("ord");
             e.param = ej.getU64("param");
@@ -828,7 +825,7 @@ exploreMain(const ExplorerOptions &opts)
         std::string path =
             opts.fabsimDir + "/" +
             strfmt("seed-%llu-%s.fabsim.json", (unsigned long long)s,
-                   simProfileName(opts.profile));
+                   enumName(opts.profile));
         std::ofstream out(path, std::ios::trunc);
         out << fabsimToJson(p, r.violation, r.schedule).dump()
             << "\n";
@@ -841,7 +838,7 @@ exploreMain(const ExplorerOptions &opts)
     inform("simnet: explored %llu seed(s) on profile '%s': "
            "%llu violation(s)",
            (unsigned long long)explored,
-           simProfileName(opts.profile),
+           enumName(opts.profile),
            (unsigned long long)violations);
     return violations
                ? chaos::exitCodeFor(
@@ -888,7 +885,7 @@ replayMain(const std::string &file, bool minimize,
     inform("simnet: replay of %s (seed %llu, %s, %zu events): "
            "violation [%s] %s",
            file.c_str(), (unsigned long long)params.seed,
-           simProfileName(params.profile), schedule.size(),
+           enumName(params.profile), schedule.size(),
            r.violation.invariant.empty()
                ? "none"
                : r.violation.invariant.c_str(),

@@ -40,85 +40,6 @@ atMsToTp(std::uint64_t atMs)
 
 } // namespace
 
-const char *
-simProfileName(SimProfile p)
-{
-    switch (p) {
-    case SimProfile::None:
-        return "none";
-    case SimProfile::Drop:
-        return "drop";
-    case SimProfile::Delay:
-        return "delay";
-    case SimProfile::Partition:
-        return "partition";
-    case SimProfile::CrashRestart:
-        return "crash-restart";
-    case SimProfile::Liar:
-        return "liar";
-    case SimProfile::Heavy:
-        return "heavy";
-    }
-    return "none";
-}
-
-bool
-simProfileByName(const std::string &name, SimProfile *out)
-{
-    static const SimProfile all[] = {
-        SimProfile::None,      SimProfile::Drop,
-        SimProfile::Delay,     SimProfile::Partition,
-        SimProfile::CrashRestart, SimProfile::Liar,
-        SimProfile::Heavy,
-    };
-    for (SimProfile p : all) {
-        if (name == simProfileName(p)) {
-            *out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
-const char *
-evKindName(EvKind k)
-{
-    switch (k) {
-    case EvKind::Drop:
-        return "drop";
-    case EvKind::Dup:
-        return "dup";
-    case EvKind::Delay:
-        return "delay";
-    case EvKind::SlowExec:
-        return "slow-exec";
-    case EvKind::Lie:
-        return "lie";
-    case EvKind::AgentCrash:
-        return "agent-crash";
-    case EvKind::CoordCrash:
-        return "coord-crash";
-    }
-    return "drop";
-}
-
-bool
-evKindByName(const std::string &name, EvKind *out)
-{
-    static const EvKind all[] = {
-        EvKind::Drop,       EvKind::Dup,  EvKind::Delay,
-        EvKind::SlowExec,   EvKind::Lie,  EvKind::AgentCrash,
-        EvKind::CoordCrash,
-    };
-    for (EvKind k : all) {
-        if (name == evKindName(k)) {
-            *out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 // --- SimNet ---------------------------------------------------------
 
 SimNet::SimNet(std::uint64_t seed, SimProfile profile)
@@ -132,7 +53,7 @@ namespace {
 std::string
 scriptKey(EvKind kind, const std::string &edge, std::uint64_t ord)
 {
-    return std::string(evKindName(kind)) + "|" + edge + "|" +
+    return std::string(enumName(kind)) + "|" + edge + "|" +
            std::to_string(ord);
 }
 } // namespace

@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hh"
 #include "serve/clock.hh"
 #include "serve/net.hh"
 
@@ -53,8 +54,17 @@ enum class SimProfile : std::uint8_t
     Heavy,        ///< everything at once
 };
 
-const char *simProfileName(SimProfile p);
-bool simProfileByName(const std::string &name, SimProfile *out);
+inline constexpr EnumName<SimProfile> kSimProfileNames[] = {
+    {SimProfile::None, "none"},
+    {SimProfile::Drop, "drop"},
+    {SimProfile::Delay, "delay"},
+    {SimProfile::Partition, "partition"},
+    {SimProfile::CrashRestart, "crash-restart"},
+    {SimProfile::Liar, "liar"},
+    {SimProfile::Heavy, "heavy"},
+};
+constexpr auto &enumNames(SimProfile) { return kSimProfileNames; }
+static_assert(enumTableCovers(kSimProfileNames, SimProfile::Heavy));
 
 /** One recorded (or scripted) chaos decision. */
 enum class EvKind : std::uint8_t
@@ -68,8 +78,17 @@ enum class EvKind : std::uint8_t
     CoordCrash, ///< coordinator crashed at `param`, back in `param2`
 };
 
-const char *evKindName(EvKind k);
-bool evKindByName(const std::string &name, EvKind *out);
+inline constexpr EnumName<EvKind> kEvKindNames[] = {
+    {EvKind::Drop, "drop"},
+    {EvKind::Dup, "dup"},
+    {EvKind::Delay, "delay"},
+    {EvKind::SlowExec, "slow-exec"},
+    {EvKind::Lie, "lie"},
+    {EvKind::AgentCrash, "agent-crash"},
+    {EvKind::CoordCrash, "coord-crash"},
+};
+constexpr auto &enumNames(EvKind) { return kEvKindNames; }
+static_assert(enumTableCovers(kEvKindNames, EvKind::CoordCrash));
 
 struct ChaosEvent
 {

@@ -15,6 +15,21 @@ baseConfig()
     return cfg;
 }
 
+/** The one list of mechanisms, in presentation order. */
+constexpr struct
+{
+    const char *name;
+    core::MachineConfig (*make)();
+} kMechanisms[] = {
+    {"conservative", &Configs::conservative},
+    {"blind-flush", &Configs::blindFlush},
+    {"storesets-flush", &Configs::storeSetsFlush},
+    {"dsre", &Configs::dsre},
+    {"storesets-dsre", &Configs::storeSetsDsre},
+    {"dsre-vp", &Configs::dsreVp},
+    {"oracle", &Configs::oracle},
+};
+
 } // namespace
 
 core::MachineConfig
@@ -79,34 +94,32 @@ Configs::dsreVp()
     return cfg;
 }
 
+std::optional<core::MachineConfig>
+Configs::lookup(const std::string &name)
+{
+    for (const auto &m : kMechanisms)
+        if (name == m.name)
+            return m.make();
+    return std::nullopt;
+}
+
 core::MachineConfig
 Configs::byName(const std::string &name)
 {
-    if (name == "conservative")
-        return conservative();
-    if (name == "blind-flush")
-        return blindFlush();
-    if (name == "storesets-flush")
-        return storeSetsFlush();
-    if (name == "dsre")
-        return dsre();
-    if (name == "storesets-dsre")
-        return storeSetsDsre();
-    if (name == "oracle")
-        return oracle();
-    if (name == "dsre-vp")
-        return dsreVp();
-    fatal("unknown machine configuration '%s'", name.c_str());
+    std::optional<core::MachineConfig> cfg = lookup(name);
+    fatal_if(!cfg, "unknown machine configuration '%s'", name.c_str());
+    return *cfg;
 }
 
 const std::vector<std::string> &
 Configs::allNames()
 {
-    static const std::vector<std::string> names = {
-        "conservative",   "blind-flush", "storesets-flush",
-        "dsre",           "storesets-dsre", "dsre-vp",
-        "oracle",
-    };
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v;
+        for (const auto &m : kMechanisms)
+            v.emplace_back(m.name);
+        return v;
+    }();
     return names;
 }
 

@@ -19,6 +19,7 @@
 #define EDGE_SIM_SIMULATOR_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -153,8 +154,12 @@ struct Configs
      */
     static core::MachineConfig dsreVp();
 
-    /** The config named by one of {conservative, blind-flush,
-     * storesets-flush, dsre, storesets-dsre, oracle}. */
+    /** The config of a mechanism named in allNames(), or nullopt:
+     *  for names that arrive from clients or files. */
+    static std::optional<core::MachineConfig>
+    lookup(const std::string &name);
+
+    /** lookup() for trusted in-process callers: fatal on a miss. */
     static core::MachineConfig byName(const std::string &name);
 
     /** All mechanism names in presentation order. */

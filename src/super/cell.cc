@@ -83,7 +83,8 @@ cellFromJson(const JsonValue &root, CellSpec *cell, std::string *err)
     }
 
     if (const JsonValue *cfg = root.get("config"))
-        triage::configFromJson(*cfg, &cell->config);
+        if (!triage::configFromJson(*cfg, &cell->config, err))
+            return false;
     cell->maxCycles = root.getU64("max_cycles", cell->maxCycles);
     cell->testCrash = root.getString("test_crash");
     return true;

@@ -42,12 +42,11 @@ closeFd(int &fd)
     }
 }
 
-/** Parent-side pipe end: nonblocking, not inherited by later forks. */
+/** Parent-side pipe end: nonblocking. */
 void
 prepParentFd(int fd)
 {
     ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-    ::fcntl(fd, F_SETFD, FD_CLOEXEC);
 }
 
 } // namespace
@@ -127,9 +126,13 @@ Supervisor::spawn(Child &c, const CellSpec &cell)
 {
     int inPipe[2] = {-1, -1};
     int outPipe[2] = {-1, -1};
-    if (::pipe(inPipe) != 0)
+    // Close-on-exec from creation: an agent spawns from several
+    // threads, and a sibling worker forked before a later fcntl would
+    // inherit these ends, hold this child's stdin open, and deadlock
+    // both workers. dup2 onto stdin/stdout clears the flag.
+    if (::pipe2(inPipe, O_CLOEXEC) != 0)
         return false;
-    if (::pipe(outPipe) != 0) {
+    if (::pipe2(outPipe, O_CLOEXEC) != 0) {
         ::close(inPipe[0]);
         ::close(inPipe[1]);
         return false;

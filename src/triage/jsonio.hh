@@ -12,9 +12,12 @@
 #define EDGE_TRIAGE_JSONIO_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/enum_names.hh"
 
 namespace edge::triage {
 
@@ -124,6 +127,37 @@ class JsonValue
  */
 bool writeFileDurable(const std::string &path,
                       const std::string &content, std::string *err);
+
+/** Decode the enumerator named by the string `j` (see
+ *  common/enum_names.hh) into *v; an unknown name is false with an
+ *  *err that lists the valid names. */
+template <typename E>
+bool
+enumFromJson(const JsonValue &j, E *v, std::string *err)
+{
+    if (std::optional<E> e = enumLookup<E>(j.asString())) {
+        *v = *e;
+        return true;
+    }
+    if (err)
+        *err = "unknown name '" + j.asString() +
+               "' (expected one of: " + enumNameList<E>() + ")";
+    return false;
+}
+
+/** As above for member `key` of object `o`: an absent key keeps *v,
+ *  and the error is prefixed with "key: ". */
+template <typename E>
+bool
+enumFromJson(const JsonValue &o, const char *key, E *v, std::string *err)
+{
+    const JsonValue *j = o.get(key);
+    if (!j || enumFromJson(*j, v, err))
+        return true;
+    if (err)
+        *err = key + (": " + *err);
+    return false;
+}
 
 } // namespace edge::triage
 

@@ -118,15 +118,7 @@ toJson(const ReproSpec &spec)
     failure.set("retries", JsonValue::u64(spec.retries));
     root.set("failure", std::move(failure));
 
-    JsonValue sched = JsonValue::array();
-    for (const chaos::FaultEvent &e : spec.schedule) {
-        JsonValue ev = JsonValue::object();
-        ev.set("ordinal", JsonValue::u64(e.ordinal));
-        ev.set("site", JsonValue::str(chaos::faultSiteName(e.site)));
-        ev.set("magnitude", JsonValue::u64(e.magnitude));
-        sched.push(std::move(ev));
-    }
-    root.set("schedule", std::move(sched));
+    root.set("schedule", eventsToJson(spec.schedule));
     return root;
 }
 
@@ -156,34 +148,35 @@ fromJson(const JsonValue &root, ReproSpec *spec, std::string *err)
     if (const JsonValue *embedded = prog->get("embedded")) {
         if (!programFromJson(*embedded, &spec->program.embedded, err))
             return false;
+        // Checked here so an invalid program on disk is a load error,
+        // not the Simulator constructor's fatal.
+        std::vector<isa::ValidationIssue> issues =
+            spec->program.embedded.validateAll();
+        if (!issues.empty()) {
+            if (err)
+                *err = "embedded program is invalid: " +
+                       issues.front().str();
+            return false;
+        }
         spec->program.hasEmbedded = true;
     }
 
     if (const JsonValue *cfg = root.get("config"))
-        configFromJson(*cfg, &spec->config);
+        if (!configFromJson(*cfg, &spec->config, err))
+            return false;
     spec->maxCycles = root.getU64("max_cycles", spec->maxCycles);
     spec->build = root.getString("build");
 
     if (const JsonValue *failure = root.get("failure")) {
         if (const JsonValue *e = failure->get("error"))
-            errorFromJson(*e, &spec->error);
+            if (!errorFromJson(*e, &spec->error, err))
+                return false;
         spec->halted = failure->getBool("halted");
         spec->archMatch = failure->getBool("arch_match");
         spec->retries = static_cast<unsigned>(failure->getU64("retries"));
     }
 
-    spec->schedule.clear();
-    if (const JsonValue *sched = root.get("schedule")) {
-        for (const JsonValue &ev : sched->items()) {
-            chaos::FaultEvent e;
-            e.ordinal = ev.getU64("ordinal");
-            e.site = chaos::faultSiteByName(
-                ev.getString("site", "hop-delay"));
-            e.magnitude = ev.getU64("magnitude");
-            spec->schedule.push_back(e);
-        }
-    }
-    return true;
+    return eventsFromJson(root.get("schedule"), &spec->schedule, err);
 }
 
 bool
@@ -264,12 +257,12 @@ captureToFile(const ReproSpec &spec, const std::string &dir)
              ec.message().c_str());
         return "";
     }
-    std::string kind = chaos::reasonName(spec.error.reason);
+    std::string kind = enumName(spec.error.reason);
     if (spec.error.ok())
         kind = spec.archMatch ? "halt" : "divergence";
     std::string name = strfmt(
         "%s-%s-%s-seed%llu.repro.json", slug(spec.program.kernel).c_str(),
-        slug(pred::depPolicyName(spec.config.policy)).c_str(),
+        slug(enumName(spec.config.policy)).c_str(),
         slug(kind + (spec.error.invariant.empty()
                          ? ""
                          : "-" + spec.error.invariant))
@@ -306,14 +299,6 @@ sim::RunResult
 replay(const ReproSpec &spec)
 {
     isa::Program prog = buildProgram(spec.program);
-    if (spec.program.hasEmbedded) {
-        // Loaded from disk, so check before the Simulator's fatal-on-
-        // invalid constructor produces an opaque message.
-        std::vector<isa::ValidationIssue> issues = prog.validateAll();
-        fatal_if(!issues.empty(),
-                 "repro: embedded program is invalid: %s",
-                 issues.front().str().c_str());
-    }
     if (!spec.build.empty()) {
         std::string mismatch = buildMismatch(spec.build);
         if (!mismatch.empty())
@@ -361,7 +346,7 @@ signatureLine(const ReproSpec &spec)
 {
     std::string out = strfmt(
         "%s kernel=%s seed=%llu cycle=%llu halted=%d archMatch=%d",
-        chaos::reasonName(spec.error.reason),
+        enumName(spec.error.reason),
         spec.program.kernel.c_str(),
         static_cast<unsigned long long>(spec.config.rngSeed),
         static_cast<unsigned long long>(spec.error.cycle), spec.halted,

@@ -1,325 +1,419 @@
 #include "triage/result_json.hh"
 
-#include "common/logging.hh"
-#include "lsq/lsq.hh"
-#include "predictor/dependence.hh"
+#include <limits>
+#include <type_traits>
 
 namespace edge::triage {
 
 namespace {
 
-pred::DepPolicy
-depPolicyByName(const std::string &name)
+// ---------------------------------------------------------------------
+// The config field tables. One row per field, in JSON emission order;
+// a nested struct is one row whose value is that struct's own table.
+// configToJson, configFromJson, `--set` and the `--help` key list all
+// read these rows, so a field is named exactly once.
+// ---------------------------------------------------------------------
+
+template <typename S>
+struct Field
 {
-    for (pred::DepPolicy p :
-         {pred::DepPolicy::Blind, pred::DepPolicy::Conservative,
-          pred::DepPolicy::StoreSets, pred::DepPolicy::Oracle}) {
-        if (name == pred::depPolicyName(p))
-            return p;
+    const char *name;
+    const char *doc;
+    JsonValue (*save)(const S &);
+    bool (*load)(const JsonValue &, S *, std::string *err);
+    /** Nested-struct rows only: lists the child's keys under a
+     *  prefix (null for leaf fields). */
+    void (*keys)(const std::string &prefix, std::vector<ConfigKey> *out);
+};
+
+/** Specialised below with `static constexpr Field<S> rows[]`. */
+template <typename S>
+struct Fields;
+
+template <typename T>
+constexpr bool kNested =
+    std::is_class_v<T> && !std::is_same_v<T, std::vector<std::uint64_t>>;
+
+template <typename S>
+JsonValue
+structToJson(const S &s)
+{
+    JsonValue o = JsonValue::object();
+    for (const Field<S> &f : Fields<S>::rows)
+        o.set(f.name, f.save(s));
+    return o;
+}
+
+/** Absent keys keep their current value; errors name the field path
+ *  ("core.hop_latency: ...", or "core: ..." when `core` itself is
+ *  wrong). */
+template <typename S>
+bool
+structFromJson(const JsonValue &o, S *s, std::string *err)
+{
+    for (const Field<S> &f : Fields<S>::rows) {
+        const JsonValue *v = o.get(f.name);
+        if (v && !f.load(*v, s, err)) {
+            const bool inChild = f.keys && v->isObject();
+            *err = f.name + std::string(inChild ? "." : ": ") + *err;
+            return false;
+        }
     }
-    fatal("repro: unknown dependence policy '%s'", name.c_str());
+    return true;
 }
 
-lsq::Recovery
-recoveryByName(const std::string &name)
+template <typename S>
+void
+listKeys(const std::string &prefix, std::vector<ConfigKey> *out)
 {
-    for (lsq::Recovery r : {lsq::Recovery::Flush, lsq::Recovery::Dsre}) {
-        if (name == lsq::recoveryName(r))
-            return r;
+    const S defaults{};
+    for (const Field<S> &f : Fields<S>::rows) {
+        const std::string path = prefix + f.name;
+        out->push_back(
+            {path, f.doc, f.keys ? "" : f.save(defaults).dumpCompact()});
+        if (f.keys)
+            f.keys(path + ".", out);
     }
-    fatal("repro: unknown recovery mechanism '%s'", name.c_str());
 }
 
+template <typename T>
 JsonValue
-coreToJson(const core::CoreParams &p)
+encode(const T &v)
 {
-    JsonValue o = JsonValue::object();
-    o.set("rows", JsonValue::u64(p.rows));
-    o.set("cols", JsonValue::u64(p.cols));
-    o.set("slots_per_node", JsonValue::u64(p.slotsPerNode));
-    o.set("num_frames", JsonValue::u64(p.numFrames));
-    o.set("hop_latency", JsonValue::u64(p.hopLatency));
-    o.set("fetch_width", JsonValue::u64(p.fetchWidth));
-    o.set("reg_read_latency", JsonValue::u64(p.regReadLatency));
-    o.set("reg_ports_per_bank", JsonValue::u64(p.regPortsPerBank));
-    o.set("commit_ports_per_node", JsonValue::u64(p.commitPortsPerNode));
-    o.set("commit_wave_uses_alu", JsonValue::boolean(p.commitWaveUsesAlu));
-    o.set("squash_identical_values",
-          JsonValue::boolean(p.squashIdenticalValues));
-    o.set("lat_int_alu", JsonValue::u64(p.latIntAlu));
-    o.set("lat_int_mul", JsonValue::u64(p.latIntMul));
-    o.set("lat_int_div", JsonValue::u64(p.latIntDiv));
-    o.set("lat_fp_alu", JsonValue::u64(p.latFpAlu));
-    o.set("lat_fp_mul", JsonValue::u64(p.latFpMul));
-    o.set("lat_fp_div", JsonValue::u64(p.latFpDiv));
-    o.set("lat_ctrl", JsonValue::u64(p.latCtrl));
-    o.set("lat_mem_addr", JsonValue::u64(p.latMemAddr));
-    o.set("watchdog_cycles", JsonValue::u64(p.watchdogCycles));
-    o.set("livelock_interval", JsonValue::u64(p.livelockInterval));
-    o.set("livelock_repeats", JsonValue::u64(p.livelockRepeats));
-    return o;
+    if constexpr (std::is_same_v<T, bool>) {
+        return JsonValue::boolean(v);
+    } else if constexpr (std::is_enum_v<T>) {
+        return JsonValue::str(enumName(v));
+    } else if constexpr (std::is_integral_v<T>) {
+        return JsonValue::u64(v);
+    } else if constexpr (kNested<T>) {
+        return structToJson(v);
+    } else {
+        JsonValue a = JsonValue::array();
+        for (std::uint64_t e : v)
+            a.push(JsonValue::u64(e));
+        return a;
+    }
 }
 
-void
-coreFromJson(const JsonValue &o, core::CoreParams *p)
+template <typename T>
+bool
+decode(const JsonValue &j, T *v, std::string *err)
 {
-    p->rows = static_cast<unsigned>(o.getU64("rows", p->rows));
-    p->cols = static_cast<unsigned>(o.getU64("cols", p->cols));
-    p->slotsPerNode = static_cast<unsigned>(
-        o.getU64("slots_per_node", p->slotsPerNode));
-    p->numFrames = static_cast<unsigned>(
-        o.getU64("num_frames", p->numFrames));
-    p->hopLatency = static_cast<unsigned>(
-        o.getU64("hop_latency", p->hopLatency));
-    p->fetchWidth = static_cast<unsigned>(
-        o.getU64("fetch_width", p->fetchWidth));
-    p->regReadLatency = static_cast<unsigned>(
-        o.getU64("reg_read_latency", p->regReadLatency));
-    p->regPortsPerBank = static_cast<unsigned>(
-        o.getU64("reg_ports_per_bank", p->regPortsPerBank));
-    p->commitPortsPerNode = static_cast<unsigned>(
-        o.getU64("commit_ports_per_node", p->commitPortsPerNode));
-    p->commitWaveUsesAlu =
-        o.getBool("commit_wave_uses_alu", p->commitWaveUsesAlu);
-    p->squashIdenticalValues =
-        o.getBool("squash_identical_values", p->squashIdenticalValues);
-    p->latIntAlu = static_cast<unsigned>(
-        o.getU64("lat_int_alu", p->latIntAlu));
-    p->latIntMul = static_cast<unsigned>(
-        o.getU64("lat_int_mul", p->latIntMul));
-    p->latIntDiv = static_cast<unsigned>(
-        o.getU64("lat_int_div", p->latIntDiv));
-    p->latFpAlu = static_cast<unsigned>(
-        o.getU64("lat_fp_alu", p->latFpAlu));
-    p->latFpMul = static_cast<unsigned>(
-        o.getU64("lat_fp_mul", p->latFpMul));
-    p->latFpDiv = static_cast<unsigned>(
-        o.getU64("lat_fp_div", p->latFpDiv));
-    p->latCtrl = static_cast<unsigned>(
-        o.getU64("lat_ctrl", p->latCtrl));
-    p->latMemAddr = static_cast<unsigned>(
-        o.getU64("lat_mem_addr", p->latMemAddr));
-    p->watchdogCycles = o.getU64("watchdog_cycles", p->watchdogCycles);
-    p->livelockInterval =
-        o.getU64("livelock_interval", p->livelockInterval);
-    p->livelockRepeats = static_cast<unsigned>(
-        o.getU64("livelock_repeats", p->livelockRepeats));
+    if constexpr (std::is_same_v<T, bool>) {
+        if (j.type() == JsonValue::Type::Bool) {
+            *v = j.asBool();
+            return true;
+        }
+        *err = "expected true or false";
+    } else if constexpr (std::is_enum_v<T>) {
+        return enumFromJson(j, v, err);
+    } else if constexpr (std::is_integral_v<T>) {
+        constexpr std::uint64_t max = std::numeric_limits<T>::max();
+        if (j.type() == JsonValue::Type::Number && j.asI64() >= 0 &&
+            j.asU64() <= max) {
+            *v = static_cast<T>(j.asU64());
+            return true;
+        }
+        *err = "expected an integer in [0, " + std::to_string(max) + "]";
+    } else if constexpr (kNested<T>) {
+        if (j.isObject())
+            return structFromJson(j, v, err);
+        *err = "expected an object";
+    } else {
+        T out(j.items().size());
+        for (std::size_t i = 0; i < out.size(); ++i)
+            if (!decode(j.items()[i], &out[i], err))
+                return false;
+        if (j.isArray()) {
+            *v = std::move(out);
+            return true;
+        }
+        *err = "expected an array";
+    }
+    return false;
 }
 
-JsonValue
-memToJson(const mem::HierarchyParams &p)
+template <typename>
+struct MemberOf;
+template <typename S, typename T>
+struct MemberOf<T S::*>
 {
-    JsonValue o = JsonValue::object();
-    o.set("num_dbanks", JsonValue::u64(p.numDBanks));
-    o.set("l1d_size_bytes", JsonValue::u64(p.l1dSizeBytes));
-    o.set("l1d_assoc", JsonValue::u64(p.l1dAssoc));
-    o.set("l1d_hit_latency", JsonValue::u64(p.l1dHitLatency));
-    o.set("l1d_mshrs", JsonValue::u64(p.l1dMshrs));
-    o.set("l1i_size_bytes", JsonValue::u64(p.l1iSizeBytes));
-    o.set("l1i_assoc", JsonValue::u64(p.l1iAssoc));
-    o.set("l1i_hit_latency", JsonValue::u64(p.l1iHitLatency));
-    o.set("l2_size_bytes", JsonValue::u64(p.l2SizeBytes));
-    o.set("l2_assoc", JsonValue::u64(p.l2Assoc));
-    o.set("l2_hit_latency", JsonValue::u64(p.l2HitLatency));
-    o.set("l2_mshrs", JsonValue::u64(p.l2Mshrs));
-    o.set("l2_banks", JsonValue::u64(p.l2Banks));
-    o.set("line_bytes", JsonValue::u64(p.lineBytes));
-    o.set("dram_latency", JsonValue::u64(p.dramLatency));
-    o.set("dram_cycles_per_line", JsonValue::u64(p.dramCyclesPerLine));
-    return o;
+    using Struct = S;
+    using Type = T;
+};
+
+/** The table row of member `M`. */
+template <auto M>
+constexpr Field<typename MemberOf<decltype(M)>::Struct>
+row(const char *name, const char *doc)
+{
+    using S = typename MemberOf<decltype(M)>::Struct;
+    using T = typename MemberOf<decltype(M)>::Type;
+    Field<S> f{name, doc, [](const S &s) { return encode(s.*M); },
+               [](const JsonValue &j, S *s, std::string *err) {
+                   return decode(j, &(s->*M), err);
+               },
+               nullptr};
+    if constexpr (kNested<T>)
+        f.keys = &listKeys<T>;
+    return f;
 }
 
-void
-memFromJson(const JsonValue &o, mem::HierarchyParams *p)
+template <>
+struct Fields<core::CoreParams>
 {
-    p->numDBanks = static_cast<unsigned>(
-        o.getU64("num_dbanks", p->numDBanks));
-    p->l1dSizeBytes = o.getU64("l1d_size_bytes", p->l1dSizeBytes);
-    p->l1dAssoc = static_cast<unsigned>(
-        o.getU64("l1d_assoc", p->l1dAssoc));
-    p->l1dHitLatency = static_cast<unsigned>(
-        o.getU64("l1d_hit_latency", p->l1dHitLatency));
-    p->l1dMshrs = static_cast<unsigned>(
-        o.getU64("l1d_mshrs", p->l1dMshrs));
-    p->l1iSizeBytes = o.getU64("l1i_size_bytes", p->l1iSizeBytes);
-    p->l1iAssoc = static_cast<unsigned>(
-        o.getU64("l1i_assoc", p->l1iAssoc));
-    p->l1iHitLatency = static_cast<unsigned>(
-        o.getU64("l1i_hit_latency", p->l1iHitLatency));
-    p->l2SizeBytes = o.getU64("l2_size_bytes", p->l2SizeBytes);
-    p->l2Assoc = static_cast<unsigned>(o.getU64("l2_assoc", p->l2Assoc));
-    p->l2HitLatency = static_cast<unsigned>(
-        o.getU64("l2_hit_latency", p->l2HitLatency));
-    p->l2Mshrs = static_cast<unsigned>(o.getU64("l2_mshrs", p->l2Mshrs));
-    p->l2Banks = static_cast<unsigned>(o.getU64("l2_banks", p->l2Banks));
-    p->lineBytes = static_cast<unsigned>(
-        o.getU64("line_bytes", p->lineBytes));
-    p->dramLatency = static_cast<unsigned>(
-        o.getU64("dram_latency", p->dramLatency));
-    p->dramCyclesPerLine = static_cast<unsigned>(
-        o.getU64("dram_cycles_per_line", p->dramCyclesPerLine));
-}
+    using P = core::CoreParams;
+    static constexpr Field<P> rows[] = {
+        row<&P::rows>("rows", "execution-node grid rows"),
+        row<&P::cols>("cols", "execution-node grid columns"),
+        row<&P::slotsPerNode>("slots_per_node",
+                              "reservation slots per node per frame"),
+        row<&P::numFrames>("num_frames", "blocks in flight"),
+        row<&P::hopLatency>("hop_latency",
+                            "operand network cycles per hop"),
+        row<&P::fetchWidth>("fetch_width",
+                            "instructions mapped per cycle"),
+        row<&P::regReadLatency>("reg_read_latency",
+                                "register read cycles"),
+        row<&P::regPortsPerBank>("reg_ports_per_bank",
+                                 "register forwards per bank per cycle"),
+        row<&P::commitPortsPerNode>("commit_ports_per_node",
+                                    "commit-wave sends per node per cycle"),
+        row<&P::commitWaveUsesAlu>("commit_wave_uses_alu",
+                                   "commit waves occupy the ALU"),
+        row<&P::squashIdenticalValues>(
+            "squash_identical_values",
+            "suppress re-sends whose value did not change"),
+        row<&P::latIntAlu>("lat_int_alu", "integer ALU latency"),
+        row<&P::latIntMul>("lat_int_mul", "integer multiply latency"),
+        row<&P::latIntDiv>("lat_int_div", "integer divide latency"),
+        row<&P::latFpAlu>("lat_fp_alu", "FP add latency"),
+        row<&P::latFpMul>("lat_fp_mul", "FP multiply latency"),
+        row<&P::latFpDiv>("lat_fp_div", "FP divide latency"),
+        row<&P::latCtrl>("lat_ctrl", "branch latency"),
+        row<&P::latMemAddr>("lat_mem_addr",
+                            "load/store address generation latency"),
+        row<&P::watchdogCycles>("watchdog_cycles",
+                                "abort after this many commit-free cycles"),
+        row<&P::livelockInterval>("livelock_interval",
+                                  "cycles between livelock samples (0 off)"),
+        row<&P::livelockRepeats>("livelock_repeats",
+                                 "identical samples before livelock"),
+    };
+};
 
-JsonValue
-lsqToJson(const lsq::LsqParams &p)
+template <>
+struct Fields<mem::HierarchyParams>
 {
-    JsonValue o = JsonValue::object();
-    o.set("recovery", JsonValue::str(lsq::recoveryName(p.recovery)));
-    o.set("lsq_latency", JsonValue::u64(p.lsqLatency));
-    o.set("addr_based_violations",
-          JsonValue::boolean(p.addrBasedViolations));
-    o.set("max_resends_per_load", JsonValue::u64(p.maxResendsPerLoad));
-    o.set("charge_upgrade_ports",
-          JsonValue::boolean(p.chargeUpgradePorts));
-    o.set("value_predict_misses",
-          JsonValue::boolean(p.valuePredictMisses));
-    o.set("vp_latency_threshold", JsonValue::u64(p.vpLatencyThreshold));
-    o.set("vp_table_size", JsonValue::u64(p.vpTableSize));
-    return o;
-}
+    using P = mem::HierarchyParams;
+    static constexpr Field<P> rows[] = {
+        row<&P::numDBanks>("num_dbanks", "L1D banks (== LSQ banks)"),
+        row<&P::l1dSizeBytes>("l1d_size_bytes", "L1D bytes per bank"),
+        row<&P::l1dAssoc>("l1d_assoc", "L1D associativity"),
+        row<&P::l1dHitLatency>("l1d_hit_latency", "L1D hit cycles"),
+        row<&P::l1dMshrs>("l1d_mshrs", "L1D miss registers"),
+        row<&P::l1iSizeBytes>("l1i_size_bytes", "L1I bytes"),
+        row<&P::l1iAssoc>("l1i_assoc", "L1I associativity"),
+        row<&P::l1iHitLatency>("l1i_hit_latency", "L1I hit cycles"),
+        row<&P::l2SizeBytes>("l2_size_bytes", "L2 bytes"),
+        row<&P::l2Assoc>("l2_assoc", "L2 associativity"),
+        row<&P::l2HitLatency>("l2_hit_latency", "L2 hit cycles"),
+        row<&P::l2Mshrs>("l2_mshrs", "L2 miss registers"),
+        row<&P::l2Banks>("l2_banks", "L2 banks"),
+        row<&P::lineBytes>("line_bytes", "cache line bytes"),
+        row<&P::dramLatency>("dram_latency", "DRAM access cycles"),
+        row<&P::dramCyclesPerLine>("dram_cycles_per_line",
+                                   "DRAM transfer cycles per line"),
+    };
+};
 
-void
-lsqFromJson(const JsonValue &o, lsq::LsqParams *p)
+template <>
+struct Fields<lsq::LsqParams>
 {
-    p->recovery = recoveryByName(
-        o.getString("recovery", lsq::recoveryName(p->recovery)));
-    p->lsqLatency = static_cast<unsigned>(
-        o.getU64("lsq_latency", p->lsqLatency));
-    p->addrBasedViolations =
-        o.getBool("addr_based_violations", p->addrBasedViolations);
-    p->maxResendsPerLoad = static_cast<unsigned>(
-        o.getU64("max_resends_per_load", p->maxResendsPerLoad));
-    p->chargeUpgradePorts =
-        o.getBool("charge_upgrade_ports", p->chargeUpgradePorts);
-    p->valuePredictMisses =
-        o.getBool("value_predict_misses", p->valuePredictMisses);
-    p->vpLatencyThreshold = static_cast<unsigned>(
-        o.getU64("vp_latency_threshold", p->vpLatencyThreshold));
-    p->vpTableSize = o.getU64("vp_table_size", p->vpTableSize);
-}
+    using P = lsq::LsqParams;
+    static constexpr Field<P> rows[] = {
+        row<&P::recovery>("recovery", "violation recovery mechanism"),
+        row<&P::lsqLatency>("lsq_latency", "LSQ bank search cycles"),
+        row<&P::addrBasedViolations>(
+            "addr_based_violations",
+            "flush recovery flags any overlapping store"),
+        row<&P::maxResendsPerLoad>("max_resends_per_load",
+                                   "DSRE resend budget per load (0 off)"),
+        row<&P::chargeUpgradePorts>("charge_upgrade_ports",
+                                    "upgrades take an LSQ bank port"),
+        row<&P::valuePredictMisses>("value_predict_misses",
+                                    "value-predict long-latency loads"),
+        row<&P::vpLatencyThreshold>("vp_latency_threshold",
+                                    "predict when the access is slower"),
+        row<&P::vpTableSize>("vp_table_size", "last-value table entries"),
+    };
+};
 
-JsonValue
-chaosToJson(const chaos::ChaosParams &p)
+template <>
+struct Fields<pred::NextBlockParams>
 {
-    JsonValue o = JsonValue::object();
-    o.set("seed", JsonValue::u64(p.seed));
-    o.set("profile", JsonValue::str(chaos::profileName(p.profile)));
-    o.set("hop_delay_permille", JsonValue::u64(p.hopDelayPermille));
-    o.set("hop_delay_max", JsonValue::u64(p.hopDelayMax));
-    o.set("duplicate_permille", JsonValue::u64(p.duplicatePermille));
-    o.set("duplicate_skew_max", JsonValue::u64(p.duplicateSkewMax));
-    o.set("mem_jitter_permille", JsonValue::u64(p.memJitterPermille));
-    o.set("mem_jitter_max", JsonValue::u64(p.memJitterMax));
-    o.set("store_delay_permille", JsonValue::u64(p.storeDelayPermille));
-    o.set("store_delay_max", JsonValue::u64(p.storeDelayMax));
-    o.set("spurious_permille", JsonValue::u64(p.spuriousPermille));
-    o.set("mutation", JsonValue::str(chaos::mutationName(p.mutation)));
-    o.set("mutation_node", JsonValue::u64(p.mutationNode));
-    o.set("filter_schedule", JsonValue::boolean(p.filterSchedule));
-    JsonValue allowed = JsonValue::array();
-    for (std::uint64_t e : p.allowedEvents)
-        allowed.push(JsonValue::u64(e));
-    o.set("allowed_events", std::move(allowed));
-    return o;
-}
+    using P = pred::NextBlockParams;
+    static constexpr Field<P> rows[] = {
+        row<&P::tableSize>("table_size", "next-block predictor entries"),
+        row<&P::historyBits>("history_bits", "global exit-history bits"),
+    };
+};
 
-void
-chaosFromJson(const JsonValue &o, chaos::ChaosParams *p)
+template <>
+struct Fields<chaos::ChaosParams>
 {
-    p->seed = o.getU64("seed", p->seed);
-    p->profile = chaos::ChaosParams::profileByName(
-        o.getString("profile", chaos::profileName(p->profile)));
-    p->hopDelayPermille = static_cast<unsigned>(
-        o.getU64("hop_delay_permille", p->hopDelayPermille));
-    p->hopDelayMax = static_cast<unsigned>(
-        o.getU64("hop_delay_max", p->hopDelayMax));
-    p->duplicatePermille = static_cast<unsigned>(
-        o.getU64("duplicate_permille", p->duplicatePermille));
-    p->duplicateSkewMax = static_cast<unsigned>(
-        o.getU64("duplicate_skew_max", p->duplicateSkewMax));
-    p->memJitterPermille = static_cast<unsigned>(
-        o.getU64("mem_jitter_permille", p->memJitterPermille));
-    p->memJitterMax = static_cast<unsigned>(
-        o.getU64("mem_jitter_max", p->memJitterMax));
-    p->storeDelayPermille = static_cast<unsigned>(
-        o.getU64("store_delay_permille", p->storeDelayPermille));
-    p->storeDelayMax = static_cast<unsigned>(
-        o.getU64("store_delay_max", p->storeDelayMax));
-    p->spuriousPermille = static_cast<unsigned>(
-        o.getU64("spurious_permille", p->spuriousPermille));
-    p->mutation = chaos::mutationByName(
-        o.getString("mutation", chaos::mutationName(p->mutation)));
-    p->mutationNode = static_cast<unsigned>(
-        o.getU64("mutation_node", p->mutationNode));
-    p->filterSchedule = o.getBool("filter_schedule", p->filterSchedule);
-    p->allowedEvents.clear();
-    if (const JsonValue *allowed = o.get("allowed_events"))
-        for (const JsonValue &e : allowed->items())
-            p->allowedEvents.push_back(e.asU64());
-}
+    using P = chaos::ChaosParams;
+    static constexpr Field<P> rows[] = {
+        row<&P::seed>("seed", "fault-injection seed"),
+        row<&P::profile>("profile", "fault-mix preset"),
+        row<&P::hopDelayPermille>("hop_delay_permille",
+                                  "extra hop delay probability"),
+        row<&P::hopDelayMax>("hop_delay_max", "max extra hop cycles"),
+        row<&P::duplicatePermille>("duplicate_permille",
+                                   "duplicate delivery probability"),
+        row<&P::duplicateSkewMax>("duplicate_skew_max",
+                                  "max extra delay of a duplicate"),
+        row<&P::memJitterPermille>("mem_jitter_permille",
+                                   "fill-latency jitter probability"),
+        row<&P::memJitterMax>("mem_jitter_max", "max extra fill cycles"),
+        row<&P::storeDelayPermille>("store_delay_permille",
+                                    "store-resolve delay probability"),
+        row<&P::storeDelayMax>("store_delay_max",
+                               "max store-resolve delay"),
+        row<&P::spuriousPermille>("spurious_permille",
+                                  "spurious re-fire wave probability"),
+        row<&P::mutation>("mutation", "planted protocol mutation"),
+        row<&P::mutationNode>("mutation_node",
+                              "grid node a mutation hits"),
+        row<&P::filterSchedule>("filter_schedule",
+                                "inject only allowed_events"),
+        row<&P::allowedEvents>("allowed_events",
+                               "injection ordinals kept by the filter"),
+    };
+};
+
+template <>
+struct Fields<core::MachineConfig>
+{
+    using P = core::MachineConfig;
+    static constexpr Field<P> rows[] = {
+        row<&P::policy>("policy", "load dependence policy"),
+        row<&P::checkCommittedPath>(
+            "check_committed_path",
+            "cross-check the committed path against the reference"),
+        row<&P::rngSeed>("rng_seed", "run-level RNG seed"),
+        row<&P::checkInvariants>("check_invariants",
+                                 "run the DSRE invariant checker"),
+        row<&P::traceDepth>("trace_depth",
+                            "events kept for failure reports"),
+        row<&P::wallDeadlineMs>("wall_deadline_ms",
+                                "per-run wall-clock deadline (0 off)"),
+        row<&P::engine>("engine", "cycle-loop implementation"),
+        row<&P::core>("core", "execution core"),
+        row<&P::mem>("mem", "memory hierarchy"),
+        row<&P::lsq>("lsq", "load/store queue"),
+        row<&P::nbp>("nbp", "next-block predictor"),
+        row<&P::chaos>("chaos", "fault injection"),
+    };
+};
 
 } // namespace
 
 JsonValue
 configToJson(const core::MachineConfig &cfg)
 {
-    JsonValue o = JsonValue::object();
-    o.set("policy", JsonValue::str(pred::depPolicyName(cfg.policy)));
-    o.set("check_committed_path",
-          JsonValue::boolean(cfg.checkCommittedPath));
-    o.set("rng_seed", JsonValue::u64(cfg.rngSeed));
-    o.set("check_invariants", JsonValue::boolean(cfg.checkInvariants));
-    o.set("trace_depth", JsonValue::u64(cfg.traceDepth));
-    o.set("wall_deadline_ms", JsonValue::u64(cfg.wallDeadlineMs));
-    o.set("engine", JsonValue::str(core::engineName(cfg.engine)));
-    o.set("core", coreToJson(cfg.core));
-    o.set("mem", memToJson(cfg.mem));
-    o.set("lsq", lsqToJson(cfg.lsq));
-    JsonValue nbp = JsonValue::object();
-    nbp.set("table_size", JsonValue::u64(cfg.nbp.tableSize));
-    nbp.set("history_bits", JsonValue::u64(cfg.nbp.historyBits));
-    o.set("nbp", std::move(nbp));
-    o.set("chaos", chaosToJson(cfg.chaos));
-    return o;
+    return structToJson(cfg);
 }
 
-void
-configFromJson(const JsonValue &o, core::MachineConfig *cfg)
+bool
+configFromJson(const JsonValue &o, core::MachineConfig *cfg,
+               std::string *err)
 {
-    cfg->policy = depPolicyByName(
-        o.getString("policy", pred::depPolicyName(cfg->policy)));
-    cfg->checkCommittedPath =
-        o.getBool("check_committed_path", cfg->checkCommittedPath);
-    cfg->rngSeed = o.getU64("rng_seed", cfg->rngSeed);
-    cfg->checkInvariants =
-        o.getBool("check_invariants", cfg->checkInvariants);
-    cfg->traceDepth = o.getU64("trace_depth", cfg->traceDepth);
-    cfg->wallDeadlineMs = o.getU64("wall_deadline_ms", cfg->wallDeadlineMs);
-    // Absent in pre-engine repro files: keep the config's default so
-    // old repros stay loadable (both engines replay identically).
-    cfg->engine = core::engineByName(
-        o.getString("engine", core::engineName(cfg->engine)));
-    if (const JsonValue *core_o = o.get("core"))
-        coreFromJson(*core_o, &cfg->core);
-    if (const JsonValue *mem_o = o.get("mem"))
-        memFromJson(*mem_o, &cfg->mem);
-    if (const JsonValue *lsq_o = o.get("lsq"))
-        lsqFromJson(*lsq_o, &cfg->lsq);
-    if (const JsonValue *nbp_o = o.get("nbp")) {
-        cfg->nbp.tableSize = nbp_o->getU64("table_size",
-                                           cfg->nbp.tableSize);
-        cfg->nbp.historyBits = static_cast<unsigned>(
-            nbp_o->getU64("history_bits", cfg->nbp.historyBits));
+    std::string local;
+    std::string *e = err ? err : &local;
+    if (!decode(o, cfg, e)) {
+        *e = "config: " + *e;
+        return false;
     }
-    if (const JsonValue *chaos_o = o.get("chaos"))
-        chaosFromJson(*chaos_o, &cfg->chaos);
+    return true;
+}
+
+std::vector<ConfigKey>
+configKeys()
+{
+    std::vector<ConfigKey> keys;
+    listKeys<core::MachineConfig>("", &keys);
+    return keys;
+}
+
+bool
+applyConfigOverride(core::MachineConfig *cfg, const std::string &key,
+                    const std::string &value, std::string *err)
+{
+    std::string local;
+    std::string *e = err ? err : &local;
+    bool leaf = false;
+    for (const ConfigKey &k : configKeys())
+        leaf |= k.path == key && !k.value.empty();
+    if (!leaf) {
+        *e = "unknown --set key '" + key + "'";
+        return false;
+    }
+    // A JSON literal (16, true, [1,2]) or a bare enum name (dsre).
+    JsonValue patch;
+    std::string perr;
+    if (!JsonValue::parse(value, &patch, &perr))
+        patch = JsonValue::str(value);
+    std::string path = key;
+    for (std::size_t dot; (dot = path.rfind('.')) != std::string::npos;
+         path.resize(dot)) {
+        JsonValue o = JsonValue::object();
+        o.set(path.substr(dot + 1), std::move(patch));
+        patch = std::move(o);
+    }
+    JsonValue root = JsonValue::object();
+    root.set(path, std::move(patch));
+    return configFromJson(root, cfg, e);
+}
+
+JsonValue
+eventsToJson(const std::vector<chaos::FaultEvent> &events)
+{
+    JsonValue sched = JsonValue::array();
+    for (const chaos::FaultEvent &e : events) {
+        JsonValue ev = JsonValue::object();
+        ev.set("ordinal", JsonValue::u64(e.ordinal));
+        ev.set("site", JsonValue::str(enumName(e.site)));
+        ev.set("magnitude", JsonValue::u64(e.magnitude));
+        sched.push(std::move(ev));
+    }
+    return sched;
+}
+
+bool
+eventsFromJson(const JsonValue *sched,
+               std::vector<chaos::FaultEvent> *events, std::string *err)
+{
+    events->clear();
+    if (!sched)
+        return true;
+    for (const JsonValue &ev : sched->items()) {
+        chaos::FaultEvent e;
+        e.ordinal = ev.getU64("ordinal");
+        if (!enumFromJson(ev, "site", &e.site, err))
+            return false;
+        e.magnitude = ev.getU64("magnitude");
+        events->push_back(e);
+    }
+    return true;
 }
 
 JsonValue
 errorToJson(const chaos::SimError &e)
 {
     JsonValue o = JsonValue::object();
-    o.set("reason", JsonValue::str(chaos::reasonName(e.reason)));
+    o.set("reason", JsonValue::str(enumName(e.reason)));
     o.set("invariant", JsonValue::str(e.invariant));
     o.set("message", JsonValue::str(e.message));
     o.set("cycle", JsonValue::u64(e.cycle));
@@ -332,11 +426,11 @@ errorToJson(const chaos::SimError &e)
     return o;
 }
 
-void
-errorFromJson(const JsonValue &o, chaos::SimError *e)
+bool
+errorFromJson(const JsonValue &o, chaos::SimError *e, std::string *err)
 {
-    e->reason = chaos::reasonByName(
-        o.getString("reason", chaos::reasonName(e->reason)));
+    if (!enumFromJson(o, "reason", &e->reason, err))
+        return false;
     e->invariant = o.getString("invariant");
     e->message = o.getString("message");
     e->cycle = o.getU64("cycle");
@@ -346,6 +440,7 @@ errorFromJson(const JsonValue &o, chaos::SimError *e)
     if (const JsonValue *trace = o.get("trace"))
         for (const JsonValue &line : trace->items())
             e->trace.push_back(line.asString());
+    return true;
 }
 
 JsonValue
@@ -370,15 +465,7 @@ resultToJson(const sim::RunResult &r)
             JsonValue::u64(r.injections.spuriousWaves));
     o.set("injections", std::move(inj));
 
-    JsonValue sched = JsonValue::array();
-    for (const chaos::FaultEvent &e : r.chaosEvents) {
-        JsonValue ev = JsonValue::object();
-        ev.set("ordinal", JsonValue::u64(e.ordinal));
-        ev.set("site", JsonValue::str(chaos::faultSiteName(e.site)));
-        ev.set("magnitude", JsonValue::u64(e.magnitude));
-        sched.push(std::move(ev));
-    }
-    o.set("chaos_events", std::move(sched));
+    o.set("chaos_events", eventsToJson(r.chaosEvents));
 
     o.set("invariant_checks", JsonValue::u64(r.invariantChecks));
     o.set("retries", JsonValue::u64(r.retries));
@@ -437,8 +524,8 @@ resultFromJson(const JsonValue &o, sim::RunResult *r, std::string *err)
     r->committedInsts = o.getU64("committed_insts");
     r->halted = o.getBool("halted");
     r->archMatch = o.getBool("arch_match");
-    if (const JsonValue *e = o.get("error"))
-        errorFromJson(*e, &r->error);
+    if (!errorFromJson(*o.get("error"), &r->error, err))
+        return false;
     r->rngSeed = o.getU64("rng_seed");
     r->chaosSeed = o.getU64("chaos_seed");
 
@@ -450,17 +537,8 @@ resultFromJson(const JsonValue &o, sim::RunResult *r, std::string *err)
         r->injections.spuriousWaves = inj->getU64("spurious_waves");
     }
 
-    r->chaosEvents.clear();
-    if (const JsonValue *sched = o.get("chaos_events")) {
-        for (const JsonValue &ev : sched->items()) {
-            chaos::FaultEvent e;
-            e.ordinal = ev.getU64("ordinal");
-            e.site = chaos::faultSiteByName(
-                ev.getString("site", "hop-delay"));
-            e.magnitude = ev.getU64("magnitude");
-            r->chaosEvents.push_back(e);
-        }
-    }
+    if (!eventsFromJson(o.get("chaos_events"), &r->chaosEvents, err))
+        return false;
 
     r->invariantChecks = o.getU64("invariant_checks");
     r->retries = static_cast<unsigned>(o.getU64("retries"));

@@ -1,0 +1,15 @@
+# Decoders of client, agent and on-disk input must return errors,
+# never end the process:
+#   cmake -DSRC=<repo>/src -P check_decoders_no_fatal.cmake
+# fails if any of these files calls fatal()/panic() (or the _if forms).
+
+set(files
+    triage/result_json.cc
+    triage/repro.cc
+    serve/campaign_json.cc)
+foreach(f IN LISTS files)
+    file(STRINGS "${SRC}/${f}" hits REGEX "(fatal|panic)(_if)?\\(")
+    if(hits)
+        message(FATAL_ERROR "${f} calls fatal/panic:\n${hits}")
+    endif()
+endforeach()

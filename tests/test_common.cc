@@ -7,10 +7,21 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <type_traits>
+
+#include "chaos/sim_error.hh"
+#include "chaos/trace_ring.hh"
+#include "common/enum_names.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/strutil.hh"
 #include "common/types.hh"
+#include "core/processor.hh"
+#include "fuzz/diff.hh"
+#include "log/log_chaos.hh"
+#include "serve/fabric_chaos.hh"
+#include "serve/simnet/simnet.hh"
 
 namespace edge {
 namespace {
@@ -175,6 +186,62 @@ TEST(Types, DoubleWordRoundTrip)
     for (double d : {0.0, 1.5, -3.25, 1e300, -1e-300}) {
         EXPECT_EQ(wordToDouble(doubleToWord(d)), d);
     }
+}
+
+/** Names and values of E's table are each unique, and both
+ *  directions of the lookup agree on every row. */
+template <typename E>
+void
+expectOneToOne()
+{
+    std::set<std::string> names;
+    std::set<std::underlying_type_t<E>> values;
+    for (const EnumName<E> &row : enumNames(E{})) {
+        SCOPED_TRACE(row.name);
+        EXPECT_TRUE(names.insert(row.name).second);
+        EXPECT_TRUE(values.insert(static_cast<std::underlying_type_t<E>>(
+                                      row.value))
+                        .second);
+        EXPECT_STREQ(enumName(row.value), row.name);
+        EXPECT_EQ(enumLookup<E>(row.name), row.value);
+    }
+    EXPECT_FALSE(enumLookup<E>("no-such-name"));
+}
+
+TEST(EnumNames, EveryTableIsOneToOne)
+{
+    expectOneToOne<chaos::Mutation>();
+    expectOneToOne<chaos::Profile>();
+    expectOneToOne<chaos::FaultEvent::Site>();
+    expectOneToOne<chaos::SimError::Reason>();
+    expectOneToOne<chaos::TraceEvent::Kind>();
+    expectOneToOne<lsq::Recovery>();
+    expectOneToOne<pred::DepPolicy>();
+    expectOneToOne<core::EngineKind>();
+    expectOneToOne<log::LogCrashPoint>();
+    expectOneToOne<serve::FabricProfile>();
+    expectOneToOne<serve::simnet::SimProfile>();
+    expectOneToOne<serve::simnet::EvKind>();
+    expectOneToOne<fuzz::Outcome>();
+}
+
+TEST(EnumNames, CoverageRejectsMissingMisorderedAndExtraRows)
+{
+    enum class C { A, B, D };
+    constexpr EnumName<C> missing[] = {{C::A, "a"}, {C::D, "d"}};
+    constexpr EnumName<C> swapped[] = {
+        {C::B, "b"}, {C::A, "a"}, {C::D, "d"}};
+    constexpr EnumName<C> whole[] = {{C::A, "a"}, {C::B, "b"}, {C::D, "d"}};
+    EXPECT_FALSE(enumTableCovers(missing, C::D));
+    EXPECT_FALSE(enumTableCovers(swapped, C::D));
+    EXPECT_FALSE(enumTableCovers(whole, C::B)) << "a row past `last`";
+    EXPECT_TRUE(enumTableCovers(whole, C::D));
+}
+
+TEST(EnumNames, NameListIsTableOrder)
+{
+    EXPECT_EQ(enumNameList<chaos::Profile>(), "none light heavy net mem lsq");
+    EXPECT_STREQ(enumName(static_cast<core::EngineKind>(9)), "?");
 }
 
 } // namespace

@@ -168,11 +168,11 @@ enum class Damage
 void
 crashMatrixCase(log::LogCrashPoint point, Damage damage)
 {
-    SCOPED_TRACE(std::string(log::logCrashPointName(point)) + "/" +
+    SCOPED_TRACE(std::string(enumName(point)) + "/" +
                  (damage == Damage::Clean      ? "clean"
                   : damage == Damage::TornTail ? "torn-tail"
                                                : "bit-flip"));
-    TempDir tmp(std::string("crash_") + log::logCrashPointName(point));
+    TempDir tmp(std::string("crash_") + enumName(point));
     const std::string dir = tmp.file("log");
 
     // before-rotate needs a tiny segment cap so a rotation happens at
@@ -579,14 +579,9 @@ TEST(LogChaos, DecisionsAreDeterministicAndSeedSelective)
          {LogCrashPoint::BeforeWrite, LogCrashPoint::MidWrite,
           LogCrashPoint::AfterWrite, LogCrashPoint::BeforeFsync,
           LogCrashPoint::AfterFsync, LogCrashPoint::BeforeRotate,
-          LogCrashPoint::FailFsync}) {
-        LogCrashPoint back = LogCrashPoint::None;
-        ASSERT_TRUE(
-            log::logCrashPointByName(log::logCrashPointName(p), &back));
-        EXPECT_EQ(back, p);
-    }
-    LogCrashPoint none = LogCrashPoint::None;
-    EXPECT_FALSE(log::logCrashPointByName("no-such-point", &none));
+          LogCrashPoint::FailFsync})
+        EXPECT_EQ(enumLookup<LogCrashPoint>(enumName(p)), p);
+    EXPECT_FALSE(enumLookup<LogCrashPoint>("no-such-point"));
 }
 
 TEST(LogChaos, TearBytesStayInsideTheWrite)

@@ -253,7 +253,7 @@ TEST(Policies, BlindNeverWaits)
     LoadQuery q;
     q.olderUnresolved = &older;
     EXPECT_FALSE(p->loadMustWait(q));
-    EXPECT_STREQ(p->name(), "blind");
+    EXPECT_STREQ(enumName(p->policy()), "blind");
 }
 
 TEST(Policies, ConservativeWaitsForAnyUnresolvedStore)
@@ -271,10 +271,10 @@ TEST(Policies, ConservativeWaitsForAnyUnresolvedStore)
 
 TEST(Policies, NamesRoundTrip)
 {
-    EXPECT_STREQ(depPolicyName(DepPolicy::Blind), "blind");
-    EXPECT_STREQ(depPolicyName(DepPolicy::Conservative), "conservative");
-    EXPECT_STREQ(depPolicyName(DepPolicy::StoreSets), "store-sets");
-    EXPECT_STREQ(depPolicyName(DepPolicy::Oracle), "oracle");
+    EXPECT_STREQ(enumName(DepPolicy::Blind), "blind");
+    EXPECT_STREQ(enumName(DepPolicy::Conservative), "conservative");
+    EXPECT_STREQ(enumName(DepPolicy::StoreSets), "store-sets");
+    EXPECT_STREQ(enumName(DepPolicy::Oracle), "oracle");
 }
 
 TEST(Ranges, OverlapEdgeCases)

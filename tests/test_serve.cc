@@ -736,6 +736,113 @@ TEST(ServeTimeout, SubmitTimesOutOnSilentCoordinator)
     ::close(listener);
 }
 
+// --- unknown names in a submission ---------------------------------
+
+/** Send one raw campaign document; the coordinator's reply line. */
+triage::JsonValue
+submitRaw(const std::string &target, const triage::JsonValue &campaign)
+{
+    std::string err;
+    int fd = -1;
+    // The forked coordinator may not be listening yet.
+    for (int i = 0; i < 200 && fd < 0; ++i) {
+        fd = serve::connectTo(target, &err, 1000);
+        if (fd < 0)
+            ::usleep(25'000);
+    }
+    EXPECT_GE(fd, 0) << err;
+    std::string line;
+    if (fd >= 0) {
+        EXPECT_TRUE(
+            serve::sendLine(fd, serve::proto::submit(campaign), &err))
+            << err;
+        serve::LineReader reader(fd);
+        EXPECT_TRUE(reader.next(&line, &err, 60000))
+            << "no reply (coordinator died?): " << err;
+        ::close(fd);
+    }
+    return line.empty() ? triage::JsonValue() : parseDoc(line);
+}
+
+/** A valid sweep submission with `section.key` replaced. */
+triage::JsonValue
+sweepWith(const char *section, const char *key, triage::JsonValue value)
+{
+    sim::ChaosSweepParams params;
+    params.seeds = {1};
+    params.configs = {"dsre"};
+    triage::ProgramRef ref;
+    ref.kernel = "parserish";
+    ref.params.iterations = 10;
+    triage::JsonValue doc = serve::sweepSubmission(params, ref);
+    triage::JsonValue s = *doc.get(section);
+    s.set(key, std::move(value));
+    doc.set(section, std::move(s));
+    return doc;
+}
+
+TEST(ServeRobust, UnknownNamesGetErrorRepliesAndServingContinues)
+{
+    std::string err;
+    int probe = serve::listenOn(0, &err);
+    ASSERT_GE(probe, 0) << err;
+    const std::uint16_t port = serve::boundPort(probe);
+    ::close(probe);
+
+    pid_t coord = ::fork();
+    if (coord == 0) {
+        serve::ServeOptions so;
+        so.fabric = fastOptions();
+        so.fabric.listenPort = port;
+        _exit(serve::serveMain(so));
+    }
+    const std::string target = "127.0.0.1:" + std::to_string(port);
+
+    triage::JsonValue configs = triage::JsonValue::array();
+    configs.push(triage::JsonValue::str("bogus"));
+    triage::JsonValue reply =
+        submitRaw(target, sweepWith("params", "configs", configs));
+    EXPECT_EQ(reply.getString("type"), "error");
+    EXPECT_NE(reply.getString("message").find("unknown mechanism 'bogus'"),
+              std::string::npos)
+        << reply.getString("message");
+
+    reply = submitRaw(target, sweepWith("params", "profile",
+                                        triage::JsonValue::str("bogus")));
+    EXPECT_EQ(reply.getString("type"), "error");
+    EXPECT_NE(reply.getString("message").find("profile: unknown name 'bogus'"),
+              std::string::npos)
+        << reply.getString("message");
+
+    reply = submitRaw(target, sweepWith("program", "kernel",
+                                        triage::JsonValue::str("bogus")));
+    EXPECT_EQ(reply.getString("type"), "error");
+    EXPECT_NE(reply.getString("message").find("unknown kernel 'bogus'"),
+              std::string::npos)
+        << reply.getString("message");
+
+    // The coordinator is still serving: an honest campaign completes.
+    sim::ChaosSweepParams params;
+    params.seeds = {1, 2};
+    params.configs = {"dsre"};
+    triage::ProgramRef ref;
+    ref.kernel = "parserish";
+    ref.params.iterations = 10;
+    sim::ChaosSweepReport report;
+    bool interrupted = false;
+    ASSERT_TRUE(serve::submitSweep(target, params, ref, &report,
+                                   &interrupted, &err, 60000))
+        << err;
+    EXPECT_FALSE(interrupted);
+    EXPECT_EQ(report.runs.size(), 2u);
+    EXPECT_TRUE(report.allConverged());
+
+    int status = 0;
+    EXPECT_EQ(::waitpid(coord, &status, WNOHANG), 0)
+        << "coordinator exited";
+    reapAgent(coord);
+}
+
 // --- durable log fails mid-campaign ---------------------------------
 
 TEST(ServeDurable, FailFsyncMidCampaignStillCompletes)

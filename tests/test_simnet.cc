@@ -205,7 +205,7 @@ TEST(SimWorld, CleanSeedsAcrossProfiles)
             WorldParams wp = deriveWorld(s, xo);
             WorldResult r = runWorld(wp, nullptr);
             EXPECT_EQ(r.violation.invariant, "")
-                << simProfileName(p) << " seed " << s << ": "
+                << enumName(p) << " seed " << s << ": "
                 << r.violation.detail;
         }
     }
@@ -280,18 +280,12 @@ TEST(SimWorld, ProfileAndKindNamesRoundTrip)
     for (SimProfile p :
          {SimProfile::None, SimProfile::Drop, SimProfile::Delay,
           SimProfile::Partition, SimProfile::CrashRestart,
-          SimProfile::Liar, SimProfile::Heavy}) {
-        SimProfile q;
-        ASSERT_TRUE(simProfileByName(simProfileName(p), &q));
-        EXPECT_EQ(q, p);
-    }
+          SimProfile::Liar, SimProfile::Heavy})
+        EXPECT_EQ(enumLookup<SimProfile>(enumName(p)), p);
     for (EvKind k : {EvKind::Drop, EvKind::Dup, EvKind::Delay,
                      EvKind::SlowExec, EvKind::Lie,
-                     EvKind::AgentCrash, EvKind::CoordCrash}) {
-        EvKind j;
-        ASSERT_TRUE(evKindByName(evKindName(k), &j));
-        EXPECT_EQ(j, k);
-    }
+                     EvKind::AgentCrash, EvKind::CoordCrash})
+        EXPECT_EQ(enumLookup<EvKind>(enumName(k)), k);
 }
 
 #ifdef EDGE_MUTATIONS

@@ -19,9 +19,11 @@
 #include "bench/bench_util.hh"
 #include "sim/run_pool.hh"
 #include "sim/sweep.hh"
+#include "super/cell.hh"
 #include "triage/jsonio.hh"
 #include "triage/minimize.hh"
 #include "triage/repro.hh"
+#include "triage/result_json.hh"
 #include "workloads/workloads.hh"
 
 namespace edge {
@@ -162,6 +164,272 @@ TEST(TriageRepro, ProgramHashTracksContent)
 }
 
 // ---------------------------------------------------------------------
+// The config wire format. configToJson's compact bytes feed
+// super::cellHash, which keys journals, resume and fabric audits, so
+// the bytes are pinned against tests/golden/config_wire.txt (one
+// `<label> <cellHash hex> <configToJson compact>` line per config).
+// ---------------------------------------------------------------------
+
+/** The config a golden-file label names. */
+core::MachineConfig
+goldenConfig(const std::string &label)
+{
+    if (label != "dsre-heavy-seed7")
+        return sim::Configs::byName(label);
+    core::MachineConfig cfg = sim::Configs::dsre();
+    cfg.rngSeed = 7;
+    cfg.chaos = chaos::ChaosParams::byProfile(chaos::Profile::Heavy, 7);
+    cfg.chaos.mutation = chaos::Mutation::SkipSquash;
+    cfg.chaos.mutationNode = 5;
+    cfg.chaos.filterSchedule = true;
+    cfg.chaos.allowedEvents = {3, 5, 8};
+    return cfg;
+}
+
+TEST(ConfigWire, BytesAndCellHashMatchPinnedGolden)
+{
+    std::ifstream in(EDGE_TEST_GOLDEN_DIR "/config_wire.txt");
+    ASSERT_TRUE(in) << "missing golden file";
+    std::set<std::string> labels;
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream fields(line);
+        std::string label, hash, json;
+        fields >> label >> hash >> json;
+        labels.insert(label);
+        SCOPED_TRACE(label);
+        super::CellSpec cell;
+        cell.program.kernel = "mcfish";
+        cell.programHash = 0x0123456789abcdefULL;
+        cell.config = goldenConfig(label);
+        EXPECT_EQ(triage::configToJson(cell.config).dumpCompact(), json);
+        char want[17];
+        std::snprintf(want, sizeof want, "%016llx",
+                      static_cast<unsigned long long>(
+                          super::cellHash(cell)));
+        EXPECT_EQ(hash, want);
+    }
+    std::set<std::string> expected(sim::Configs::allNames().begin(),
+                                   sim::Configs::allNames().end());
+    expected.insert("dsre-heavy-seed7");
+    EXPECT_EQ(labels, expected);
+}
+
+/** Numeric JSON leaves in document order (array items included). */
+void
+numericLeaves(const triage::JsonValue &v, std::vector<std::uint64_t> *out)
+{
+    if (v.type() == triage::JsonValue::Type::Number)
+        out->push_back(v.asU64());
+    for (const auto &kv : v.members())
+        numericLeaves(kv.second, out);
+    for (const triage::JsonValue &e : v.items())
+        numericLeaves(e, out);
+}
+
+TEST(ConfigWire, EveryFieldRoundTripsUnderItsOwnKey)
+{
+    // Every numeric field gets the next value of a counter, assigned
+    // here by member name in JSON emission order; a table row bound
+    // to the wrong member breaks the ascending run below.
+    core::MachineConfig c;
+    std::uint64_t n = 100;
+    auto next = [&n] { return static_cast<unsigned>(n++); };
+    c.policy = pred::DepPolicy::Oracle;
+    c.checkCommittedPath = false;
+    c.rngSeed = next();
+    c.checkInvariants = true;
+    c.traceDepth = next();
+    c.wallDeadlineMs = next();
+    c.engine = core::EngineKind::Tick;
+    c.core.rows = next();
+    c.core.cols = next();
+    c.core.slotsPerNode = next();
+    c.core.numFrames = next();
+    c.core.hopLatency = next();
+    c.core.fetchWidth = next();
+    c.core.regReadLatency = next();
+    c.core.regPortsPerBank = next();
+    c.core.commitPortsPerNode = next();
+    c.core.commitWaveUsesAlu = true;
+    c.core.squashIdenticalValues = false;
+    c.core.latIntAlu = next();
+    c.core.latIntMul = next();
+    c.core.latIntDiv = next();
+    c.core.latFpAlu = next();
+    c.core.latFpMul = next();
+    c.core.latFpDiv = next();
+    c.core.latCtrl = next();
+    c.core.latMemAddr = next();
+    c.core.watchdogCycles = next();
+    c.core.livelockInterval = next();
+    c.core.livelockRepeats = next();
+    c.mem.numDBanks = next();
+    c.mem.l1dSizeBytes = next();
+    c.mem.l1dAssoc = next();
+    c.mem.l1dHitLatency = next();
+    c.mem.l1dMshrs = next();
+    c.mem.l1iSizeBytes = next();
+    c.mem.l1iAssoc = next();
+    c.mem.l1iHitLatency = next();
+    c.mem.l2SizeBytes = next();
+    c.mem.l2Assoc = next();
+    c.mem.l2HitLatency = next();
+    c.mem.l2Mshrs = next();
+    c.mem.l2Banks = next();
+    c.mem.lineBytes = next();
+    c.mem.dramLatency = next();
+    c.mem.dramCyclesPerLine = next();
+    c.lsq.recovery = lsq::Recovery::Flush;
+    c.lsq.lsqLatency = next();
+    c.lsq.addrBasedViolations = false;
+    c.lsq.maxResendsPerLoad = next();
+    c.lsq.chargeUpgradePorts = true;
+    c.lsq.valuePredictMisses = true;
+    c.lsq.vpLatencyThreshold = next();
+    c.lsq.vpTableSize = next();
+    c.nbp.tableSize = next();
+    c.nbp.historyBits = next();
+    c.chaos.seed = next();
+    c.chaos.profile = chaos::Profile::Mem;
+    c.chaos.hopDelayPermille = next();
+    c.chaos.hopDelayMax = next();
+    c.chaos.duplicatePermille = next();
+    c.chaos.duplicateSkewMax = next();
+    c.chaos.memJitterPermille = next();
+    c.chaos.memJitterMax = next();
+    c.chaos.storeDelayPermille = next();
+    c.chaos.storeDelayMax = next();
+    c.chaos.spuriousPermille = next();
+    c.chaos.mutation = chaos::Mutation::DropUpgrade;
+    c.chaos.mutationNode = next();
+    c.chaos.filterSchedule = true;
+    c.chaos.allowedEvents = {next(), next()};
+
+    const triage::JsonValue doc = triage::configToJson(c);
+    std::vector<std::uint64_t> leaves;
+    numericLeaves(doc, &leaves);
+    ASSERT_EQ(leaves.size(), n - 100);
+    for (std::size_t i = 0; i < leaves.size(); ++i)
+        EXPECT_EQ(leaves[i], 100 + i) << "numeric leaf " << i;
+
+    const triage::JsonValue *core_o = doc.get("core");
+    const triage::JsonValue *lsq_o = doc.get("lsq");
+    const triage::JsonValue *chaos_o = doc.get("chaos");
+    ASSERT_TRUE(core_o && lsq_o && chaos_o);
+    EXPECT_EQ(doc.getString("policy"), "oracle");
+    EXPECT_FALSE(doc.getBool("check_committed_path", true));
+    EXPECT_TRUE(doc.getBool("check_invariants"));
+    EXPECT_EQ(doc.getString("engine"), "tick");
+    EXPECT_TRUE(core_o->getBool("commit_wave_uses_alu"));
+    EXPECT_FALSE(core_o->getBool("squash_identical_values", true));
+    EXPECT_EQ(lsq_o->getString("recovery"), "flush");
+    EXPECT_FALSE(lsq_o->getBool("addr_based_violations", true));
+    EXPECT_TRUE(lsq_o->getBool("charge_upgrade_ports"));
+    EXPECT_TRUE(lsq_o->getBool("value_predict_misses"));
+    EXPECT_EQ(chaos_o->getString("profile"), "mem");
+    EXPECT_EQ(chaos_o->getString("mutation"), "drop-upgrade");
+    EXPECT_TRUE(chaos_o->getBool("filter_schedule"));
+
+    core::MachineConfig back;
+    std::string err;
+    ASSERT_TRUE(triage::configFromJson(doc, &back, &err)) << err;
+    EXPECT_EQ(triage::configToJson(back).dumpCompact(), doc.dumpCompact());
+}
+
+/** configFromJson on one JSON document; the error ("" on success). */
+std::string
+configError(const std::string &json)
+{
+    triage::JsonValue doc;
+    std::string err;
+    EXPECT_TRUE(triage::JsonValue::parse(json, &doc, &err)) << err;
+    core::MachineConfig cfg;
+    return triage::configFromJson(doc, &cfg, &err) ? "" : err;
+}
+
+TEST(ConfigWire, UnknownNamesAreErrorsNotFatal)
+{
+    EXPECT_NE(configError(R"({"policy":"bogus"})").find("policy"),
+              std::string::npos);
+    EXPECT_NE(
+        configError(R"({"lsq":{"recovery":"bogus"}})").find("lsq.recovery"),
+        std::string::npos);
+    EXPECT_NE(configError(R"({"engine":"bogus"})").find("engine"),
+              std::string::npos);
+    EXPECT_NE(configError(R"({"core":{"rows":"4"}})").find("core.rows"),
+              std::string::npos);
+    EXPECT_NE(configError(R"({"core":{"rows":4294967296}})")
+                  .find("core.rows: expected an integer"),
+              std::string::npos);
+    EXPECT_EQ(configError(R"({"core":5})"), "config: core: expected an object");
+    // Absent keys keep their value: a pre-engine repro still loads.
+    EXPECT_EQ(configError(R"({"policy":"store-sets","core":{}})"), "");
+
+    triage::JsonValue result = triage::resultToJson(sim::RunResult{});
+    triage::JsonValue error = *result.get("error");
+    error.set("reason", triage::JsonValue::str("bogus"));
+    result.set("error", std::move(error));
+    sim::RunResult r;
+    std::string err;
+    EXPECT_FALSE(triage::resultFromJson(result, &r, &err));
+    EXPECT_NE(err.find("reason: unknown name 'bogus'"), std::string::npos)
+        << err;
+}
+
+TEST(ConfigWire, ReproWithUnknownNameFailsToLoad)
+{
+    triage::ReproSpec spec;
+    spec.program.kernel = "parserish";
+    triage::JsonValue doc = triage::toJson(spec);
+    triage::JsonValue cfg = *doc.get("config");
+    cfg.set("policy", triage::JsonValue::str("bogus"));
+    doc.set("config", std::move(cfg));
+    TempDir dir("unknown-name");
+    const std::string path = dir.str() + "/bad.repro.json";
+    std::string err;
+    ASSERT_TRUE(triage::writeFileDurable(path, doc.dump(), &err)) << err;
+    triage::ReproSpec back;
+    EXPECT_FALSE(triage::load(path, &back, &err));
+    EXPECT_NE(err.find("unknown name 'bogus'"), std::string::npos) << err;
+}
+
+TEST(ConfigWire, SetOverridesAddressFieldsByJsonPath)
+{
+    core::MachineConfig cfg = sim::Configs::dsre();
+    std::string err;
+    ASSERT_TRUE(triage::applyConfigOverride(&cfg, "core.num_frames", "16",
+                                            &err))
+        << err;
+    ASSERT_TRUE(triage::applyConfigOverride(&cfg, "rng_seed", "5", &err))
+        << err;
+    ASSERT_TRUE(
+        triage::applyConfigOverride(&cfg, "lsq.recovery", "flush", &err))
+        << err;
+    EXPECT_EQ(cfg.core.numFrames, 16u);
+    EXPECT_EQ(cfg.rngSeed, 5u);
+    EXPECT_EQ(cfg.lsq.recovery, lsq::Recovery::Flush);
+    EXPECT_EQ(cfg.core.hopLatency, 1u) << "siblings keep their value";
+
+    EXPECT_FALSE(triage::applyConfigOverride(&cfg, "bogus", "1", &err));
+    EXPECT_NE(err.find("unknown --set key"), std::string::npos) << err;
+    EXPECT_FALSE(triage::applyConfigOverride(&cfg, "core", "1", &err))
+        << "a nested struct is not a settable leaf";
+    EXPECT_FALSE(
+        triage::applyConfigOverride(&cfg, "core.num_frames", "x", &err));
+    EXPECT_EQ(cfg.core.numFrames, 16u);
+
+    // Every listed leaf is settable to its own default.
+    for (const triage::ConfigKey &k : triage::configKeys()) {
+        if (!k.value.empty()) {
+            EXPECT_TRUE(
+                triage::applyConfigOverride(&cfg, k.path, k.value, &err))
+                << k.path << ": " << err;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Exit-code and transiency mapping (satellite a).
 // ---------------------------------------------------------------------
 
@@ -180,7 +448,7 @@ TEST(TriageExitCodes, DistinctPerReasonAndDocumented)
                      Reason::InvariantViolation, Reason::ProtocolPanic,
                      Reason::Livelock, Reason::HostDeadline}) {
         codes.insert(chaos::exitCodeFor(r));
-        EXPECT_EQ(chaos::reasonByName(chaos::reasonName(r)), r);
+        EXPECT_EQ(enumLookup<Reason>(enumName(r)), r);
     }
     EXPECT_EQ(codes.size(), 6u);
 
@@ -188,7 +456,7 @@ TEST(TriageExitCodes, DistinctPerReasonAndDocumented)
     for (Reason r : {Reason::None, Reason::Watchdog,
                      Reason::InvariantViolation, Reason::ProtocolPanic,
                      Reason::Livelock})
-        EXPECT_FALSE(chaos::isTransient(r)) << chaos::reasonName(r);
+        EXPECT_FALSE(chaos::isTransient(r)) << enumName(r);
 }
 
 // ---------------------------------------------------------------------

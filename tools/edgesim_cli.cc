@@ -7,15 +7,15 @@
  *   edgesim --list
  *   edgesim --kernel bzip2ish --config dsre --iterations 5000
  *   edgesim --kernel twolfish --config storesets-flush \
- *           --set frames=16 --set hop=2 --set dram=200 --stats
+ *           --set core.num_frames=16 --set core.hop_latency=2 \
+ *           --set mem.dram_latency=200 --stats
  *   edgesim --kernel parserish --chaos-profile heavy --chaos-seed 7 \
  *           --check-invariants
  *   edgesim --kernel mcfish --chaos-profile light --chaos-sweep 20
  *   edgesim --replay failures/parserish-...-seed5.repro.json
  *
- * Recognised --set keys:
- *   frames, hop, fetch, commitports, l1dkb, l2kb, l2lat, dram,
- *   budget, seed
+ * --set takes a config field by its repro-JSON path; `edgesim
+ * --help` lists every key, generated from the config field table.
  *
  * Exit codes (see docs/PROTOCOL.md, "Failure triage"):
  *    0  clean run / convergent sweep / replay reproduced
@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "common/build_info.hh"
+#include "common/enum_names.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "fuzz/diff.hh"
@@ -60,6 +61,7 @@
 #include "super/worker.hh"
 #include "triage/minimize.hh"
 #include "triage/repro.hh"
+#include "triage/result_json.hh"
 #include "workloads/workloads.hh"
 
 using namespace edge;
@@ -75,7 +77,7 @@ usage()
         "               [--chaos-profile <name>] [--chaos-seed N]\n"
         "               [--check-invariants] [--chaos-sweep N]\n"
         "               [--mutate <name>] [--mutate-node N]\n"
-        "               [--wall-deadline-ms N] [--engine tick|event]\n"
+        "               [--wall-deadline-ms N] [--engine <name>]\n"
         "               [--capture-repro <dir>] [--minimize]\n"
         "               [-j N] [--set key=value ...]\n"
         "       edgesim --replay <file.repro.json> [--minimize] [-j N]\n"
@@ -99,7 +101,7 @@ usage()
         "         a ddmin-shrunk .min.repro.json)\n"
         "  --list-kernels  print the kernel names, one per line\n"
         "\n"
-        "  --engine tick|event  cycle-loop implementation (default\n"
+        "  --engine <name>  cycle-loop implementation (default\n"
         "         event). Bit-identical results either way; tick is\n"
         "         the original loop, kept as a differential reference\n"
         "\n"
@@ -125,8 +127,6 @@ usage()
         "  --log-segment-mb N  segment rotation size (default 64)\n"
         "  --log-chaos <point> / --log-chaos-seed N  deterministic\n"
         "         crash/IO-fault injection into the result log\n"
-        "         (points: before-write mid-write after-write\n"
-        "         before-fsync after-fsync before-rotate fail-fsync)\n"
         "  --cell-timeout-ms N  SIGKILL a cell past this deadline\n"
         "  --rlimit-as-mb N / --rlimit-cpu-sec N  child sandbox caps\n"
         "\n"
@@ -146,8 +146,7 @@ usage()
         "         N, --lease-ms N, --max-reassign N, --once,\n"
         "         --no-local-fallback, --journal <file>, --resume\n"
         "         <file>, --fabric-chaos <profile>,\n"
-        "         --fabric-chaos-seed N (profiles: none drop\n"
-        "         duplicate partition kill heavy slow liar)\n"
+        "         --fabric-chaos-seed N\n"
         "  self-defence knobs: --hedge-after-ms N (straggler hedge\n"
         "         threshold; 0 = auto from fleet p95), --hedge-max N\n"
         "         (speculative leases per cell, 0 = off),\n"
@@ -171,8 +170,7 @@ usage()
         "         seed, checking fabric invariants; failing seeds are\n"
         "         captured as self-contained .fabsim.json files\n"
         "  --seeds A..B | N  seed range (inclusive) or first-N\n"
-        "  --sim-profile <name>  fault mix: none drop delay partition\n"
-        "         crash-restart liar heavy\n"
+        "  --sim-profile <name>  world fault mix\n"
         "  --sim-agents/--sim-cells/--sim-clients N  fix the world\n"
         "         shape (default: derived per seed)\n"
         "  --fabsim-dir <dir>  capture directory (default fabsim/)\n"
@@ -196,41 +194,41 @@ usage()
         "  deadline, 15-18 worker crash/kill/timeout/protocol,\n"
         "  19 agent lost, 20 provenance mismatch, 21 agent corrupt,\n"
         "  22 fabric-sim violation, 128+N interrupted by signal N\n"
-        "\n"
-        "configs: ");
-    for (const auto &c : sim::Configs::allNames())
-        std::printf("%s ", c.c_str());
-    std::printf("\nchaos profiles: ");
-    for (const auto &p : chaos::ChaosParams::profileNames())
-        std::printf("%s ", p.c_str());
-    std::printf("\nset keys: frames hop fetch commitports l1dkb l2kb "
-                "l2lat dram budget\n");
+        "\n");
+    std::printf("configs: %s\n"
+                "chaos profiles: %s\n"
+                "mutations: %s\n"
+                "engines: %s\n"
+                "log crash points: %s\n"
+                "fabric chaos profiles: %s\n"
+                "sim profiles: %s\n",
+                join(sim::Configs::allNames(), " ").c_str(),
+                enumNameList<chaos::Profile>().c_str(),
+                enumNameList<chaos::Mutation>().c_str(),
+                enumNameList<core::EngineKind>().c_str(),
+                enumNameList<log::LogCrashPoint>().c_str(),
+                enumNameList<serve::FabricProfile>().c_str(),
+                enumNameList<serve::simnet::SimProfile>().c_str());
+    std::printf("\nset keys (--set <key>=<value>; default in "
+                "brackets):\n");
+    for (const triage::ConfigKey &k : triage::configKeys()) {
+        if (k.value.empty())
+            std::printf("  %s.*  %s\n", k.path.c_str(), k.doc);
+        else
+            std::printf("  %-32s %s [%s]\n", k.path.c_str(), k.doc,
+                        k.value.c_str());
+    }
 }
 
-void
-applyOverride(core::MachineConfig &cfg, const std::string &key,
-              std::uint64_t v)
+/** The enumerator a flag names; exits listing the valid names. */
+template <typename E>
+E
+parseName(const char *what, const std::string &name)
 {
-    if (key == "frames")
-        cfg.core.numFrames = static_cast<unsigned>(v);
-    else if (key == "hop")
-        cfg.core.hopLatency = static_cast<unsigned>(v);
-    else if (key == "fetch")
-        cfg.core.fetchWidth = static_cast<unsigned>(v);
-    else if (key == "commitports")
-        cfg.core.commitPortsPerNode = static_cast<unsigned>(v);
-    else if (key == "l1dkb")
-        cfg.mem.l1dSizeBytes = v * 1024;
-    else if (key == "l2kb")
-        cfg.mem.l2SizeBytes = v * 1024;
-    else if (key == "l2lat")
-        cfg.mem.l2HitLatency = static_cast<unsigned>(v);
-    else if (key == "dram")
-        cfg.mem.dramLatency = static_cast<unsigned>(v);
-    else if (key == "budget")
-        cfg.lsq.maxResendsPerLoad = static_cast<unsigned>(v);
-    else
-        fatal("unknown --set key '%s'", key.c_str());
+    std::optional<E> e = enumLookup<E>(name);
+    fatal_if(!e, "unknown %s '%s' (try: %s)", what, name.c_str(),
+             enumNameList<E>().c_str());
+    return *e;
 }
 
 /** The documented exit status for one finished run. */
@@ -239,7 +237,7 @@ runExitCode(const sim::RunResult &r)
 {
     if (!r.error.ok()) {
         std::fprintf(stderr, "edgesim: %s\n",
-                     chaos::reasonName(r.error.reason));
+                     enumName(r.error.reason));
         return chaos::exitCodeFor(r.error.reason);
     }
     if (!(r.archMatch && r.halted)) {
@@ -259,7 +257,7 @@ printMinimized(const triage::MinimizeResult &m)
     for (const chaos::FaultEvent &e : m.schedule)
         std::printf("  #%llu %s magnitude=%llu\n",
                     static_cast<unsigned long long>(e.ordinal),
-                    chaos::faultSiteName(e.site),
+                    enumName(e.site),
                     static_cast<unsigned long long>(e.magnitude));
 }
 
@@ -390,7 +388,7 @@ fuzzReportExit(const fuzz::FuzzReport &rep, bool minimize,
             continue;
         std::printf("  seed %llu / %s: %s [%s]\n",
                     static_cast<unsigned long long>(f.seed),
-                    f.config.c_str(), fuzz::outcomeName(f.outcome),
+                    f.config.c_str(), enumName(f.outcome),
                     f.signature.c_str());
         if (f.reproPath.empty())
             continue;
@@ -524,9 +522,8 @@ serveCliMain(int argc, char **argv)
                          "--seeds range is backwards");
             }
         } else if (arg == "--sim-profile") {
-            fatal_if(!serve::simnet::simProfileByName(next(),
-                                                      &xo.profile),
-                     "unknown sim profile '%s'", argv[i]);
+            xo.profile =
+                parseName<serve::simnet::SimProfile>("sim profile", next());
         } else if (arg == "--sim-agents") {
             xo.agents = static_cast<unsigned>(
                 std::strtoul(next(), nullptr, 10));
@@ -567,9 +564,8 @@ serveCliMain(int argc, char **argv)
             so.fabric.logOptions.segmentBytes =
                 std::strtoull(next(), nullptr, 10) * 1024 * 1024;
         } else if (arg == "--log-chaos") {
-            fatal_if(!log::logCrashPointByName(
-                         next(), &so.fabric.logOptions.chaos.point),
-                     "unknown log crash point '%s'", argv[i]);
+            so.fabric.logOptions.chaos.point =
+                parseName<log::LogCrashPoint>("log crash point", next());
         } else if (arg == "--log-chaos-seed") {
             so.fabric.logOptions.chaos.seed =
                 std::strtoull(next(), nullptr, 10);
@@ -583,9 +579,8 @@ serveCliMain(int argc, char **argv)
         } else if (arg == "--no-local-fallback") {
             so.fabric.localFallback = false;
         } else if (arg == "--fabric-chaos") {
-            fatal_if(!serve::fabricProfileByName(
-                         next(), &so.fabric.chaosProfile),
-                     "unknown fabric chaos profile '%s'", argv[i]);
+            so.fabric.chaosProfile = parseName<serve::FabricProfile>(
+                "fabric chaos profile", next());
         } else if (arg == "--fabric-chaos-seed") {
             so.fabric.chaosSeed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--once") {
@@ -661,7 +656,7 @@ main(int argc, char **argv)
     log::LogOptions log_opts;
     unsigned resume_threads = 0;
     bool strict_provenance = false;
-    std::vector<std::pair<std::string, std::uint64_t>> overrides;
+    std::vector<std::pair<std::string, std::string>> overrides;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -689,7 +684,8 @@ main(int argc, char **argv)
         } else if (arg == "--fuzz-seed") {
             fuzz_seed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--fuzz-chaos") {
-            chaos_profile = chaos::ChaosParams::profileByName(next());
+            chaos_profile =
+                parseName<chaos::Profile>("chaos profile", next());
         } else if (arg == "--corpus-dir") {
             corpus_dir = next();
         } else if (arg == "--config") {
@@ -705,13 +701,14 @@ main(int argc, char **argv)
         } else if (arg == "--chaos-seed") {
             chaos_seed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--chaos-profile") {
-            chaos_profile = chaos::ChaosParams::profileByName(next());
+            chaos_profile =
+                parseName<chaos::Profile>("chaos profile", next());
         } else if (arg == "--check-invariants") {
             check_invariants = true;
         } else if (arg == "--chaos-sweep") {
             sweep_seeds = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--mutate") {
-            mutation = chaos::mutationByName(next());
+            mutation = parseName<chaos::Mutation>("mutation", next());
 #ifndef EDGE_MUTATIONS
             fatal_if(mutation != chaos::Mutation::None,
                      "--mutate requires a build with EDGE_MUTATIONS=ON");
@@ -722,9 +719,7 @@ main(int argc, char **argv)
         } else if (arg == "--wall-deadline-ms") {
             wall_deadline_ms = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--engine") {
-            bool ok = false;
-            engine = core::engineByName(next(), &ok);
-            fatal_if(!ok, "--engine expects 'tick' or 'event'");
+            engine = parseName<core::EngineKind>("engine", next());
         } else if (arg == "--capture-repro") {
             repro_dir = next();
         } else if (arg == "--isolate") {
@@ -754,9 +749,8 @@ main(int argc, char **argv)
             log_opts.segmentBytes =
                 std::strtoull(next(), nullptr, 10) * 1024 * 1024;
         } else if (arg == "--log-chaos") {
-            fatal_if(!log::logCrashPointByName(next(),
-                                               &log_opts.chaos.point),
-                     "unknown log crash point '%s'", argv[i]);
+            log_opts.chaos.point =
+                parseName<log::LogCrashPoint>("log crash point", next());
         } else if (arg == "--log-chaos-seed") {
             log_opts.chaos.seed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--resume-threads") {
@@ -784,9 +778,7 @@ main(int argc, char **argv)
             auto eq = kv.find('=');
             fatal_if(eq == std::string::npos,
                      "--set expects key=value");
-            overrides.emplace_back(
-                kv.substr(0, eq),
-                std::strtoull(kv.c_str() + eq + 1, nullptr, 10));
+            overrides.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -887,9 +879,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    core::MachineConfig cfg = sim::Configs::byName(config);
-    for (const auto &[k, v] : overrides)
-        applyOverride(cfg, k, v);
+    std::optional<core::MachineConfig> base = sim::Configs::lookup(config);
+    fatal_if(!base, "unknown config '%s' (try: %s)", config.c_str(),
+             join(sim::Configs::allNames(), " ").c_str());
+    core::MachineConfig cfg = *base;
     cfg.rngSeed = run_seed;
     cfg.chaos = chaos::ChaosParams::byProfile(chaos_profile, chaos_seed);
     cfg.chaos.mutation = mutation;
@@ -897,6 +890,12 @@ main(int argc, char **argv)
     cfg.checkInvariants = check_invariants;
     cfg.wallDeadlineMs = wall_deadline_ms;
     cfg.engine = engine;
+    // --set goes last so it overrides the flags above.
+    for (const auto &[k, v] : overrides) {
+        std::string err;
+        fatal_if(!triage::applyConfigOverride(&cfg, k, v, &err), "%s",
+                 err.c_str());
+    }
 
     triage::ProgramRef prog_ref{kernel, kp};
 
@@ -925,7 +924,7 @@ main(int argc, char **argv)
                                              sp.maxCycles, repro_dir);
             std::printf("%s / %s chaos sweep (%s):\n%s",
                         kernel.c_str(), config.c_str(),
-                        chaos::profileName(sp.profile),
+                        enumName(sp.profile),
                         rep.summary().c_str());
             if (interrupted) {
                 warn("campaign was interrupted on the coordinator; "
@@ -950,7 +949,7 @@ main(int argc, char **argv)
             // identical to the default one.
             std::printf("%s / %s chaos sweep (%s):\n%s",
                         kernel.c_str(), config.c_str(),
-                        chaos::profileName(sp.profile),
+                        enumName(sp.profile),
                         rep.summary().c_str());
             if (interrupted)
                 return interruptedExit(sup);
@@ -962,7 +961,7 @@ main(int argc, char **argv)
             triage::captureSweepFailures(rep, prog_ref, sp.maxCycles,
                                          repro_dir);
         std::printf("%s / %s chaos sweep (%s):\n%s", kernel.c_str(),
-                    config.c_str(), chaos::profileName(sp.profile),
+                    config.c_str(), enumName(sp.profile),
                     rep.summary().c_str());
         return rep.allConverged() ? 0 : 3;
     }
