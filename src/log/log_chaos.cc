@@ -9,9 +9,8 @@ namespace edge::log {
 
 namespace {
 
-// Same keyed-decision construction as FabricChaos::decision: FNV-1a
-// over the inputs, then a finalizing scramble so low bits are usable
-// as modular buckets.
+// Keyed decision: FNV-1a over the inputs, then a finalizing scramble
+// so low bits are usable as modular buckets.
 std::uint64_t
 decision(std::uint64_t seed, LogCrashPoint point, std::uint64_t ordinal,
          std::uint64_t salt)

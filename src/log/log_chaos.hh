@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic crash/IO-fault injection for the durable result log.
- * The same philosophy as serve/fabric_chaos: every physical log
+ * The same philosophy as serve/simnet: every physical log
  * operation (block write, fsync, segment rotation) gets an ordinal,
  * and an FNV-1a hash of (seed, ordinal, crash point) decides — with
  * no RNG state and no ordering sensitivity — whether the armed fault

@@ -16,7 +16,6 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "serve/fabric_chaos.hh"
 #include "serve/net.hh"
 #include "serve/proto.hh"
 #include "super/cell.hh"
@@ -35,12 +34,6 @@ struct Agent
 
     std::uint64_t heartbeatMs = 1000;
     bool draining = false; ///< shutdown received: no new assigns
-
-    /** Agent-side affliction the coordinator elected this agent for
-     *  in its welcome (slow = delay each cell; liar = deterministic
-     *  semantic flips in each result before it hits the wire). */
-    FabricProfile affliction = FabricProfile::None;
-    std::uint64_t chaosSeed = 0;
 
     struct Running
     {
@@ -76,13 +69,8 @@ struct Agent
      *  the result line back to the poll loop. */
     void
     runCell(std::uint64_t lease, super::CellSpec cell,
-            std::uint64_t timeoutMs, std::uint64_t asMb,
-            std::uint64_t cpuSec,
             std::shared_ptr<super::Supervisor> sup)
     {
-        (void)asMb;
-        (void)cpuSec;
-        (void)timeoutMs;
         std::vector<super::CellOutcome> outs = sup->runAll({cell});
         Done d;
         d.lease = lease;
@@ -90,28 +78,6 @@ struct Agent
         if (!outs.empty() && outs[0].ran) {
             d.ran = true;
             d.result = std::move(outs[0].result);
-        }
-        if (affliction == FabricProfile::Slow && d.ran &&
-            !sup->stopRequested()) {
-            // Straggle: hold the finished result long enough for the
-            // fleet's p95-derived hedge threshold to fire. The sleep
-            // lives on the cell thread, so heartbeats keep flowing
-            // and the agent stays "alive but slow".
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(kSlowCellDelayMs));
-        }
-        if (affliction == FabricProfile::Liar && d.ran) {
-            // Bit-flipping executor: corrupt the result semantically
-            // (valid JSON, wrong bytes) so only a byte-compare audit
-            // can tell. Which counter gets the flip is a pure
-            // function of (seed, cell) — reproducible divergence.
-            Fnv1a f;
-            f.mix64(chaosSeed);
-            f.mix64(d.cell);
-            if (f.state % 2 == 0)
-                d.result.cycles ^= 1;
-            else
-                d.result.committedInsts ^= 1;
         }
         {
             std::lock_guard<std::mutex> lk(mu);
@@ -149,8 +115,7 @@ struct Agent
         Running r;
         r.sup = sup;
         r.th = std::thread(&Agent::runCell, this, lease,
-                           std::move(cell), so.cellTimeoutMs,
-                           so.rlimitAsMb, so.rlimitCpuSec, sup);
+                           std::move(cell), sup);
         active.emplace(lease, std::move(r));
     }
 
@@ -362,18 +327,6 @@ agentMain(const AgentOptions &opts)
                         10, doc.getU64("heartbeat_ms", 1000));
                 nextBeat = clk.now() +
                            std::chrono::milliseconds(a.heartbeatMs);
-                std::string chaos = doc.getString("chaos");
-                if (!chaos.empty()) {
-                    if (std::optional<FabricProfile> p =
-                            enumLookup<FabricProfile>(chaos)) {
-                        a.affliction = *p;
-                        a.chaosSeed = doc.getU64("chaos_seed");
-                        warn("agent '%s': afflicted '%s' (seed %llu)",
-                             a.opts.name.c_str(), chaos.c_str(),
-                             static_cast<unsigned long long>(
-                                 a.chaosSeed));
-                    }
-                }
             } else if (type == "assign") {
                 a.handleAssign(doc);
             } else if (type == "shutdown") {

@@ -32,13 +32,9 @@ struct Fabric::Peer
     // --- agent state ------------------------------------------------
     std::string name;
     unsigned slots = 1;
-    std::uint64_t ordinal = 0; ///< registration order (chaos key)
-    bool live = false;         ///< registered and heartbeating
+    bool live = false; ///< registered and heartbeating
     unsigned inFlight = 0;
     Clock::time_point lastHeard;
-    std::uint64_t inOrdinal = 0;     ///< inbound messages (chaos key)
-    std::uint64_t resultOrdinal = 0; ///< inbound results (chaos key)
-    std::uint64_t assignOrdinal = 0; ///< outbound assigns (chaos key)
 
     // --- health -----------------------------------------------------
     double ewmaMs = 0; ///< EWMA cell latency (0 = no samples yet)
@@ -93,8 +89,7 @@ lostResult(const CellSpec &cell, chaos::SimError::Reason reason,
 } // namespace
 
 Fabric::Fabric(FabricOptions opts)
-    : _opts(std::move(opts)),
-      _chaos(_opts.chaosProfile, _opts.chaosSeed)
+    : _opts(std::move(opts))
 {
     _clk = _opts.clock ? _opts.clock : &Clock::real();
     if (_opts.transport) {
@@ -117,10 +112,6 @@ Fabric::start(std::string *err)
         return false;
     _port = _net->port();
     _started = true;
-    if (_chaos.active())
-        inform("fabric: chaos profile '%s' (seed %llu) armed",
-               enumName(_chaos.profile()),
-               static_cast<unsigned long long>(_opts.chaosSeed));
     return true;
 }
 
@@ -332,20 +323,12 @@ Fabric::handleLine(Peer &peer, const std::string &line)
             peer.name = doc.getString("name", "agent");
             peer.slots = static_cast<unsigned>(
                 std::max<std::uint64_t>(1, doc.getU64("slots", 1)));
-            peer.ordinal = _agentOrdinals++;
             peer.live = true;
             peer.lastHeard = _clk->now();
-            FabricProfile affliction =
-                _chaos.agentAffliction(peer.ordinal);
-            peer.conn->send(proto::welcome(peer.id, _opts.heartbeatMs,
-                                           affliction,
-                                           _opts.chaosSeed));
-            inform("fabric: agent '%s' connected (%u slot%s)%s",
+            peer.conn->send(proto::welcome(peer.id, _opts.heartbeatMs));
+            inform("fabric: agent '%s' connected (%u slot%s)",
                    peer.name.c_str(), peer.slots,
-                   peer.slots == 1 ? "" : "s",
-                   affliction != FabricProfile::None
-                       ? " [chaos-afflicted]"
-                       : "");
+                   peer.slots == 1 ? "" : "s");
         } else if (type == "submit") {
             peer.kind = Peer::Kind::Client;
             admitSubmission(peer, doc);
@@ -397,10 +380,6 @@ void
 Fabric::handleAgentMessage(Peer &peer, const JsonValue &doc,
                            const std::string &type)
 {
-    std::uint64_t ordinal = peer.inOrdinal++;
-    if (_chaos.dropInbound(peer.ordinal, ordinal, type))
-        return; // dropped on the simulated wire: no liveness credit
-
     if (!peer.live) {
         // A partition healed: the agent was declared dead but the
         // socket stayed up. It re-enters the pool; anything it
@@ -418,10 +397,7 @@ Fabric::handleAgentMessage(Peer &peer, const JsonValue &doc,
         return;
     }
     if (type == "result") {
-        std::uint64_t rord = peer.resultOrdinal++;
         handleResult(peer, doc);
-        if (_chaos.duplicateResult(peer.ordinal, rord))
-            handleResult(peer, doc); // delivered twice by the "wire"
         return;
     }
     warn("fabric: agent '%s' sent unexpected '%s'",
@@ -499,10 +475,7 @@ Fabric::reassignCell(std::size_t i, std::uint64_t leaseId,
     // Same doubling backoff shape as transient retries, so a flapping
     // agent can't spin the scheduler; the budget cap keeps a lost
     // cell from stalling the grid.
-    std::uint64_t backoff = std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(_opts.retry.backoffMs)
-            << std::min(_run->reassigns[i] - 1, 10u),
-        _opts.retry.maxTotalBackoffMs);
+    std::uint64_t backoff = _opts.retry.delayMs(_run->reassigns[i], 0);
     _run->st[i] = CState::Pending;
     _run->notBefore[i] =
         _clk->now() + std::chrono::milliseconds(backoff);
@@ -580,12 +553,8 @@ Fabric::handleResult(Peer &peer, const JsonValue &doc)
         // hit the same transient; revoke them so the retry starts
         // clean.
         revokeSiblings(i);
-        std::uint64_t backoff = std::min<std::uint64_t>(
-            static_cast<std::uint64_t>(_opts.retry.backoffMs)
-                << (attempt - 1),
-            _opts.retry.maxTotalBackoffMs -
-                std::min(_opts.retry.maxTotalBackoffMs,
-                         _run->backoffAccum[i]));
+        std::uint64_t backoff =
+            _opts.retry.delayMs(attempt, _run->backoffAccum[i]);
         _run->attempt[i] = attempt + 1;
         _run->backoffAccum[i] += backoff;
         _run->notBefore[i] =
@@ -685,7 +654,7 @@ Fabric::auditSelected(std::uint64_t cellHash) const
         return true;
     Fnv1a f;
     f.mix64(0xa7d17u); // audit domain separator
-    f.mix64(_opts.chaosSeed);
+    f.mix64(0); // fixed salt: simnet schedules depend on these picks
     f.mix64(cellHash);
     std::uint64_t h = f.state;
     h ^= h >> 33;
@@ -1093,18 +1062,9 @@ Fabric::cutLease(Peer &p, std::size_t cell, LeaseKind kind,
     if (kind != LeaseKind::Audit && cell < _run->activeLeases.size())
         ++_run->activeLeases[cell];
 
-    std::uint64_t aord = p.assignOrdinal++;
     p.conn->send(proto::assign(id, (*_run->cells)[cell],
                                _opts.cellTimeoutMs, _opts.rlimitAsMb,
                                _opts.rlimitCpuSec));
-    if (_chaos.killOnAssign(p.ordinal, aord)) {
-        warn("fabric: chaos kill: severing agent '%s' after "
-             "assign %llu",
-             p.name.c_str(), static_cast<unsigned long long>(aord));
-        // Yank the wire so the agent sees EOF and dies mid-cell; the
-        // dead-connection sweep revokes.
-        p.conn->sever();
-    }
     return id;
 }
 

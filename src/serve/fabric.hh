@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "serve/clock.hh"
-#include "serve/fabric_chaos.hh"
 #include "serve/net.hh"
 #include "super/supervisor.hh"
 #include "triage/jsonio.hh"
@@ -108,10 +107,6 @@ struct FabricOptions
     /** Transient-failure retry policy, applied coordinator-side to
      *  remote results (agents run each cell exactly once). */
     sim::RetryPolicy retry;
-
-    // --- deterministic fault injection -----------------------------
-    FabricProfile chaosProfile = FabricProfile::None;
-    std::uint64_t chaosSeed = 0;
 
     // --- self-defence ----------------------------------------------
     /** Straggler hedge: a leased cell older than this gets a
@@ -211,10 +206,6 @@ class Fabric : public super::CellRunner
     /** Leases still live (un-answered, un-revoked) when a campaign
      *  completed — always 0 unless a revocation path is broken. */
     std::uint64_t leasesLeaked() const { return _leasesLeaked; }
-    const FabricChaos::Tally &chaosTally() const
-    {
-        return _chaos.tally();
-    }
 
   private:
     struct Peer;
@@ -352,14 +343,12 @@ class Fabric : public super::CellRunner
 
     std::map<std::uint64_t, std::unique_ptr<Peer>> _peers;
     std::uint64_t _peerIds = 0;
-    std::uint64_t _agentOrdinals = 0;
     std::map<std::uint64_t, Lease> _leases;
     std::uint64_t _leaseIds = 0;
     std::deque<Submission> _submissions;
 
     super::Journal _journal;
     bool _journalReady = false;
-    FabricChaos _chaos;
     RunCtx *_run = nullptr;
 
     std::atomic<bool> _stop{false};

@@ -370,14 +370,6 @@ Conn::send(const std::string &line)
     onWritable();
 }
 
-void
-Conn::sever()
-{
-    if (_fd >= 0)
-        shutdown(_fd, SHUT_RDWR);
-    _dead = true;
-}
-
 TcpTransport::~TcpTransport()
 {
     if (_listenFd >= 0)

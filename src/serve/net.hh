@@ -67,13 +67,6 @@ class Stream
     /** Queue `line` (newline appended) for the peer. */
     virtual void send(const std::string &line) = 0;
 
-    /**
-     * Kill the connection abruptly, so the PEER observes EOF too —
-     * the chaos injector's "yank the cable" primitive (TCP: shutdown
-     * both directions; simnet: both endpoints die).
-     */
-    virtual void sever() = 0;
-
     /** The pollable fd, or -1 when there is none (in-memory). */
     virtual int fd() const { return -1; }
 
@@ -186,9 +179,6 @@ class Conn final : public Stream
 
     /** Queue `line` (newline appended) and try an immediate flush. */
     void send(const std::string &line) override;
-
-    /** Shut the socket down both ways so the peer sees EOF. */
-    void sever() override;
 
   private:
     int _fd;

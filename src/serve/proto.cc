@@ -28,16 +28,11 @@ hello(const std::string &name, unsigned slots)
 }
 
 std::string
-welcome(std::uint64_t agentId, std::uint64_t heartbeatMs,
-        FabricProfile affliction, std::uint64_t chaosSeed)
+welcome(std::uint64_t agentId, std::uint64_t heartbeatMs)
 {
     JsonValue o = envelope("welcome");
     o.set("agent", JsonValue::u64(agentId));
     o.set("heartbeat_ms", JsonValue::u64(heartbeatMs));
-    if (affliction != FabricProfile::None) {
-        o.set("chaos", JsonValue::str(enumName(affliction)));
-        o.set("chaos_seed", JsonValue::u64(chaosSeed));
-    }
     return o.dumpCompact();
 }
 

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <string>
 
-#include "serve/fabric_chaos.hh"
 #include "sim/simulator.hh"
 #include "super/cell.hh"
 #include "triage/jsonio.hh"
@@ -32,14 +31,8 @@ namespace edge::serve::proto {
 /** Agent introduction: name plus how many cells it runs at once. */
 std::string hello(const std::string &name, unsigned slots);
 
-/**
- * Coordinator's reply to hello: assigned id + heartbeat interval,
- * plus the agent-side chaos affliction (FabricProfile::Slow/Liar,
- * omitted when None) the coordinator elected this agent for.
- */
-std::string welcome(std::uint64_t agentId, std::uint64_t heartbeatMs,
-                    FabricProfile affliction = FabricProfile::None,
-                    std::uint64_t chaosSeed = 0);
+/** Coordinator's reply to hello: assigned id + heartbeat interval. */
+std::string welcome(std::uint64_t agentId, std::uint64_t heartbeatMs);
 
 /**
  * Periodic liveness beacon, now carrying agent-side load so the

@@ -426,17 +426,6 @@ SimStream::send(const std::string &line)
 }
 
 void
-SimStream::sever()
-{
-    if (_dead)
-        return;
-    _dead = true;
-    SimNet *net = _net;
-    std::uint64_t peer = _peerId;
-    net->after(0, [net, peer] { net->killStream(peer); });
-}
-
-void
 SimStream::pushLine(const std::string &framed)
 {
     if (_dead)

@@ -3,11 +3,11 @@
  * The deterministic fabric simulation's wire and clock: a seeded
  * event queue on virtual time, in-memory streams behind the net.hh
  * Stream/Transport surface, and pure FNV-1a chaos decisions over
- * (seed, edge, ordinal) — the same discipline as fabric_chaos and
- * log_chaos, extended to every interleaving dimension the real
- * fabric has: message latency, drop, duplication, reorder (via
- * per-message delay), partition (windowed drops), slow or lying
- * executions, and whole-process crash/restart.
+ * (seed, edge, ordinal) — the same discipline as log_chaos,
+ * extended to every interleaving dimension the real fabric has:
+ * message latency, drop, duplication, reorder (via per-message
+ * delay), partition (windowed drops), slow or lying executions, and
+ * whole-process crash/restart.
  *
  * One SimNet hosts one simulated world. The REAL Fabric runs on top
  * unmodified: it is constructed with a SimTransport and the SimNet's
@@ -261,7 +261,6 @@ class SimStream final : public Stream
     bool wantWrite() const override { return false; }
     bool nextLine(std::string *line) override;
     void send(const std::string &line) override;
-    void sever() override;
 
     void setOnWake(std::function<void()> fn)
     {

@@ -45,7 +45,6 @@ RunPool::runWithRetry(const std::function<RunResult()> &once,
                       const RetryPolicy &retry) const
 {
     unsigned attempt = 1;
-    std::uint64_t backoff_ms = retry.backoffMs;
     std::uint64_t total_backoff = 0;
     for (;;) {
         RunResult r = once();
@@ -57,13 +56,8 @@ RunPool::runWithRetry(const std::function<RunResult()> &once,
         // itself is deterministic, so only host conditions (load,
         // wall-clock pressure) can change the outcome. The backoff
         // budget is capped per cell and the sleep is cancellable.
-        std::uint64_t budget =
-            retry.maxTotalBackoffMs > total_backoff
-                ? retry.maxTotalBackoffMs - total_backoff
-                : 0;
         total_backoff += interruptibleSleep(
-            std::min<std::uint64_t>(backoff_ms, budget), retry.cancel);
-        backoff_ms *= 2;
+            retry.delayMs(attempt, total_backoff), retry.cancel);
         ++attempt;
     }
 }

@@ -15,6 +15,7 @@
 #ifndef EDGE_SIM_RUN_POOL_HH
 #define EDGE_SIM_RUN_POOL_HH
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <vector>
@@ -74,6 +75,21 @@ struct RetryPolicy
         return attempt < maxAttempts &&
                chaos::isTransient(result.error.reason) &&
                !(cancel && cancel->load(std::memory_order_relaxed));
+    }
+
+    /**
+     * The backoff before retry `n` (1-based) of a cell that has
+     * already backed off `spentMs`: backoffMs doubled n-1 times (at
+     * most 10), clipped against what is left of maxTotalBackoffMs.
+     * The one formula every runner (RunPool, Supervisor, Fabric)
+     * schedules retries and reassignments with.
+     */
+    std::uint64_t
+    delayMs(unsigned n, std::uint64_t spentMs) const
+    {
+        return std::min<std::uint64_t>(
+            static_cast<std::uint64_t>(backoffMs) << std::min(n - 1, 10u),
+            maxTotalBackoffMs - std::min(maxTotalBackoffMs, spentMs));
     }
 };
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include "common/build_info.hh"
 #include "common/hash.hh"
@@ -45,18 +43,21 @@ recordToJson(const JournalRecord &rec)
 }
 
 /**
- * Verify a record's `crc` against the rest of the record. Records
- * without one (older builds) pass vacuously.
+ * Why a record's `crc` does not vouch for the rest of the record, or
+ * nullptr when it does. Every record carries one, so a missing `crc`
+ * is corruption too.
  */
-bool
-checksumOk(const JsonValue &o)
+const char *
+checksumProblem(const JsonValue &o)
 {
     const JsonValue *crc = o.get("crc");
     if (!crc)
-        return true;
+        return "has no crc";
     JsonValue body = o;
     body.remove("crc");
-    return crc->asU64() == fnv1a64(body.dumpCompact());
+    return crc->asU64() == fnv1a64(body.dumpCompact())
+               ? nullptr
+               : "checksum mismatch";
 }
 
 bool
@@ -76,105 +77,6 @@ recordFromJson(const JsonValue &o, JournalRecord *rec,
     rec->attempt = static_cast<unsigned>(o.getU64("attempt", 1));
     rec->audit = o.getString("audit");
     return triage::resultFromJson(*o.get("result"), &rec->result, err);
-}
-
-/** The PR-5 JSONL journal parser, kept verbatim for migration and
- *  for loading journals written by older builds. */
-bool
-loadLegacy(const std::string &path, std::vector<JournalRecord> *out,
-           std::string *build_line, std::string *err)
-{
-    std::ifstream in(path);
-    if (!in) {
-        if (err)
-            *err = "journal '" + path + "': cannot open";
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-
-    out->clear();
-    if (build_line)
-        build_line->clear();
-
-    std::size_t lineno = 0;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t nl = text.find('\n', pos);
-        const bool lastAndUnterminated = nl == std::string::npos;
-        std::string line = text.substr(
-            pos, lastAndUnterminated ? std::string::npos : nl - pos);
-        pos = lastAndUnterminated ? text.size() : nl + 1;
-        ++lineno;
-        if (line.empty())
-            continue;
-
-        JsonValue v;
-        std::string perr;
-        if (!JsonValue::parse(line, &v, &perr)) {
-            // A torn FINAL line is the one legal corruption: an
-            // append that died mid-write on a filesystem without the
-            // durability guarantees. Everything before it is intact —
-            // keep it and move on.
-            if (pos >= text.size()) {
-                warn("journal '%s': dropping truncated final line "
-                     "%zu (%s)",
-                     path.c_str(), lineno, perr.c_str());
-                break;
-            }
-            if (err)
-                *err = "journal '" + path + "': torn record at line " +
-                       std::to_string(lineno) + ": " + perr;
-            return false;
-        }
-
-        if (lineno == 1) {
-            if (v.getString("format") != "edgesim-journal") {
-                if (err)
-                    *err = "journal '" + path +
-                           "': not an edgesim-journal file";
-                return false;
-            }
-            if (build_line)
-                *build_line = v.getString("build");
-            continue;
-        }
-
-        // A parseable record with a bad checksum is bit-level
-        // corruption, not a torn append — reject it wherever it
-        // sits, final line included.
-        if (!checksumOk(v)) {
-            if (err)
-                *err = "journal '" + path +
-                       "': record checksum mismatch at line " +
-                       std::to_string(lineno) +
-                       " (corrupt record)";
-            return false;
-        }
-
-        JournalRecord rec;
-        std::string rerr;
-        if (!recordFromJson(v, &rec, &rerr)) {
-            if (pos >= text.size()) {
-                warn("journal '%s': dropping malformed final line "
-                     "%zu (%s)",
-                     path.c_str(), lineno, rerr.c_str());
-                break;
-            }
-            if (err)
-                *err = "journal '" + path + "': line " +
-                       std::to_string(lineno) + ": " + rerr;
-            return false;
-        }
-        out->push_back(std::move(rec));
-    }
-    if (lineno == 0) {
-        if (err)
-            *err = "journal '" + path + "': file is empty";
-        return false;
-    }
-    return true;
 }
 
 /**
@@ -219,11 +121,10 @@ decodeRaw(const std::string &path, const std::vector<log::RawRecord> &raw,
                                        perr.c_str())};
                 continue;
             }
-            if (!checksumOk(v)) {
-                errs[w] = {lsn, strfmt("journal '%s': record checksum "
-                                       "mismatch at lsn %llu (corrupt "
-                                       "record)",
-                                       path.c_str(),
+            if (const char *why = checksumProblem(v)) {
+                errs[w] = {lsn, strfmt("journal '%s': record %s at "
+                                       "lsn %llu (corrupt record)",
+                                       path.c_str(), why,
                                        (unsigned long long)lsn)};
                 continue;
             }
@@ -261,27 +162,18 @@ decodeRaw(const std::string &path, const std::vector<log::RawRecord> &raw,
     return true;
 }
 
-/** Read a legacy journal's header build line without a full parse. */
-std::string
-legacyBuildLine(const std::string &path)
-{
-    std::ifstream in(path);
-    std::string line;
-    if (!in || !std::getline(in, line))
-        return "";
-    JsonValue v;
-    std::string perr;
-    if (!JsonValue::parse(line, &v, &perr))
-        return "";
-    if (v.getString("format") != "edgesim-journal")
-        return "";
-    return v.getString("build");
-}
-
+/** The error for a journal path that is not a segment-log directory;
+ *  whatever sits there is left untouched. */
 bool
-hasSegments(const std::string &dir)
+notALogDirectory(const std::string &path, std::string *err)
 {
-    return fs::exists(fs::path(dir) / log::segmentFileName(1));
+    if (err)
+        *err = "journal '" + path + "': " +
+               (fs::exists(path)
+                    ? "not a segment-log directory (a single-file "
+                      "JSONL journal is no longer read)"
+                    : "no such journal");
+    return false;
 }
 
 void
@@ -343,81 +235,24 @@ Journal::load(const std::string &path, unsigned threads,
               std::vector<JournalRecord> *out, std::string *build_line,
               log::ReplayStats *stats, std::string *err)
 {
-    if (fs::is_directory(path)) {
-        std::vector<log::RawRecord> raw;
-        if (!log::ResultLog::scan(path, threads, &raw, build_line,
-                                  stats, err))
-            return false;
-        if (stats && stats->tornBytes > 0)
-            warn("journal '%s': dropping torn tail (%llu byte(s), "
-                 "%llu record(s))",
-                 path.c_str(), (unsigned long long)stats->tornBytes,
-                 (unsigned long long)stats->tornRecords);
-        return decodeRaw(path, raw, threads, out, err);
-    }
-    if (!loadLegacy(path, out, build_line, err))
+    if (!fs::is_directory(path))
+        return notALogDirectory(path, err);
+    std::vector<log::RawRecord> raw;
+    if (!log::ResultLog::scan(path, threads, &raw, build_line, stats,
+                              err))
         return false;
-    if (stats) {
-        *stats = log::ReplayStats{};
-        stats->segments = 1;
-        stats->records = out->size();
-        stats->workers = 1;
-    }
-    return true;
+    if (stats && stats->tornBytes > 0)
+        warn("journal '%s': dropping torn tail (%llu byte(s), "
+             "%llu record(s))",
+             path.c_str(), (unsigned long long)stats->tornBytes,
+             (unsigned long long)stats->tornRecords);
+    return decodeRaw(path, raw, threads, out, err);
 }
 
 bool
 Journal::open(const std::string &path, std::string *err)
 {
     return open(path, JournalSetup{}, err);
-}
-
-bool
-Journal::migrateLegacy(const std::string &file, const JournalSetup &setup,
-                       std::string *err)
-{
-    std::vector<JournalRecord> records;
-    std::string legacyLine;
-    if (!loadLegacy(file, &records, &legacyLine, err))
-        return false;
-
-    // Keep the original as a backup. The rename also makes the
-    // migration idempotent: a crash before the re-append finishes
-    // leaves an empty/absent directory next to the .v1 file, and the
-    // next open retries from the backup.
-    const std::string backup = _path + ".v1";
-    if (file != backup) {
-        std::error_code ec;
-        fs::rename(file, backup, ec);
-        if (ec) {
-            if (err)
-                *err = "journal '" + _path +
-                       "': cannot move legacy journal aside (" +
-                       ec.message() + ")";
-            return false;
-        }
-    }
-
-    const std::string build =
-        legacyLine.empty() ? buildInfoLine() : legacyLine;
-    std::error_code ec;
-    fs::remove_all(_path, ec); // a half-migrated directory, if any
-    if (!_log.open(_path, build, setup.log, setup.resumeThreads, err))
-        return false;
-    for (const JournalRecord &rec : records)
-        _log.append(rec.cell, recordToJson(rec).dumpCompact());
-    if (!_log.flush()) {
-        if (err)
-            *err = "journal '" + _path + "': migration flush failed: " +
-                   _log.error();
-        return false;
-    }
-    warn("journal '%s': migrated legacy JSONL journal (%zu record(s); "
-         "original kept at %s)",
-         _path.c_str(), records.size(), backup.c_str());
-    _loaded = std::move(records);
-    _buildLine = build;
-    return true;
 }
 
 bool
@@ -430,31 +265,22 @@ Journal::open(const std::string &path, const JournalSetup &setup,
     _lastLsn = 0;
     _recovery = log::ReplayStats{};
 
-    if (fs::is_regular_file(path)) {
-        if (!migrateLegacy(path, setup, err))
-            return false;
-    } else if ((!fs::exists(path) ||
-                (fs::is_directory(path) && !hasSegments(path))) &&
-               fs::is_regular_file(path + ".v1")) {
-        // An interrupted migration: redo it from the backup.
-        if (!migrateLegacy(path + ".v1", setup, err))
-            return false;
-    } else {
-        if (!_log.open(path, buildInfoLine(), setup.log,
-                       setup.resumeThreads, err))
-            return false;
-        _recovery = _log.recoveryStats();
-        _buildLine = _log.buildLine().empty() ? buildInfoLine()
-                                              : _log.buildLine();
-        if (_recovery.tornBytes > 0)
-            warn("journal '%s': dropped torn tail (%llu byte(s), "
-                 "%llu record(s)) left by the crash",
-                 path.c_str(), (unsigned long long)_recovery.tornBytes,
-                 (unsigned long long)_recovery.tornRecords);
-        if (!decodeRaw(path, _log.loaded(), setup.resumeThreads,
-                       &_loaded, err))
-            return false;
-    }
+    if (fs::exists(path) && !fs::is_directory(path))
+        return notALogDirectory(path, err);
+    if (!_log.open(path, buildInfoLine(), setup.log, setup.resumeThreads,
+                   err))
+        return false;
+    _recovery = _log.recoveryStats();
+    _buildLine = _log.buildLine().empty() ? buildInfoLine()
+                                          : _log.buildLine();
+    if (_recovery.tornBytes > 0)
+        warn("journal '%s': dropped torn tail (%llu byte(s), "
+             "%llu record(s)) left by the crash",
+             path.c_str(), (unsigned long long)_recovery.tornBytes,
+             (unsigned long long)_recovery.tornRecords);
+    if (!decodeRaw(path, _log.loaded(), setup.resumeThreads, &_loaded,
+                   err))
+        return false;
 
     if (!_buildLine.empty()) {
         std::string mismatch = buildMismatch(_buildLine);
@@ -528,16 +354,11 @@ Journal::flush(std::string *err)
 bool
 Journal::provenanceMismatch(const std::string &path, std::string *desc)
 {
-    std::string line;
-    if (fs::is_directory(path)) {
-        std::string err;
-        if (!log::ResultLog::readBuildLine(path, &line, &err))
-            return false;
-    } else if (fs::is_regular_file(path)) {
-        line = legacyBuildLine(path);
-    } else {
+    if (!fs::is_directory(path))
         return false;
-    }
+    std::string line, err;
+    if (!log::ResultLog::readBuildLine(path, &line, &err))
+        return false;
     if (line.empty())
         return false;
     std::string m = buildMismatch(line);

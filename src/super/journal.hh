@@ -11,13 +11,9 @@
  * returns before the record is durable; callers that acknowledge
  * completion gate on `durableLsn()` / `waitDurable()` / `flush()`.
  *
- * Legacy JSONL journals (the PR-5 format: header line + one JSON
- * record per line) still load, and `open()` migrates them in place:
- * the old file is kept as `<path>.v1` and its records are re-appended
- * into a fresh segment log at `<path>`, preserving the recorded build
- * provenance. The migration is idempotent — a crash between the
- * rename and the re-append is repaired on the next open from the
- * `.v1` backup.
+ * A journal is always a segment-log directory. A regular file at a
+ * journal path (such as a single-file JSONL journal from an older
+ * build) is an error naming the path, and the file is left untouched.
  *
  * The `final` flag carries the resume semantics. Clean passes and
  * deterministic simulation failures are final: re-running them would
@@ -81,10 +77,10 @@ class Journal
   public:
     /**
      * Open `path` for appending. An existing log directory is
-     * recovered first (that is the resume path) and a legacy JSONL
-     * journal file is migrated; a fresh log gets its segment header
-     * stamped with this build's provenance. Returns false (with
-     * *err) on I/O or format errors.
+     * recovered first (that is the resume path); a fresh log gets its
+     * segment header stamped with this build's provenance. Returns
+     * false (with *err) on I/O or format errors, and when `path` is
+     * not a directory.
      */
     bool open(const std::string &path, std::string *err);
     bool open(const std::string &path, const JournalSetup &setup,
@@ -129,13 +125,13 @@ class Journal
     bool isOpen() const { return !_path.empty(); }
 
     /**
-     * Parse a journal — a segment-log directory (scanned with
-     * `threads` redo workers partitioned by cell hash; the result is
-     * independent of the worker count) or a legacy JSONL file. A
-     * torn tail left by a crash mid-append is dropped with a
-     * warning; corruption anywhere else (a bit-flipped block or
-     * record) is rejected with a structured error naming the segment
-     * and LSN (or line). Records are returned in append order; with
+     * Parse a journal's segment-log directory, scanned with `threads`
+     * redo workers partitioned by cell hash (the result is
+     * independent of the worker count). A torn tail left by a crash
+     * mid-append is dropped with a warning; corruption anywhere else
+     * (a bit-flipped block, or a record whose `crc` is missing or
+     * wrong) is rejected with a structured error naming the segment
+     * and LSN. Records are returned in append order; with
      * duplicate cell hashes the LAST record wins — a resumed
      * campaign appends the re-execution after the worker-death
      * record it supersedes.
@@ -161,16 +157,14 @@ class Journal
 
     /**
      * Cheap provenance probe for `--strict-provenance`: true when
-     * `path` exists, carries a build line, and that line differs
-     * from the running binary's (with *desc naming the difference).
+     * `path` is a log directory with a build line, and that line
+     * differs from the running binary's (with *desc naming the
+     * difference).
      */
     static bool provenanceMismatch(const std::string &path,
                                    std::string *desc);
 
   private:
-    bool migrateLegacy(const std::string &file, const JournalSetup &setup,
-                       std::string *err);
-
     std::string _path;
     std::string _buildLine;
     std::vector<JournalRecord> _loaded;

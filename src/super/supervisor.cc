@@ -508,12 +508,8 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
                 // Same doubling-with-budget backoff as the in-process
                 // pool, but scheduled on the poll loop instead of
                 // slept: other cells keep running underneath.
-                std::uint64_t backoff = std::min<std::uint64_t>(
-                    static_cast<std::uint64_t>(_opts.retry.backoffMs)
-                        << (it->attempt - 1),
-                    _opts.retry.maxTotalBackoffMs -
-                        std::min(_opts.retry.maxTotalBackoffMs,
-                                 it->backoffAccum));
+                std::uint64_t backoff =
+                    _opts.retry.delayMs(it->attempt, it->backoffAccum);
                 Pending p;
                 p.index = it->index;
                 p.attempt = it->attempt + 1;

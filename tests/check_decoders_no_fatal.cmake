@@ -6,7 +6,13 @@
 set(files
     triage/result_json.cc
     triage/repro.cc
-    serve/campaign_json.cc)
+    triage/program_json.cc
+    serve/campaign_json.cc
+    serve/proto.cc
+    serve/agent.cc
+    super/journal.cc
+    super/cell.cc
+    log/result_log.cc)
 foreach(f IN LISTS files)
     file(STRINGS "${SRC}/${f}" hits REGEX "(fatal|panic)(_if)?\\(")
     if(hits)

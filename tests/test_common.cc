@@ -20,7 +20,6 @@
 #include "core/processor.hh"
 #include "fuzz/diff.hh"
 #include "log/log_chaos.hh"
-#include "serve/fabric_chaos.hh"
 #include "serve/simnet/simnet.hh"
 
 namespace edge {
@@ -219,7 +218,6 @@ TEST(EnumNames, EveryTableIsOneToOne)
     expectOneToOne<pred::DepPolicy>();
     expectOneToOne<core::EngineKind>();
     expectOneToOne<log::LogCrashPoint>();
-    expectOneToOne<serve::FabricProfile>();
     expectOneToOne<serve::simnet::SimProfile>();
     expectOneToOne<serve::simnet::EvKind>();
     expectOneToOne<fuzz::Outcome>();

@@ -1,12 +1,12 @@
 /**
  * @file
  * Tests for the campaign fabric (src/serve/): coordinator leases,
- * heartbeat-timeout reassignment, duplicate-result dedup, the
- * zero-agent local fallback, deterministic fabric fault injection,
- * and the self-defence layer — hedged straggler re-execution under
- * the `slow` profile, result-integrity audits and liar quarantine
- * under `liar`, admission-control shedding, fair submission
- * ordering, and client-side submit deadlines. Every scenario asserts
+ * heartbeat-timeout reassignment, the zero-agent local fallback, and
+ * the self-defence layer — hedged straggler re-execution against an
+ * agent whose worker sleeps, result-integrity audits and liar
+ * quarantine against an agent whose worker rewrites its result,
+ * admission-control shedding, fair submission ordering, and
+ * client-side submit deadlines. Every scenario asserts
  * the robustness contract: the merged report is byte-identical to a
  * clean single-host run regardless of agent count, kill schedule,
  * reassignment history, hedging, or audit activity.
@@ -14,9 +14,10 @@
  * This binary has a custom main(): invoked as `test_serve
  * --worker-cell` it becomes a protocol worker (the default
  * /proc/self/exe worker image), and as `test_serve --serve-agent
- * <host:port>` it becomes a fabric agent — so the tests fork/exec
- * real agent processes whose cells run through the real isolation
- * path.
+ * <host:port> [--worker-path <file>]` it becomes a fabric agent — so
+ * the tests fork/exec real agent processes whose cells run through
+ * the real isolation path. A slow or lying agent is an honest agent
+ * whose --worker-path is a shell wrapper around this binary.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -110,10 +112,11 @@ expectByteIdentical(const std::vector<super::CellOutcome> &out,
     }
 }
 
-/** Fork/exec this binary as a fabric agent against 127.0.0.1:port. */
+/** Fork/exec this binary as a fabric agent against 127.0.0.1:port;
+ *  its cells run under `worker` ("" = this binary). */
 pid_t
 spawnAgent(std::uint16_t port, unsigned slots,
-           std::uint64_t die_after = 0)
+           std::uint64_t die_after = 0, const std::string &worker = "")
 {
     std::string target = "127.0.0.1:" + std::to_string(port);
     std::string slots_s = std::to_string(slots);
@@ -127,6 +130,10 @@ spawnAgent(std::uint16_t port, unsigned slots,
         if (die_after) {
             argv.push_back("--die-after");
             argv.push_back(die_s.c_str());
+        }
+        if (!worker.empty()) {
+            argv.push_back("--worker-path");
+            argv.push_back(worker.c_str());
         }
         argv.push_back(nullptr);
         ::execv("/proc/self/exe",
@@ -303,87 +310,6 @@ TEST(ServeRobust, HeartbeatTimeoutReassignsLeases)
     reapAgent(a);
 }
 
-// --- deterministic fabric fault injection ---------------------------
-
-TEST(ServeChaos, DuplicatedResultsAreDeduped)
-{
-    std::vector<super::CellSpec> cells = grid(6);
-    std::vector<std::string> want = truth(cells);
-
-    serve::FabricOptions fo = fastOptions();
-    fo.localFallback = false;
-    fo.chaosProfile = serve::FabricProfile::Duplicate;
-    fo.chaosSeed = 7;
-    serve::Fabric fabric(fo);
-    std::string err;
-    ASSERT_TRUE(fabric.start(&err)) << err;
-
-    pid_t a = spawnAgent(fabric.port(), 2);
-    pid_t b = spawnAgent(fabric.port(), 2);
-    awaitAgents(fabric, 2);
-
-    std::vector<super::CellOutcome> out = fabric.runAll(cells);
-    expectByteIdentical(out, want);
-    EXPECT_GT(fabric.duplicatesDeduped(), 0u);
-    EXPECT_EQ(fabric.failures(), 0u);
-
-    reapAgent(a);
-    reapAgent(b);
-}
-
-TEST(ServeChaos, KillProfileSeversAgentsMidCampaign)
-{
-    std::vector<super::CellSpec> cells = grid(6);
-    std::vector<std::string> want = truth(cells);
-
-    serve::FabricOptions fo = fastOptions();
-    fo.chaosProfile = serve::FabricProfile::Kill;
-    fo.chaosSeed = 3;
-    serve::Fabric fabric(fo);
-    std::string err;
-    ASSERT_TRUE(fabric.start(&err)) << err;
-
-    pid_t a = spawnAgent(fabric.port(), 2);
-    pid_t b = spawnAgent(fabric.port(), 2);
-    awaitAgents(fabric, 2);
-
-    std::vector<super::CellOutcome> out = fabric.runAll(cells);
-    expectByteIdentical(out, want);
-    // The injector severs each agent's connection on its second
-    // assignment; the campaign survives via reassignment + fallback.
-    EXPECT_GE(fabric.agentDeaths(), 1u);
-    EXPECT_GT(fabric.chaosTally().kills, 0u);
-    EXPECT_EQ(fabric.failures(), 0u);
-
-    reapAgent(a);
-    reapAgent(b);
-}
-
-TEST(ServeChaos, DropProfileStillConvergesByteIdentical)
-{
-    std::vector<super::CellSpec> cells = grid(4);
-    std::vector<std::string> want = truth(cells);
-
-    serve::FabricOptions fo = fastOptions();
-    // Dropped inbound messages look like lease timeouts; keep the
-    // lease clock tight so the test re-leases quickly.
-    fo.leaseMs = 2000;
-    fo.chaosProfile = serve::FabricProfile::Drop;
-    fo.chaosSeed = 11;
-    serve::Fabric fabric(fo);
-    std::string err;
-    ASSERT_TRUE(fabric.start(&err)) << err;
-
-    pid_t a = spawnAgent(fabric.port(), 2);
-    awaitAgents(fabric, 1);
-
-    std::vector<super::CellOutcome> out = fabric.runAll(cells);
-    expectByteIdentical(out, want);
-    EXPECT_EQ(fabric.failures(), 0u);
-
-    reapAgent(a);
-}
-
 // --- durable-ack leases ---------------------------------------------
 
 class TempDir
@@ -407,6 +333,27 @@ class TempDir
   private:
     std::filesystem::path _path;
 };
+
+/**
+ * Write an executable `/bin/sh` worker wrapper into `dir`. `body`
+ * runs with $WORKER naming this binary and the worker's arguments in
+ * "$@" — the test doubles for a slow or lying executor.
+ */
+std::string
+workerWrapper(const TempDir &dir, const std::string &name,
+              const std::string &body)
+{
+    namespace fs = std::filesystem;
+    std::string path = dir.file(name);
+    {
+        std::ofstream f(path);
+        f << "#!/bin/sh\nWORKER='"
+          << fs::read_symlink("/proc/self/exe").string() << "'\n"
+          << body << "\n";
+    }
+    fs::permissions(path, fs::perms::owner_all, fs::perm_options::add);
+    return path;
+}
 
 TEST(ServeDurable, CoordinatorKilledBeforeDurableReleasesTheCell)
 {
@@ -483,19 +430,21 @@ TEST(ServeHedge, SlowAgentIsHedgedByteIdentical)
     std::vector<super::CellSpec> cells = grid(6);
     std::vector<std::string> want = truth(cells);
 
+    // Agent a's worker sleeps 1.5 s before every cell; an explicit
+    // 200 ms hedge threshold guarantees every one of its leases
+    // straggles past it.
+    TempDir dir("slow");
+    std::string slow = workerWrapper(dir, "slow-worker.sh",
+                                     "sleep 1.5\nexec \"$WORKER\" \"$@\"");
+
     serve::FabricOptions fo = fastOptions();
-    // The first-registered agent delays every cell by
-    // kSlowCellDelayMs (1500 ms); an explicit 200 ms hedge threshold
-    // guarantees every one of its leases straggles past it.
     fo.localFallback = false;
-    fo.chaosProfile = serve::FabricProfile::Slow;
-    fo.chaosSeed = 5;
     fo.hedgeAfterMs = 200;
     serve::Fabric fabric(fo);
     std::string err;
     ASSERT_TRUE(fabric.start(&err)) << err;
 
-    pid_t a = spawnAgent(fabric.port(), 2);
+    pid_t a = spawnAgent(fabric.port(), 2, 0, slow);
     pid_t b = spawnAgent(fabric.port(), 2);
     pid_t c = spawnAgent(fabric.port(), 2);
     awaitAgents(fabric, 3);
@@ -565,18 +514,22 @@ TEST(ServeAudit, LiarAgentIsQuarantinedReportStaysClean)
     std::vector<super::CellSpec> cells = grid(6);
     std::vector<std::string> want = truth(cells);
 
+    // Agent a's worker rewrites `cycles` in every result it returns
+    // (valid JSON, wrong bytes); with three agents (plus the local
+    // tie-break executor) the audit vote always has an honest
+    // majority.
+    TempDir dir("liar");
+    std::string liar = workerWrapper(
+        dir, "liar-worker.sh",
+        "\"$WORKER\" \"$@\" | sed 's/\"cycles\":[0-9]*/\"cycles\":1/'");
+
     serve::FabricOptions fo = fastOptions();
-    // The first-registered agent flips one bit in every result it
-    // returns; with three agents (plus the local tie-break executor)
-    // the audit vote always has an honest majority.
-    fo.chaosProfile = serve::FabricProfile::Liar;
-    fo.chaosSeed = 9;
     fo.auditFrac = 1.0;
     serve::Fabric fabric(fo);
     std::string err;
     ASSERT_TRUE(fabric.start(&err)) << err;
 
-    pid_t a = spawnAgent(fabric.port(), 2);
+    pid_t a = spawnAgent(fabric.port(), 2, 0, liar);
     pid_t b = spawnAgent(fabric.port(), 2);
     pid_t c = spawnAgent(fabric.port(), 2);
     awaitAgents(fabric, 3);
@@ -913,6 +866,8 @@ main(int argc, char **argv)
             else if (std::strcmp(argv[i], "--die-after") == 0)
                 ao.dieAfterResults =
                     std::strtoull(argv[i + 1], nullptr, 10);
+            else if (std::strcmp(argv[i], "--worker-path") == 0)
+                ao.workerPath = argv[i + 1];
         }
         return edge::serve::agentMain(ao);
     }

@@ -4,9 +4,10 @@
  *
  *  - VirtualClock units: deadline math, sleep-as-jump, monotonicity.
  *  - SimNet semantics: event ordering, no-wait fast-forward, stream
- *    delivery, sever notification, scripted chaos.
+ *    delivery, close notification, scripted chaos.
  *  - Whole worlds: clean multi-profile seed sweeps with zero
- *    invariant violations, generative-run determinism, fabsim
+ *    invariant violations, a scripted duplicated result,
+ *    generative-run determinism, fabsim
  *    capture round-trips, and (under EDGE_MUTATIONS) the planted
  *    hedge-revocation regression — found by the explorer in a
  *    bounded seed range and ddmin'd to a handful of events.
@@ -142,7 +143,7 @@ TEST(SimStream, DeliversBothWaysAndWakes)
     EXPECT_EQ(line, "welcome");
 }
 
-TEST(SimStream, SeverKillsThePeer)
+TEST(SimStream, ClosingKillsThePeer)
 {
     SimNet net(2, SimProfile::None);
     SimTransport tr(&net);
@@ -155,8 +156,8 @@ TEST(SimStream, SeverKillsThePeer)
     tr.pump(10, {}, &accepted);
     ASSERT_EQ(accepted.size(), 1u);
 
-    accepted[0]->sever();
-    EXPECT_TRUE(accepted[0]->dead());
+    accepted[0].reset();
+    EXPECT_FALSE(s->dead());
     net.runFor(5); // the kill notification is an event, never inline
     EXPECT_TRUE(s->dead());
     EXPECT_GE(wakes, 1);
@@ -209,6 +210,28 @@ TEST(SimWorld, CleanSeedsAcrossProfiles)
                 << r.violation.detail;
         }
     }
+}
+
+TEST(SimWorld, ScriptedDuplicateResultIsDeduped)
+{
+    // One agent, one client, no generative chaos: on agent 0's first
+    // connection, message 0 is its hello and message 1 its first
+    // result (cells execute in 5-30 virtual ms; the first heartbeat
+    // is 200 ms out). Delivering that result twice must land on the
+    // coordinator's dedup path and leave the report byte-identical.
+    WorldParams wp;
+    wp.seed = 1;
+    wp.agents = 1;
+    wp.cells = 4;
+    wp.clients = 1;
+    const ChaosEvent dup{EvKind::Dup, "a0.0>c", 1, 0, 0};
+    std::vector<ChaosEvent> script{dup};
+    WorldResult r = runWorld(wp, &script);
+    EXPECT_EQ(r.violation.invariant, "") << r.violation.detail;
+    ASSERT_EQ(r.schedule.size(), 1u);
+    EXPECT_EQ(r.schedule[0].kind, dup.kind);
+    EXPECT_EQ(r.schedule[0].edge, dup.edge);
+    EXPECT_EQ(r.schedule[0].ord, dup.ord);
 }
 
 TEST(SimWorld, GenerativeRunsAreDeterministic)

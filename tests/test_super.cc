@@ -374,16 +374,25 @@ TEST(SuperJournal, RejectsBitFlippedBlockNamingTheLsn)
     EXPECT_NE(err.find("lsn"), std::string::npos) << err;
 }
 
-TEST(SuperJournal, MigratesLegacyJsonlInPlace)
+/** A whole file's bytes (binary-exact). */
+std::string
+slurp(const std::string &path)
 {
-    // A PR-5 JSONL journal given to open() is migrated: the file is
-    // kept as <path>.v1 and its records re-appended into a segment
-    // log at <path>, preserving the recorded build provenance.
-    TempDir dir("migrate");
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+TEST(SuperJournal, RegularFileAtJournalPathIsAnErrorAndUntouched)
+{
+    // A single-file JSONL journal from an older build is not read or
+    // migrated: open() and load() fail naming the path, and the file
+    // keeps its exact bytes.
+    TempDir dir("jsonl");
     std::string path = dir.file("old.journal");
     sim::RunResult r;
     r.halted = true;
-    r.archMatch = true;
     r.cycles = 4242;
     {
         std::ofstream f(path);
@@ -392,52 +401,59 @@ TEST(SuperJournal, MigratesLegacyJsonlInPlace)
         f << "{\"cell\": 5, \"final\": true, \"result\": "
           << triage::resultToJson(r).dumpCompact() << "}\n";
     }
+    const std::string before = slurp(path);
 
     std::string err;
     super::Journal j;
-    ASSERT_TRUE(j.open(path, &err)) << err;
-    EXPECT_TRUE(std::filesystem::is_directory(path));
-    EXPECT_TRUE(std::filesystem::is_regular_file(path + ".v1"));
-    ASSERT_EQ(j.loaded().size(), 1u);
-    EXPECT_EQ(j.loaded()[0].cell, 5u);
-    EXPECT_EQ(dump(j.loaded()[0].result), dump(r));
-    EXPECT_EQ(j.buildLine(), "legacy-build-line");
+    EXPECT_FALSE(j.open(path, &err));
+    EXPECT_NE(err.find(path), std::string::npos) << err;
 
-    // The migrated log reads back like any other.
     std::vector<super::JournalRecord> recs;
     std::string build;
-    ASSERT_TRUE(super::Journal::load(path, &recs, &build, &err))
-        << err;
-    ASSERT_EQ(recs.size(), 1u);
-    EXPECT_EQ(build, "legacy-build-line");
+    err.clear();
+    EXPECT_FALSE(super::Journal::load(path, &recs, &build, &err));
+    EXPECT_NE(err.find(path), std::string::npos) << err;
+
+    EXPECT_TRUE(std::filesystem::is_regular_file(path));
+    EXPECT_FALSE(std::filesystem::exists(path + ".v1"));
+    EXPECT_EQ(slurp(path), before);
 }
 
-TEST(SuperJournal, ChecksumlessRecordsStillLoad)
+TEST(SuperJournal, RecordWithoutCrcIsRejectedNamingTheLsn)
 {
-    // A journal written by a pre-checksum build: records carry no
-    // `crc` field and must load vacuously.
+    // Every journal record carries a `crc`; a log record without one
+    // is corruption, not an older format.
     TempDir dir("nocrc");
-    std::string path = dir.file("old.journal.jsonl");
+    std::string path = dir.file("nocrc.journal");
     sim::RunResult r;
     r.halted = true;
-    r.archMatch = true;
     r.cycles = 77;
+    std::string err;
     {
-        std::ofstream f(path);
-        f << "{\"format\": \"edgesim-journal\", \"version\": 1, "
-             "\"build\": \"older-build\"}\n";
-        f << "{\"cell\": 5, \"final\": true, \"result\": "
-          << triage::resultToJson(r).dumpCompact() << "}\n";
+        log::ResultLog lg;
+        ASSERT_TRUE(lg.open(path, "test-build", log::LogOptions{}, 1,
+                            &err))
+            << err;
+        ASSERT_GT(lg.append(5, "{\"cell\":5,\"final\":true,"
+                               "\"result\":" +
+                                   triage::resultToJson(r).dumpCompact() +
+                                   "}"),
+                  0u);
+        ASSERT_TRUE(lg.flush()) << lg.error();
     }
+    std::vector<log::RawRecord> raw;
+    ASSERT_TRUE(log::ResultLog::scan(path, 1, &raw, nullptr, nullptr,
+                                     &err))
+        << err;
+    ASSERT_EQ(raw.size(), 1u);
 
     std::vector<super::JournalRecord> recs;
     std::string build;
-    std::string err;
-    ASSERT_TRUE(super::Journal::load(path, &recs, &build, &err))
+    EXPECT_FALSE(super::Journal::load(path, &recs, &build, &err));
+    EXPECT_NE(err.find("no crc"), std::string::npos) << err;
+    EXPECT_NE(err.find("lsn " + std::to_string(raw[0].lsn)),
+              std::string::npos)
         << err;
-    ASSERT_EQ(recs.size(), 1u);
-    EXPECT_EQ(recs[0].cell, 5u);
-    EXPECT_EQ(dump(recs[0].result), dump(r));
 }
 
 TEST(SuperJournal, RejectsNonJournalFiles)

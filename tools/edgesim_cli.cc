@@ -145,8 +145,7 @@ usage()
         "  coordinator knobs: --heartbeat-ms N, --heartbeat-timeout-ms\n"
         "         N, --lease-ms N, --max-reassign N, --once,\n"
         "         --no-local-fallback, --journal <file>, --resume\n"
-        "         <file>, --fabric-chaos <profile>,\n"
-        "         --fabric-chaos-seed N\n"
+        "         <file>\n"
         "  self-defence knobs: --hedge-after-ms N (straggler hedge\n"
         "         threshold; 0 = auto from fleet p95), --hedge-max N\n"
         "         (speculative leases per cell, 0 = off),\n"
@@ -200,14 +199,12 @@ usage()
                 "mutations: %s\n"
                 "engines: %s\n"
                 "log crash points: %s\n"
-                "fabric chaos profiles: %s\n"
                 "sim profiles: %s\n",
                 join(sim::Configs::allNames(), " ").c_str(),
                 enumNameList<chaos::Profile>().c_str(),
                 enumNameList<chaos::Mutation>().c_str(),
                 enumNameList<core::EngineKind>().c_str(),
                 enumNameList<log::LogCrashPoint>().c_str(),
-                enumNameList<serve::FabricProfile>().c_str(),
                 enumNameList<serve::simnet::SimProfile>().c_str());
     std::printf("\nset keys (--set <key>=<value>; default in "
                 "brackets):\n");
@@ -578,11 +575,6 @@ serveCliMain(int argc, char **argv)
             so.fabric.reproDir = next();
         } else if (arg == "--no-local-fallback") {
             so.fabric.localFallback = false;
-        } else if (arg == "--fabric-chaos") {
-            so.fabric.chaosProfile = parseName<serve::FabricProfile>(
-                "fabric chaos profile", next());
-        } else if (arg == "--fabric-chaos-seed") {
-            so.fabric.chaosSeed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--once") {
             so.once = true;
         } else if (arg == "--help" || arg == "-h") {
