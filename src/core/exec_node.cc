@@ -19,13 +19,30 @@ setBit(std::vector<std::uint64_t> &words, unsigned idx, bool on)
         words[idx >> 6] &= ~mask;
 }
 
+/** Clear bits [lo, lo + n) a word at a time. */
+inline void
+clearBits(std::vector<std::uint64_t> &words, unsigned lo, unsigned n)
+{
+    while (n) {
+        unsigned bit = lo & 63;
+        unsigned take = std::min(n, 64 - bit);
+        std::uint64_t mask = take == 64 ? ~std::uint64_t{0}
+                                        : ((std::uint64_t{1} << take) - 1)
+                                              << bit;
+        words[lo >> 6] &= ~mask;
+        lo += take;
+        n -= take;
+    }
+}
+
 } // namespace
 
-ExecNode::ExecNode(const CoreParams &params, NodeStats stats, SendFn send,
+ExecNode::ExecNode(const CoreParams &params, NodeStats stats,
+                   std::vector<NodeEvent> *outbox,
                    chaos::ChaosEngine *chaos, unsigned node_index)
     : _p(params),
       _stats(stats),
-      _send(std::move(send)),
+      _out(outbox),
       _chaos(chaos),
       _nodeIndex(node_index),
       _numSlots(params.slotsPerNode * params.numFrames),
@@ -136,12 +153,12 @@ ExecNode::mapInst(unsigned frame, unsigned local, DynBlockSeq seq,
 void
 ExecNode::clearFrame(unsigned frame)
 {
-    for (unsigned i = 0; i < _p.slotsPerNode; ++i) {
-        unsigned rs = frame * _p.slotsPerNode + i;
-        _flags[rs] = 0;
-        setBit(_wantAlu, rs, false);
-        setBit(_wantUpgrade, rs, false);
-    }
+    // A frame's slots are contiguous: clear its flags and want-bits
+    // as ranges, not slot by slot.
+    unsigned lo = frame * _p.slotsPerNode;
+    std::fill_n(_flags.begin() + lo, _p.slotsPerNode, 0);
+    clearBits(_wantAlu, lo, _p.slotsPerNode);
+    clearBits(_wantUpgrade, lo, _p.slotsPerNode);
 }
 
 bool
@@ -197,12 +214,12 @@ ExecNode::deliver(unsigned frame, unsigned local, unsigned operand,
     return true;
 }
 
-NodeEvent
-ExecNode::makeEvent(Cycle done, unsigned rs, Word value, ValState state,
-                    std::uint16_t depth) const
+NodeEvent &
+ExecNode::emit(Cycle done, unsigned rs, Word value, ValState state,
+               std::uint16_t depth)
 {
     unsigned oi = rs * isa::kMaxOperands;
-    NodeEvent ev;
+    NodeEvent &ev = _out->emplace_back();
     ev.when = done;
     ev.seq = _seq[rs];
     ev.slot = _slot[rs];
@@ -290,7 +307,7 @@ ExecNode::execute(Cycle now, unsigned rs, bool is_reexec)
         ++_sendCount[rs];
         done = std::max(done, _lastSendWhen[rs]);
         _lastSendWhen[rs] = done;
-        _send(makeEvent(done, rs, value, state, depth));
+        emit(done, rs, value, state, depth);
     }
 }
 
@@ -322,10 +339,9 @@ ExecNode::upgrade(Cycle now, unsigned rs)
         ++_sendCount[rs];
         Cycle when = std::max(now + 1, _lastSendWhen[rs]);
         _lastSendWhen[rs] = when;
-        NodeEvent ev = makeEvent(when, rs, _lastData[rs], ds, depth);
+        NodeEvent &ev = emit(when, rs, _lastData[rs], ds, depth);
         ev.addr = _lastValue[rs];
         ev.statusOnly = true;
-        _send(ev);
         return;
     }
 
@@ -338,11 +354,10 @@ ExecNode::upgrade(Cycle now, unsigned rs)
     ++_sendCount[rs];
     Cycle when = std::max(now + 1, _lastSendWhen[rs]);
     _lastSendWhen[rs] = when;
-    NodeEvent ev = makeEvent(when, rs, _lastValue[rs], state, depth);
+    NodeEvent &ev = emit(when, rs, _lastValue[rs], state, depth);
     if (ev.kind == NodeEvent::Kind::LoadRequest)
         ev.addr = _lastValue[rs]; // lastValue holds the address key
     ev.statusOnly = true;
-    _send(ev);
 }
 
 bool
@@ -396,18 +411,6 @@ ExecNode::tick(Cycle now)
         }
     }
     return did;
-}
-
-bool
-ExecNode::hasWork() const
-{
-    for (std::uint64_t w : _wantAlu)
-        if (w)
-            return true;
-    for (std::uint64_t w : _wantUpgrade)
-        if (w)
-            return true;
-    return false;
 }
 
 unsigned

@@ -26,7 +26,6 @@
 #define EDGE_CORE_EXEC_NODE_HH
 
 #include <array>
-#include <functional>
 #include <vector>
 
 #include "chaos/chaos.hh"
@@ -36,7 +35,11 @@
 
 namespace edge::core {
 
-/** What an issued instruction sends; the processor routes it. */
+/**
+ * What an issued instruction sends. The node appends it to an outbox
+ * the processor owns; the processor routes the outbox right after
+ * the node's tick, in the order the node issued.
+ */
 struct NodeEvent
 {
     enum class Kind : std::uint8_t
@@ -75,15 +78,15 @@ struct NodeStats
 class ExecNode
 {
   public:
-    using SendFn = std::function<void(const NodeEvent &)>;
-
     /**
+     * @param outbox receives every event the node sends (not owned)
      * @param chaos optional fault injector (not owned); only its
      *        compile-time-gated protocol *mutations* apply here
      * @param node_index this node's flat grid index, matched against
      *        ChaosParams::mutationNode
      */
-    ExecNode(const CoreParams &params, NodeStats stats, SendFn send,
+    ExecNode(const CoreParams &params, NodeStats stats,
+             std::vector<NodeEvent> *outbox,
              chaos::ChaosEngine *chaos = nullptr,
              unsigned node_index = 0);
 
@@ -114,7 +117,14 @@ class ExecNode
      * the node (and lets the cycle loop skip whole cycles) when every
      * node answers false. O(words of the want-bitmaps).
      */
-    bool hasWork() const;
+    bool
+    hasWork() const
+    {
+        for (std::size_t w = 0; w < _wantAlu.size(); ++w)
+            if (_wantAlu[w] | _wantUpgrade[w])
+                return true;
+        return false;
+    }
 
     /** Number of occupied slots (tests / deadlock dumps). */
     unsigned occupancy() const;
@@ -146,13 +156,16 @@ class ExecNode
     /** Send the commit-wave upgrade for a slot (no ALU). */
     void upgrade(Cycle now, unsigned rs);
 
-    /** Build the outgoing event for a slot's current operands. */
-    NodeEvent makeEvent(Cycle done, unsigned rs, Word value,
-                        ValState state, std::uint16_t depth) const;
+    /**
+     * Append the outgoing event for a slot's current operands to the
+     * outbox; returns it for the caller to amend.
+     */
+    NodeEvent &emit(Cycle done, unsigned rs, Word value, ValState state,
+                    std::uint16_t depth);
 
     const CoreParams &_p;
     NodeStats _stats;
-    SendFn _send;
+    std::vector<NodeEvent> *_out;
     chaos::ChaosEngine *_chaos;
     unsigned _nodeIndex;
     unsigned _numSlots; ///< slotsPerNode * numFrames

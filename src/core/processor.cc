@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-
-#include "core/scheduler.hh"
-
-static const bool kTrace = std::getenv("EDGE_TRACE") != nullptr;
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "core/scheduler.hh"
 
 namespace edge::core {
 
@@ -42,32 +37,23 @@ Processor::Processor(const MachineConfig &config,
     fatal_if(_cfg.policy == pred::DepPolicy::Oracle && !oracle,
              "the oracle policy needs an OracleDb");
 
-    compiler::GridGeom geom{_cfg.core.rows, _cfg.core.cols,
-                            _cfg.core.slotsPerNode};
     if (image) {
         // The shared image already validated the program and caches
-        // placements per geometry; skip the per-Processor work.
+        // layouts per geometry; skip the per-Processor work.
         fatal_if(&image->program() != &program,
                  "program image does not wrap this program");
-        _placements = &image->placements(geom);
     } else {
-        std::string why;
-        fatal_if(!program.validate(&why), "invalid program: %s",
-                 why.c_str());
-        _ownPlacements.reserve(program.numBlocks());
-        for (std::size_t b = 0; b < program.numBlocks(); ++b) {
-            _ownPlacements.push_back(
-                compiler::placeBlock(program.block(
-                                         static_cast<BlockId>(b)),
-                                     geom));
-        }
-        _placements = &_ownPlacements;
+        _ownImage = std::make_unique<ProgramImage>(program);
+        image = _ownImage.get();
     }
+    _layout = &image->layout(
+        {_cfg.core.rows, _cfg.core.cols, _cfg.core.slotsPerNode});
 
     _localIdxPool = _arena.allocArray<std::uint16_t>(
         static_cast<std::size_t>(_cfg.core.numFrames) *
         isa::kMaxBlockInsts);
     _nodeFill.resize(_cfg.core.numNodes(), 0);
+    _activeNodes.resize(_layout->maskWords, 0);
 
     for (const auto &init : program.memImage())
         _dmem.writeBytes(init.base, init.bytes.data(), init.bytes.size());
@@ -100,9 +86,8 @@ Processor::Processor(const MachineConfig &config,
     _policy = pred::makeDependencePredictor(_cfg.policy, oracle, stats);
     _nbp = std::make_unique<pred::NextBlockPredictor>(_cfg.nbp, stats);
 
-    _regs = std::make_unique<RegUnit>(
-        _cfg.core, program.initRegs(), stats,
-        [this](const RegForward &f) { routeRegForward(f); });
+    _regs = std::make_unique<RegUnit>(_cfg.core, program.initRegs(),
+                                      stats, &_regOut);
 
     _lsq = std::make_unique<lsq::LoadStoreQueue>(
         _cfg.lsq, _hier.get(), &_dmem, _policy.get(), stats,
@@ -120,9 +105,7 @@ Processor::Processor(const MachineConfig &config,
     };
     for (unsigned n = 0; n < _cfg.core.numNodes(); ++n) {
         _nodes.push_back(std::make_unique<ExecNode>(
-            _cfg.core, ns,
-            [this, n](const NodeEvent &ev) { routeNodeEvent(ev, n); },
-            _chaos.get(), n));
+            _cfg.core, ns, &_nodeOut, _chaos.get(), n));
     }
 
     for (unsigned f = 0; f < _cfg.core.numFrames; ++f)
@@ -290,6 +273,37 @@ Processor::routeRegForward(const RegForward &fwd)
                   fwd.statusOnly, false);
 }
 
+bool
+Processor::tickNode(unsigned n, Cycle now)
+{
+    bool did = _nodes[n]->tick(now);
+    for (const NodeEvent &ev : _nodeOut)
+        routeNodeEvent(ev, n);
+    _nodeOut.clear();
+    return did;
+}
+
+void
+Processor::routeRegForwards()
+{
+    for (const RegForward &fwd : _regOut)
+        routeRegForward(fwd);
+    _regOut.clear();
+}
+
+void
+Processor::releaseFrame(const BlockCtx &ctx)
+{
+    const std::uint64_t *mask = _layout->nodeMask(ctx.blockId);
+    for (unsigned w = 0; w < _layout->maskWords; ++w) {
+        for (std::uint64_t bits = mask[w]; bits; bits &= bits - 1) {
+            unsigned n = w * 64 +
+                         static_cast<unsigned>(__builtin_ctzll(bits));
+            _nodes[n]->clearFrame(ctx.frame);
+        }
+    }
+}
+
 void
 Processor::deliverMsg(Cycle now, const Msg &msg)
 {
@@ -341,11 +355,13 @@ Processor::deliverMsg(Cycle now, const Msg &msg)
         _nodes[node]->deliver(ctx->frame, ctx->localIdx[msg.slot],
                               msg.operand, msg.value, msg.state,
                               msg.wave, msg.depth);
+        markActive(node);
         return;
       }
       case Msg::Kind::WriteVal:
         _regs->writeArrived(now, msg.seq, msg.writeIdx, msg.value,
                             msg.state, msg.wave, msg.depth);
+        routeRegForwards();
         return;
       case Msg::Kind::LoadReq:
         _lsq->loadRequest(now, msg.seq, msg.lsid, msg.addr, msg.state,
@@ -429,8 +445,7 @@ Processor::flushFrom(DynBlockSeq from_seq)
     _trace.push({_cycle, chaos::TraceEvent::Kind::Flush, from_seq});
     while (!_inflight.empty() && _inflight.back().seq >= from_seq) {
         BlockCtx &ctx = _inflight.back();
-        for (auto &node : _nodes)
-            node->clearFrame(ctx.frame);
+        releaseFrame(ctx);
         _freeFrames.push_back(ctx.frame);
         _inflight.pop_back();
     }
@@ -491,7 +506,7 @@ Processor::mapFetchedBlock(Cycle now)
     ctx.archIdx = _nextArchIdx++;
     ctx.frame = frame;
     ctx.block = &b;
-    ctx.placement = &(*_placements)[bid];
+    ctx.placement = &_layout->placements[bid];
     // The frame's fixed region of the arena pool: frames recycle out
     // of order (flush vs. commit), so the pool is keyed by frame, not
     // carved per block.
@@ -508,6 +523,7 @@ Processor::mapFetchedBlock(Cycle now)
         ctx.localIdx[s] = local;
         _nodes[node]->mapInst(frame, local, ctx.seq,
                               static_cast<SlotId>(s), b.insts()[s]);
+        markActive(node);
     }
 
     unsigned e = std::min<unsigned>(
@@ -518,16 +534,13 @@ Processor::mapFetchedBlock(Cycle now)
 
     BlockId succ = b.exits()[e];
     DynBlockSeq seq = ctx.seq;
-    if (kTrace && seq < 40)
-        std::fprintf(stderr, "map seq=%llu blk=%u cyc=%llu\n",
-                     (unsigned long long)seq, bid,
-                     (unsigned long long)now);
     // The context must be visible before the LSQ / register unit
     // map the block: register reads can forward immediately.
     _inflight.push_back(std::move(ctx));
     ++_statFetchedBlocks;
     _lsq->mapBlock(seq, _inflight.back().archIdx, bid, b);
     _regs->mapBlock(now, seq, b);
+    routeRegForwards();
 
     if (succ == isa::kHaltBlock)
         _fetchHalted = true;
@@ -548,11 +561,6 @@ Processor::commitTick(Cycle now)
                    (!need_final || ctx.exitState == ValState::Final);
     bool writes_ok = _regs->blockWritesFinal(ctx.seq, need_final);
     bool mem_ok = _lsq->blockMemFinal(ctx.seq);
-    if (kTrace) {
-        if (exit_ok && !ctx.dbgExitOk) ctx.dbgExitOk = now;
-        if (writes_ok && !ctx.dbgWritesOk) ctx.dbgWritesOk = now;
-        if (mem_ok && !ctx.dbgMemOk) ctx.dbgMemOk = now;
-    }
     if (!exit_ok || !writes_ok || !mem_ok)
         return false;
 
@@ -579,19 +587,9 @@ Processor::commitTick(Cycle now)
 
     _regs->commitBlock(ctx.seq);
     _lsq->commitBlock(now, ctx.seq);
-    for (auto &node : _nodes)
-        node->clearFrame(ctx.frame);
+    releaseFrame(ctx);
     _freeFrames.push_back(ctx.frame);
 
-    if (kTrace && ctx.seq < 40)
-        std::fprintf(stderr,
-                     "commit seq=%llu cyc=%llu exitOk=%llu "
-                     "writesOk=%llu memOk=%llu\n",
-                     (unsigned long long)ctx.seq,
-                     (unsigned long long)now,
-                     (unsigned long long)ctx.dbgExitOk,
-                     (unsigned long long)ctx.dbgWritesOk,
-                     (unsigned long long)ctx.dbgMemOk);
     _trace.push({now, chaos::TraceEvent::Kind::Commit, ctx.seq, 0, 0,
                  ctx.exitValue, true});
     ++_statCommittedBlocks;
@@ -743,8 +741,8 @@ Processor::runTick(Cycle max_cycles, Result &res)
         _gcn->deliver(_cycle, [this](net::Coord, Msg &&m) {
             deliverMsg(_cycle, m);
         });
-        for (auto &node : _nodes)
-            node->tick(_cycle);
+        for (unsigned n = 0; n < _nodes.size(); ++n)
+            tickNode(n, _cycle);
         fetchTick(_cycle);
         commitTick(_cycle);
         if (_cycle - _lastCommit > _cfg.core.watchdogCycles) {
@@ -795,9 +793,17 @@ Processor::runEvent(Cycle max_cycles, Result &res)
             active = true;
             deliverMsg(_cycle, m);
         });
-        for (auto &node : _nodes)
-            if (node->hasWork())
-                active |= node->tick(_cycle);
+        for (unsigned w = 0; w < _activeNodes.size(); ++w) {
+            for (std::uint64_t bits = _activeNodes[w]; bits;
+                 bits &= bits - 1) {
+                unsigned n = w * 64 +
+                             static_cast<unsigned>(__builtin_ctzll(bits));
+                if (_nodes[n]->hasWork())
+                    active |= tickNode(n, _cycle);
+                if (!_nodes[n]->hasWork())
+                    _activeNodes[w] &= ~(std::uint64_t{1} << (n & 63));
+            }
+        }
         if (fetchTick(_cycle))
             active = true;
         if (_fetchBusy)

@@ -161,9 +161,6 @@ class Processor
         unsigned fetchedExit = 0;   ///< exit the fetch chain follows
         std::uint64_t historySnapshot = 0;
 
-        // Debug (EDGE_TRACE): first cycle each commit condition held.
-        Cycle dbgExitOk = 0, dbgWritesOk = 0, dbgMemOk = 0;
-
         bool exitSeen = false;
         Word exitValue = 0;
         ValState exitState = ValState::Spec;
@@ -183,6 +180,19 @@ class Processor
     void routeNodeEvent(const NodeEvent &ev, unsigned node);
     void routeLoadReply(const lsq::LoadReply &reply);
     void routeRegForward(const RegForward &fwd);
+
+    /** Tick node `n` and route what it sent, in issue order. */
+    bool tickNode(unsigned n, Cycle now);
+    /** Route the register unit's pending forwards, in order. */
+    void routeRegForwards();
+    /** Mark node `n` as possibly having work (see _activeNodes). */
+    void
+    markActive(unsigned n)
+    {
+        _activeNodes[n >> 6] |= std::uint64_t{1} << (n & 63);
+    }
+    /** Release a block's frame on the nodes it was placed on. */
+    void releaseFrame(const BlockCtx &ctx);
     void sendToTargets(Cycle when, net::Coord src, DynBlockSeq seq,
                        const std::array<isa::Target, isa::kMaxTargets>
                            &targets,
@@ -245,10 +255,10 @@ class Processor
     const pred::OracleDb *_oracle;
     StatSet &_stats;
 
-    /** Per static block; points at the shared image's cache when a
-     *  ProgramImage was supplied, else at _ownPlacements. */
-    const std::vector<compiler::Placement> *_placements = nullptr;
-    std::vector<compiler::Placement> _ownPlacements;
+    /** Built when no shared ProgramImage was supplied. */
+    std::unique_ptr<ProgramImage> _ownImage;
+    /** Placements and node masks for this geometry (image-owned). */
+    const Layout *_layout = nullptr;
     std::unique_ptr<chaos::ChaosEngine> _chaos;   ///< null = no chaos
     std::unique_ptr<chaos::InvariantChecker> _check; ///< null = off
     chaos::TraceRing _trace;
@@ -262,6 +272,10 @@ class Processor
     std::unique_ptr<RegUnit> _regs;
     std::unique_ptr<lsq::LoadStoreQueue> _lsq;
     std::vector<std::unique_ptr<ExecNode>> _nodes;
+    /** What the ticking node sent; routed right after its tick. */
+    std::vector<NodeEvent> _nodeOut;
+    /** Forwards from the current RegUnit call; routed right after. */
+    std::vector<RegForward> _regOut;
 
     // --- dynamic state -----------------------------------------------------
     /** Backs the per-frame localIdx pools (see BlockCtx::localIdx). */
@@ -270,6 +284,14 @@ class Processor
     std::uint16_t *_localIdxPool = nullptr;
     /** Per-node fill scratch reused by every mapFetchedBlock. */
     std::vector<std::uint16_t> _nodeFill;
+    /**
+     * Active-node set, one bit per node. A node's bit is set when an
+     * operand is delivered to it or an instruction is mapped onto it,
+     * and cleared by the event engine once the node has no work left,
+     * so every node with work has its bit set. The event engine ticks
+     * only set bits, in index order; the tick engine ignores the set.
+     */
+    std::vector<std::uint64_t> _activeNodes;
     std::deque<BlockCtx> _inflight; ///< oldest first
     std::vector<unsigned> _freeFrames;
     DynBlockSeq _nextSeq = 1;

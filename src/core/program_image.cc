@@ -19,18 +19,23 @@ ProgramImage::geomKey(const compiler::GridGeom &geom)
            static_cast<std::uint64_t>(geom.slotsPerNode);
 }
 
-const std::vector<compiler::Placement> &
-ProgramImage::placements(const compiler::GridGeom &geom) const
+const Layout &
+ProgramImage::layout(const compiler::GridGeom &geom) const
 {
     std::lock_guard<std::mutex> lock(_mu);
     auto &slot = _byGeom[geomKey(geom)];
     if (!slot) {
-        auto built =
-            std::make_unique<std::vector<compiler::Placement>>();
-        built->reserve(_prog.numBlocks());
+        auto built = std::make_unique<Layout>();
+        built->maskWords = (geom.numNodes() + 63) / 64;
+        built->placements.reserve(_prog.numBlocks());
+        built->nodeMasks.assign(_prog.numBlocks() * built->maskWords, 0);
         for (std::size_t b = 0; b < _prog.numBlocks(); ++b) {
-            built->push_back(compiler::placeBlock(
+            built->placements.push_back(compiler::placeBlock(
                 _prog.block(static_cast<BlockId>(b)), geom));
+            std::uint64_t *mask =
+                built->nodeMasks.data() + b * built->maskWords;
+            for (std::uint16_t node : built->placements.back().nodeOf)
+                mask[node / 64] |= std::uint64_t{1} << (node % 64);
         }
         slot = std::move(built);
     }

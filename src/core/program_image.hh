@@ -7,10 +7,10 @@
  * identical work repeated for all N configs x M seeds of a grid.
  *
  * Placements depend on the grid geometry (rows, cols, slotsPerNode),
- * which parameter sweeps do vary, so the image caches one placement
- * vector per distinct geometry. The cache is mutex-guarded and the
- * returned references are stable, so concurrent runShared() jobs can
- * share one image safely.
+ * which parameter sweeps do vary, so the image caches one Layout
+ * (placements plus per-block node masks) per distinct geometry. The
+ * cache is mutex-guarded and the returned references are stable, so
+ * concurrent runShared() jobs can share one image safely.
  */
 
 #ifndef EDGE_CORE_PROGRAM_IMAGE_HH
@@ -26,6 +26,26 @@
 
 namespace edge::core {
 
+/** Every static block placed onto one grid geometry. */
+struct Layout
+{
+    std::vector<compiler::Placement> placements; ///< per static block
+    /** Words per block in nodeMasks: ceil(numNodes / 64). */
+    unsigned maskWords = 0;
+    /**
+     * Per static block, a bitmap of the grid nodes it has at least one
+     * instruction on (bit n of word n / 64); releasing a block's frame
+     * visits only those nodes.
+     */
+    std::vector<std::uint64_t> nodeMasks;
+
+    const std::uint64_t *
+    nodeMask(BlockId block) const
+    {
+        return nodeMasks.data() + std::size_t{block} * maskWords;
+    }
+};
+
 class ProgramImage
 {
   public:
@@ -38,21 +58,18 @@ class ProgramImage
     const isa::Program &program() const { return _prog; }
 
     /**
-     * Placements for every static block under `geom`, computed on
+     * The layout of every static block under `geom`, computed on
      * first request per distinct geometry and cached. Thread-safe;
      * the returned reference stays valid for the image's lifetime.
      */
-    const std::vector<compiler::Placement> &
-    placements(const compiler::GridGeom &geom) const;
+    const Layout &layout(const compiler::GridGeom &geom) const;
 
   private:
     static std::uint64_t geomKey(const compiler::GridGeom &geom);
 
     const isa::Program &_prog;
     mutable std::mutex _mu;
-    mutable std::map<std::uint64_t,
-                     std::unique_ptr<std::vector<compiler::Placement>>>
-        _byGeom;
+    mutable std::map<std::uint64_t, std::unique_ptr<Layout>> _byGeom;
 };
 
 } // namespace edge::core

@@ -8,11 +8,11 @@ namespace edge::core {
 
 RegUnit::RegUnit(const CoreParams &params,
                  const std::vector<Word> &init_regs, StatSet &stats,
-                 ForwardFn forward)
+                 std::vector<RegForward> *outbox)
     : _p(params),
       _regs(init_regs),
       _bankFree(params.cols, 0),
-      _forward(std::move(forward)),
+      _out(outbox),
       _archReads(stats.counter("regs.arch_reads",
                                "reads satisfied from the committed RF")),
       _forwardReads(stats.counter(
@@ -39,7 +39,7 @@ RegUnit::forwardTo(Cycle now, Subscription &sub, Word value,
                    ValState state, std::uint16_t depth,
                    bool status_only)
 {
-    RegForward f;
+    RegForward &f = _out->emplace_back();
     // Status-only forwards ride the status network and do not
     // occupy a register-file data port; either way a later forward
     // (commit wave) may not overtake an earlier one on this link.
@@ -55,7 +55,6 @@ RegUnit::forwardTo(Cycle now, Subscription &sub, Word value,
     f.wave = ++sub.wave;
     f.depth = depth;
     f.targets = sub.targets;
-    _forward(f);
 }
 
 void

@@ -12,7 +12,6 @@
 #ifndef EDGE_CORE_REG_UNIT_HH
 #define EDGE_CORE_REG_UNIT_HH
 
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -22,7 +21,11 @@
 
 namespace edge::core {
 
-/** A register value being forwarded to one reader's targets. */
+/**
+ * A register value being forwarded to one reader's targets. The unit
+ * appends it to an outbox the processor owns and routes right after
+ * the mapBlock / writeArrived call that produced it.
+ */
 struct RegForward
 {
     Cycle when = 0;
@@ -39,10 +42,9 @@ struct RegForward
 class RegUnit
 {
   public:
-    using ForwardFn = std::function<void(const RegForward &)>;
-
+    /** @param outbox receives every forward (not owned) */
     RegUnit(const CoreParams &params, const std::vector<Word> &init_regs,
-            StatSet &stats, ForwardFn forward);
+            StatSet &stats, std::vector<RegForward> *outbox);
 
     /**
      * A block entered the window: resolve every register read
@@ -108,7 +110,7 @@ class RegUnit
     std::map<DynBlockSeq, BlockRegs> _blocks;
     std::vector<Cycle> _bankFree;
 
-    ForwardFn _forward;
+    std::vector<RegForward> *_out;
     Counter &_archReads;
     Counter &_forwardReads;
     Counter &_rewrites;

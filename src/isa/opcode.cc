@@ -9,73 +9,6 @@ namespace edge::isa {
 
 namespace {
 
-constexpr OpInfo kOpTable[] = {
-    // name    ops imm  fu               bytes load  store branch
-    {"mov",    1, false, FuClass::IntAlu, 0, false, false, false},
-    {"movi",   0, true,  FuClass::IntAlu, 0, false, false, false},
-
-    {"add",    2, false, FuClass::IntAlu, 0, false, false, false},
-    {"sub",    2, false, FuClass::IntAlu, 0, false, false, false},
-    {"mul",    2, false, FuClass::IntMul, 0, false, false, false},
-    {"divs",   2, false, FuClass::IntDiv, 0, false, false, false},
-    {"divu",   2, false, FuClass::IntDiv, 0, false, false, false},
-    {"remu",   2, false, FuClass::IntDiv, 0, false, false, false},
-    {"and",    2, false, FuClass::IntAlu, 0, false, false, false},
-    {"or",     2, false, FuClass::IntAlu, 0, false, false, false},
-    {"xor",    2, false, FuClass::IntAlu, 0, false, false, false},
-    {"shl",    2, false, FuClass::IntAlu, 0, false, false, false},
-    {"shr",    2, false, FuClass::IntAlu, 0, false, false, false},
-    {"sra",    2, false, FuClass::IntAlu, 0, false, false, false},
-
-    {"addi",   1, true,  FuClass::IntAlu, 0, false, false, false},
-    {"muli",   1, true,  FuClass::IntMul, 0, false, false, false},
-    {"andi",   1, true,  FuClass::IntAlu, 0, false, false, false},
-    {"ori",    1, true,  FuClass::IntAlu, 0, false, false, false},
-    {"xori",   1, true,  FuClass::IntAlu, 0, false, false, false},
-    {"shli",   1, true,  FuClass::IntAlu, 0, false, false, false},
-    {"shri",   1, true,  FuClass::IntAlu, 0, false, false, false},
-    {"srai",   1, true,  FuClass::IntAlu, 0, false, false, false},
-
-    {"teq",    2, false, FuClass::IntAlu, 0, false, false, false},
-    {"tne",    2, false, FuClass::IntAlu, 0, false, false, false},
-    {"tlt",    2, false, FuClass::IntAlu, 0, false, false, false},
-    {"tle",    2, false, FuClass::IntAlu, 0, false, false, false},
-    {"tltu",   2, false, FuClass::IntAlu, 0, false, false, false},
-    {"tleu",   2, false, FuClass::IntAlu, 0, false, false, false},
-    {"teqi",   1, true,  FuClass::IntAlu, 0, false, false, false},
-    {"tnei",   1, true,  FuClass::IntAlu, 0, false, false, false},
-    {"tlti",   1, true,  FuClass::IntAlu, 0, false, false, false},
-    {"tltui",  1, true,  FuClass::IntAlu, 0, false, false, false},
-
-    {"sel",    3, false, FuClass::IntAlu, 0, false, false, false},
-
-    {"fadd",   2, false, FuClass::FpAlu,  0, false, false, false},
-    {"fsub",   2, false, FuClass::FpAlu,  0, false, false, false},
-    {"fmul",   2, false, FuClass::FpMul,  0, false, false, false},
-    {"fdiv",   2, false, FuClass::FpDiv,  0, false, false, false},
-    {"feq",    2, false, FuClass::FpAlu,  0, false, false, false},
-    {"flt",    2, false, FuClass::FpAlu,  0, false, false, false},
-    {"fle",    2, false, FuClass::FpAlu,  0, false, false, false},
-    {"i2f",    1, false, FuClass::FpAlu,  0, false, false, false},
-    {"f2i",    1, false, FuClass::FpAlu,  0, false, false, false},
-
-    {"ldb",    1, true,  FuClass::Mem,    1, true,  false, false},
-    {"ldh",    1, true,  FuClass::Mem,    2, true,  false, false},
-    {"ldw",    1, true,  FuClass::Mem,    4, true,  false, false},
-    {"ldd",    1, true,  FuClass::Mem,    8, true,  false, false},
-    {"stb",    2, true,  FuClass::Mem,    1, false, true,  false},
-    {"sth",    2, true,  FuClass::Mem,    2, false, true,  false},
-    {"stw",    2, true,  FuClass::Mem,    4, false, true,  false},
-    {"std",    2, true,  FuClass::Mem,    8, false, true,  false},
-
-    {"br",     1, false, FuClass::Ctrl,   0, false, false, true},
-    {"bro",    0, true,  FuClass::Ctrl,   0, false, false, true},
-};
-
-static_assert(sizeof(kOpTable) / sizeof(kOpTable[0]) ==
-                  static_cast<std::size_t>(Opcode::NUM_OPCODES),
-              "opcode table out of sync with Opcode enum");
-
 /** Saturating signed division (never UB, even speculatively). */
 SWord
 safeDivS(SWord a, SWord b)
@@ -94,21 +27,12 @@ opcodeByName(const char *name, Opcode *out)
 {
     for (std::size_t i = 0;
          i < static_cast<std::size_t>(Opcode::NUM_OPCODES); ++i) {
-        if (std::strcmp(kOpTable[i].name, name) == 0) {
+        if (std::strcmp(detail::kOpTable[i].name, name) == 0) {
             *out = static_cast<Opcode>(i);
             return true;
         }
     }
     return false;
-}
-
-const OpInfo &
-opInfo(Opcode op)
-{
-    auto idx = static_cast<std::size_t>(op);
-    panic_if(idx >= static_cast<std::size_t>(Opcode::NUM_OPCODES),
-             "bad opcode %zu", idx);
-    return kOpTable[idx];
 }
 
 Word

@@ -12,7 +12,9 @@
 #define EDGE_ISA_OPCODE_HH
 
 #include <cstdint>
+#include <iterator>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace edge::isa {
@@ -81,8 +83,89 @@ struct OpInfo
     bool isBranch;
 };
 
-/** Static properties lookup. */
-const OpInfo &opInfo(Opcode op);
+namespace detail {
+
+inline constexpr OpInfo kOpTable[] = {
+    // name    ops imm  fu               bytes load  store branch
+    {"mov",    1, false, FuClass::IntAlu, 0, false, false, false},
+    {"movi",   0, true,  FuClass::IntAlu, 0, false, false, false},
+
+    {"add",    2, false, FuClass::IntAlu, 0, false, false, false},
+    {"sub",    2, false, FuClass::IntAlu, 0, false, false, false},
+    {"mul",    2, false, FuClass::IntMul, 0, false, false, false},
+    {"divs",   2, false, FuClass::IntDiv, 0, false, false, false},
+    {"divu",   2, false, FuClass::IntDiv, 0, false, false, false},
+    {"remu",   2, false, FuClass::IntDiv, 0, false, false, false},
+    {"and",    2, false, FuClass::IntAlu, 0, false, false, false},
+    {"or",     2, false, FuClass::IntAlu, 0, false, false, false},
+    {"xor",    2, false, FuClass::IntAlu, 0, false, false, false},
+    {"shl",    2, false, FuClass::IntAlu, 0, false, false, false},
+    {"shr",    2, false, FuClass::IntAlu, 0, false, false, false},
+    {"sra",    2, false, FuClass::IntAlu, 0, false, false, false},
+
+    {"addi",   1, true,  FuClass::IntAlu, 0, false, false, false},
+    {"muli",   1, true,  FuClass::IntMul, 0, false, false, false},
+    {"andi",   1, true,  FuClass::IntAlu, 0, false, false, false},
+    {"ori",    1, true,  FuClass::IntAlu, 0, false, false, false},
+    {"xori",   1, true,  FuClass::IntAlu, 0, false, false, false},
+    {"shli",   1, true,  FuClass::IntAlu, 0, false, false, false},
+    {"shri",   1, true,  FuClass::IntAlu, 0, false, false, false},
+    {"srai",   1, true,  FuClass::IntAlu, 0, false, false, false},
+
+    {"teq",    2, false, FuClass::IntAlu, 0, false, false, false},
+    {"tne",    2, false, FuClass::IntAlu, 0, false, false, false},
+    {"tlt",    2, false, FuClass::IntAlu, 0, false, false, false},
+    {"tle",    2, false, FuClass::IntAlu, 0, false, false, false},
+    {"tltu",   2, false, FuClass::IntAlu, 0, false, false, false},
+    {"tleu",   2, false, FuClass::IntAlu, 0, false, false, false},
+    {"teqi",   1, true,  FuClass::IntAlu, 0, false, false, false},
+    {"tnei",   1, true,  FuClass::IntAlu, 0, false, false, false},
+    {"tlti",   1, true,  FuClass::IntAlu, 0, false, false, false},
+    {"tltui",  1, true,  FuClass::IntAlu, 0, false, false, false},
+
+    {"sel",    3, false, FuClass::IntAlu, 0, false, false, false},
+
+    {"fadd",   2, false, FuClass::FpAlu,  0, false, false, false},
+    {"fsub",   2, false, FuClass::FpAlu,  0, false, false, false},
+    {"fmul",   2, false, FuClass::FpMul,  0, false, false, false},
+    {"fdiv",   2, false, FuClass::FpDiv,  0, false, false, false},
+    {"feq",    2, false, FuClass::FpAlu,  0, false, false, false},
+    {"flt",    2, false, FuClass::FpAlu,  0, false, false, false},
+    {"fle",    2, false, FuClass::FpAlu,  0, false, false, false},
+    {"i2f",    1, false, FuClass::FpAlu,  0, false, false, false},
+    {"f2i",    1, false, FuClass::FpAlu,  0, false, false, false},
+
+    {"ldb",    1, true,  FuClass::Mem,    1, true,  false, false},
+    {"ldh",    1, true,  FuClass::Mem,    2, true,  false, false},
+    {"ldw",    1, true,  FuClass::Mem,    4, true,  false, false},
+    {"ldd",    1, true,  FuClass::Mem,    8, true,  false, false},
+    {"stb",    2, true,  FuClass::Mem,    1, false, true,  false},
+    {"sth",    2, true,  FuClass::Mem,    2, false, true,  false},
+    {"stw",    2, true,  FuClass::Mem,    4, false, true,  false},
+    {"std",    2, true,  FuClass::Mem,    8, false, true,  false},
+
+    {"br",     1, false, FuClass::Ctrl,   0, false, false, true},
+    {"bro",    0, true,  FuClass::Ctrl,   0, false, false, true},
+};
+
+static_assert(std::size(kOpTable) ==
+                  static_cast<std::size_t>(Opcode::NUM_OPCODES),
+              "opcode table out of sync with Opcode enum");
+
+} // namespace detail
+
+/**
+ * Static properties lookup. Inline: the issue path asks isLoad /
+ * isStore / isBranch of every executed instruction.
+ */
+inline const OpInfo &
+opInfo(Opcode op)
+{
+    auto idx = static_cast<std::size_t>(op);
+    panic_if(idx >= static_cast<std::size_t>(Opcode::NUM_OPCODES),
+             "bad opcode %zu", idx);
+    return detail::kOpTable[idx];
+}
 
 /** Mnemonic shorthand. */
 inline const char *opName(Opcode op) { return opInfo(op).name; }

@@ -8,6 +8,11 @@
  * `hopLatency` cycles per traversed link, zero-cost local bypass
  * when source == destination.
  *
+ * Every (src, dst) route is computed once, when the mesh is built,
+ * into a flat link table; a send walks its row of the table. In-flight
+ * messages wait in a CalendarQueue (net/calendar_queue.hh), which
+ * delivers them in (arrival, send order) order.
+ *
  * Mesh is a class template over the payload so the network layer
  * stays independent of core message formats.
  */
@@ -20,7 +25,9 @@
 #include <vector>
 
 #include "chaos/chaos.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
+#include "net/calendar_queue.hh"
 #include "net/route.hh"
 
 namespace edge::net {
@@ -45,6 +52,7 @@ class Mesh
   public:
     Mesh(const MeshParams &params, StatSet &stats)
         : _p(params),
+          _numRouters(_p.geom.rows * _p.geom.cols),
           _linkFree(numLinks(_p.geom), 0),
           _sent(stats.counter(_p.statPrefix + ".messages",
                               "messages sent")),
@@ -55,9 +63,24 @@ class Mesh
           _queued(stats.counter(_p.statPrefix + ".queue_cycles",
                                 "cycles spent waiting for links"))
     {
-        // Longest X-Y route in the mesh; sized once so per-message
-        // routing never allocates.
-        _route.reserve(_p.geom.rows + _p.geom.cols);
+        // Sized exactly up front: every Processor builds two meshes.
+        std::size_t links = 0;
+        for (unsigned s = 0; s < _numRouters; ++s)
+            for (unsigned d = 0; d < _numRouters; ++d)
+                links += hopCount(coordOf(s), coordOf(d));
+        _routeLinks.reserve(links);
+        _routeOff.reserve(std::size_t{_numRouters} * _numRouters + 1);
+        _routeOff.push_back(0);
+        for (unsigned s = 0; s < _numRouters; ++s) {
+            for (unsigned d = 0; d < _numRouters; ++d) {
+                std::vector<LinkId> path =
+                    routeXY(_p.geom, coordOf(s), coordOf(d));
+                _routeLinks.insert(_routeLinks.end(), path.begin(),
+                                   path.end());
+                _routeOff.push_back(
+                    static_cast<std::uint32_t>(_routeLinks.size()));
+            }
+        }
     }
 
     /**
@@ -70,14 +93,18 @@ class Mesh
         ++_sent;
         Cycle t = now;
         if (!(src == dst)) {
-            routeXY(_p.geom, src, dst, _route);
-            for (LinkId link : _route) {
-                Cycle start = std::max(t, _linkFree[link]);
+            std::size_t pair =
+                std::size_t{routerOf(src)} * _numRouters + routerOf(dst);
+            std::uint32_t first = _routeOff[pair];
+            std::uint32_t last = _routeOff[pair + 1];
+            for (std::uint32_t i = first; i < last; ++i) {
+                Cycle &link_free = _linkFree[_routeLinks[i]];
+                Cycle start = std::max(t, link_free);
                 _queued += start - t;
-                _linkFree[link] = start + 1;
+                link_free = start + 1;
                 t = start + _p.hopLatency;
-                ++_hops;
             }
+            _hops += last - first;
         }
         if (_p.chaos) {
             // Chaos: hold this message on a congested virtual channel
@@ -86,11 +113,11 @@ class Mesh
             // stale wave — duplicate delivery is idempotent.
             t += _p.chaos->hopJitter();
             if (_p.chaos->duplicate()) {
-                pushEvent(Event{t + _p.chaos->duplicateSkew(),
-                                _nextSeq++, dst, payload});
+                _queue.push(t + _p.chaos->duplicateSkew(),
+                            Event{dst, payload});
             }
         }
-        pushEvent(Event{t, _nextSeq++, dst, std::move(payload)});
+        _queue.push(t, Event{dst, std::move(payload)});
         return t;
     }
 
@@ -103,39 +130,27 @@ class Mesh
     void
     deliver(Cycle now, Fn &&fn)
     {
-        // _inFlight is an explicit min-heap (not a priority_queue)
-        // so the due event can be MOVED out: pop_heap shifts it to
-        // the back, where it is ours to take — the payload is never
-        // copied on delivery.
-        while (!_inFlight.empty() && _inFlight.front().arrival <= now) {
-            std::pop_heap(_inFlight.begin(), _inFlight.end(),
-                          laterThan);
-            Event ev = std::move(_inFlight.back());
-            _inFlight.pop_back();
+        _queue.deliver(now, [&](Event &&ev) {
             ++_delivered;
             fn(ev.dst, std::move(ev.payload));
-        }
+        });
     }
 
-    bool empty() const { return _inFlight.empty(); }
-    std::size_t inFlight() const { return _inFlight.size(); }
+    bool empty() const { return _queue.empty(); }
+    std::size_t inFlight() const { return _queue.size(); }
 
     /**
      * Arrival cycle of the earliest in-flight message, or ~Cycle{0}
      * when the network is empty. The event-driven run loop uses this
      * to jump straight to the next delivery instead of polling.
      */
-    Cycle
-    nextArrival() const
-    {
-        return _inFlight.empty() ? ~Cycle{0} : _inFlight.front().arrival;
-    }
+    Cycle nextArrival() const { return _queue.nextArrival(); }
 
     /** Drop all in-flight traffic and link state (machine reset). */
     void
     reset()
     {
-        _inFlight.clear();
+        _queue.clear();
         std::fill(_linkFree.begin(), _linkFree.end(), 0);
     }
 
@@ -144,32 +159,36 @@ class Mesh
   private:
     struct Event
     {
-        Cycle arrival;
-        std::uint64_t seq; ///< tie-break for deterministic delivery
         Coord dst;
         Payload payload;
     };
 
-    /** Heap predicate: a sorts after b (min-heap on arrival, seq). */
-    static bool
-    laterThan(const Event &a, const Event &b)
+    unsigned
+    routerOf(Coord c) const
     {
-        return a.arrival != b.arrival ? a.arrival > b.arrival
-                                      : a.seq > b.seq;
+        panic_if(c.row >= _p.geom.rows || c.col >= _p.geom.cols,
+                 "coordinate outside the %ux%u mesh", _p.geom.rows,
+                 _p.geom.cols);
+        return c.row * _p.geom.cols + c.col;
     }
 
-    void
-    pushEvent(Event &&ev)
+    Coord
+    coordOf(unsigned router) const
     {
-        _inFlight.push_back(std::move(ev));
-        std::push_heap(_inFlight.begin(), _inFlight.end(), laterThan);
+        return {static_cast<std::uint16_t>(router / _p.geom.cols),
+                static_cast<std::uint16_t>(router % _p.geom.cols)};
     }
 
     MeshParams _p;
+    unsigned _numRouters;
     std::vector<Cycle> _linkFree;
-    std::vector<Event> _inFlight; ///< min-heap, see deliver()
-    std::vector<LinkId> _route;   ///< scratch reused by every send
-    std::uint64_t _nextSeq = 0;
+    /**
+     * The X-Y route from router s to router d is
+     * _routeLinks[_routeOff[s * n + d] .. _routeOff[s * n + d + 1]).
+     */
+    std::vector<std::uint32_t> _routeOff;
+    std::vector<LinkId> _routeLinks;
+    CalendarQueue<Event> _queue;
 
     Counter &_sent;
     Counter &_delivered;

@@ -34,20 +34,11 @@ hopCount(Coord src, Coord dst)
 std::vector<LinkId>
 routeXY(const MeshGeom &geom, Coord src, Coord dst)
 {
-    std::vector<LinkId> path;
-    path.reserve(hopCount(src, dst));
-    routeXY(geom, src, dst, path);
-    return path;
-}
-
-void
-routeXY(const MeshGeom &geom, Coord src, Coord dst,
-        std::vector<LinkId> &path)
-{
     panic_if(src.row >= geom.rows || src.col >= geom.cols ||
                  dst.row >= geom.rows || dst.col >= geom.cols,
              "coordinate outside the %ux%u mesh", geom.rows, geom.cols);
-    path.clear();
+    std::vector<LinkId> path;
+    path.reserve(hopCount(src, dst));
     Coord at = src;
     while (at.col != dst.col) {
         Dir d = at.col < dst.col ? East : West;
@@ -59,6 +50,7 @@ routeXY(const MeshGeom &geom, Coord src, Coord dst,
         path.push_back(linkFrom(geom, at, d));
         at.row = d == South ? at.row + 1 : at.row - 1;
     }
+    return path;
 }
 
 } // namespace edge::net

@@ -39,18 +39,10 @@ struct MeshGeom
 
 /**
  * The sequence of links a packet traverses from src to dst under
- * X-then-Y dimension-order routing. Empty when src == dst.
+ * X-then-Y dimension-order routing. Empty when src == dst. The mesh
+ * tabulates every route once, when it is built.
  */
 std::vector<LinkId> routeXY(const MeshGeom &geom, Coord src, Coord dst);
-
-/**
- * Allocation-free variant: fills `path` (cleared first) instead of
- * returning a fresh vector. The mesh calls this once per message
- * with a reused scratch vector, so routing stops allocating on the
- * simulator's hottest path.
- */
-void routeXY(const MeshGeom &geom, Coord src, Coord dst,
-             std::vector<LinkId> &path);
 
 /** Number of hops between two coordinates (Manhattan distance). */
 unsigned hopCount(Coord src, Coord dst);

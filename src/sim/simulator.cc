@@ -152,10 +152,10 @@ Simulator::ensureReference()
     _oracleDb = std::make_unique<pred::OracleDb>(trace);
     // Decode/validate/place once; every Processor (across run(),
     // runShared() and all sweep configs with this geometry) shares
-    // the image read-only. Warm the default geometry's placements so
+    // the image read-only. Warm the default geometry's layout so
     // concurrent first runs never contend on the build.
     _image = std::make_unique<core::ProgramImage>(_prog);
-    _image->placements({_cfg.core.rows, _cfg.core.cols,
+    _image->layout({_cfg.core.rows, _cfg.core.cols,
                         _cfg.core.slotsPerNode});
     _refDone = true;
 }

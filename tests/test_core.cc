@@ -32,8 +32,7 @@ class ExecNodeTest : public ::testing::Test
              stats.counter("core.upgrades", ""),
              stats.counter("core.squashes", ""),
              stats.histogram("core.wave_depth", "")},
-          node(params, ns,
-               [this](const NodeEvent &ev) { events.push_back(ev); })
+          node(params, ns, &events)
     {
     }
 
@@ -210,9 +209,7 @@ class RegUnitTest : public ::testing::Test
           unit(nullptr)
     {
         init[3] = 333;
-        unit = std::make_unique<RegUnit>(
-            params, init, stats,
-            [this](const RegForward &f) { forwards.push_back(f); });
+        unit = std::make_unique<RegUnit>(params, init, stats, &forwards);
 
         // writer: writes r3; reader: reads r3.
         compiler::ProgramBuilder pb("t");

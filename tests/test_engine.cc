@@ -10,8 +10,9 @@
  *  - the engine differential: `--engine tick` and `--engine event`
  *    must produce bit-identical RunResults — cycles, every counter,
  *    every histogram bucket, and (under chaos) the same structured
- *    failure — across kernels x mechanisms x chaos seeds and across
- *    20 fuzz-generated programs. This is the guardrail that lets the
+ *    failure — across kernels x mechanisms x chaos seeds, on 2x4 and
+ *    8x8 grids as well as the default 4x4, and across 20
+ *    fuzz-generated programs. This is the guardrail that lets the
  *    wake-list engine replace the ticking loop as the default.
  */
 
@@ -173,7 +174,7 @@ TEST(Arena, ResetRetainsChunksAndReusesMemory)
 // ---------------------------------------------------------------
 // ProgramImage
 
-TEST(ProgramImage, PlacementsAreCachedPerGeometry)
+TEST(ProgramImage, LayoutsAreCachedPerGeometry)
 {
     wl::KernelParams kp;
     kp.iterations = 10;
@@ -182,16 +183,37 @@ TEST(ProgramImage, PlacementsAreCachedPerGeometry)
     EXPECT_EQ(&image.program(), &prog);
 
     compiler::GridGeom geom; // default 4x4x8
-    const std::vector<compiler::Placement> &a = image.placements(geom);
-    const std::vector<compiler::Placement> &b = image.placements(geom);
-    EXPECT_EQ(&a, &b); // same geometry: the same cached vector
-    EXPECT_EQ(a.size(), prog.numBlocks());
+    const core::Layout &a = image.layout(geom);
+    const core::Layout &b = image.layout(geom);
+    EXPECT_EQ(&a, &b); // same geometry: the same cached layout
+    EXPECT_EQ(a.placements.size(), prog.numBlocks());
 
     compiler::GridGeom wide = geom;
     wide.cols = 8;
-    const std::vector<compiler::Placement> &c = image.placements(wide);
-    EXPECT_NE(&a, &c); // distinct geometry: a distinct placement set
-    EXPECT_EQ(c.size(), prog.numBlocks());
+    const core::Layout &c = image.layout(wide);
+    EXPECT_NE(&a, &c); // distinct geometry: a distinct layout
+    EXPECT_EQ(c.placements.size(), prog.numBlocks());
+}
+
+TEST(ProgramImage, NodeMaskIsTheSetOfPlacedNodes)
+{
+    wl::KernelParams kp;
+    kp.iterations = 10;
+    isa::Program prog = wl::build("gzipish", kp);
+    core::ProgramImage image(prog);
+    // 9x9 = 81 nodes: the mask spans two words.
+    compiler::GridGeom geom{9, 9, 2};
+    const core::Layout &l = image.layout(geom);
+    ASSERT_EQ(l.maskWords, 2u);
+    for (BlockId b = 0; b < prog.numBlocks(); ++b) {
+        std::vector<bool> used(geom.numNodes(), false);
+        for (std::uint16_t n : l.placements[b].nodeOf)
+            used[n] = true;
+        const std::uint64_t *mask = l.nodeMask(b);
+        for (unsigned n = 0; n < geom.numNodes(); ++n)
+            EXPECT_EQ((mask[n / 64] >> (n % 64)) & 1, used[n] ? 1u : 0u)
+                << "block " << b << " node " << n;
+    }
 }
 
 // ---------------------------------------------------------------
@@ -294,6 +316,60 @@ TEST(EngineDifferential, KernelsByMechanismsByChaosSeeds)
                              chaos_seeds[i % chaos_seeds.size()]) +
                          ")");
             expectIdentical(results[i], results[half + i]);
+        }
+    }
+}
+
+TEST(EngineDifferential, NonDefaultGrids)
+{
+    // The event engine ticks only the nodes in its active-node set.
+    // A set capped at 32 nodes, or a node whose bit goes stale, makes
+    // the engines disagree on a 2x4 grid (8 nodes, 16 slots each, so a
+    // block still fits) or an 8x8 grid (64 nodes, 2 slots each). The
+    // placer packs blocks next to the register row and the LSQ
+    // column, so only equakeish's large blocks reach nodes 32 and up.
+    struct Grid
+    {
+        unsigned rows, cols, slotsPerNode;
+    };
+    for (Grid g : {Grid{2, 4, 16}, Grid{8, 8, 2}}) {
+        SCOPED_TRACE(std::to_string(g.rows) + "x" +
+                     std::to_string(g.cols));
+        for (const char *kernel : {"parserish", "equakeish"}) {
+            SCOPED_TRACE(kernel);
+            wl::KernelParams kp;
+            kp.iterations = 100;
+            isa::Program prog = wl::build(kernel, kp);
+            if (g.rows * g.cols > 32 &&
+                std::string(kernel) == "equakeish") {
+                core::ProgramImage image(prog);
+                unsigned top = 0;
+                for (const compiler::Placement &pl :
+                     image.layout({g.rows, g.cols, g.slotsPerNode})
+                         .placements) {
+                    for (std::uint16_t n : pl.nodeOf)
+                        top = std::max<unsigned>(top, n);
+                }
+                ASSERT_GE(top, 32u) << "no block reaches node 32";
+            }
+
+            std::vector<sim::RunJob> jobs = dualEngineJobs(
+                prog, {"dsre", "storesets-flush"}, {0, 1});
+            for (sim::RunJob &job : jobs) {
+                job.config.core.rows = g.rows;
+                job.config.core.cols = g.cols;
+                job.config.core.slotsPerNode = g.slotsPerNode;
+            }
+            std::vector<sim::RunResult> results =
+                sim::RunPool(4).runAll(jobs);
+
+            std::size_t half = jobs.size() / 2;
+            ASSERT_EQ(results.size(), half * 2);
+            for (std::size_t i = 0; i < half; ++i) {
+                SCOPED_TRACE("cell " + std::to_string(i));
+                EXPECT_TRUE(results[i].halted);
+                expectIdentical(results[i], results[half + i]);
+            }
         }
     }
 }

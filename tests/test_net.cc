@@ -3,13 +3,18 @@
  * Unit tests for the operand micronetwork: X-Y routing properties
  * (checked exhaustively over all coordinate pairs), hop counting,
  * mesh delivery latency, local bypass, link contention, delivery
- * determinism and reset.
+ * determinism and reset, and a randomized differential of the mesh
+ * (route table + calendar queue) against the reference heap mesh.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
 
+#include "chaos/chaos.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "net/mesh.hh"
 #include "net/route.hh"
@@ -155,6 +160,184 @@ TEST(Mesh, ResetDropsTraffic)
     int got = -1;
     mesh.deliver(100, [&](Coord, int &&v) { got = v; });
     EXPECT_EQ(got, -1);
+}
+
+/**
+ * The reference mesh: the same timing model with a fresh routeXY per
+ * send and a binary heap on (arrival, seq), which is what Mesh was
+ * before its route table and calendar queue.
+ */
+class RefMesh
+{
+  public:
+    explicit RefMesh(const MeshParams &p)
+        : _p(p), _linkFree(numLinks(p.geom), 0)
+    {
+    }
+
+    Cycle
+    send(Cycle now, Coord src, Coord dst, int payload)
+    {
+        Cycle t = now;
+        for (LinkId link : routeXY(_p.geom, src, dst)) {
+            Cycle start = std::max(t, _linkFree[link]);
+            _linkFree[link] = start + 1;
+            t = start + _p.hopLatency;
+        }
+        if (_p.chaos) {
+            t += _p.chaos->hopJitter();
+            if (_p.chaos->duplicate())
+                push(t + _p.chaos->duplicateSkew(), dst, payload);
+        }
+        push(t, dst, payload);
+        return t;
+    }
+
+    template <typename Fn>
+    void
+    deliver(Cycle now, Fn &&fn)
+    {
+        while (!_heap.empty() && _heap.front().arrival <= now) {
+            std::pop_heap(_heap.begin(), _heap.end(), laterThan);
+            Event ev = _heap.back();
+            _heap.pop_back();
+            fn(ev.dst, std::move(ev.payload));
+        }
+    }
+
+    Cycle
+    nextArrival() const
+    {
+        return _heap.empty() ? ~Cycle{0} : _heap.front().arrival;
+    }
+
+    std::size_t inFlight() const { return _heap.size(); }
+
+    void
+    reset()
+    {
+        _heap.clear();
+        std::fill(_linkFree.begin(), _linkFree.end(), 0);
+    }
+
+  private:
+    struct Event
+    {
+        Cycle arrival;
+        std::uint64_t seq;
+        Coord dst;
+        int payload;
+    };
+
+    /** Min-heap on (arrival, seq). */
+    static bool
+    laterThan(const Event &a, const Event &b)
+    {
+        return a.arrival != b.arrival ? a.arrival > b.arrival
+                                      : a.seq > b.seq;
+    }
+
+    void
+    push(Cycle arrival, Coord dst, int payload)
+    {
+        _heap.push_back(Event{arrival, _seq++, dst, payload});
+        std::push_heap(_heap.begin(), _heap.end(), laterThan);
+    }
+
+    MeshParams _p;
+    std::vector<Cycle> _linkFree;
+    std::vector<Event> _heap;
+    std::uint64_t _seq = 0;
+};
+
+TEST(MeshQueue, MatchesTheReferenceHeapUnderRandomTraffic)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        MeshParams p;
+        p.hopLatency = static_cast<unsigned>(seed); // 1..8
+        // Net-profile jitter and duplicates, stretched so that some
+        // messages land past the 64-cycle ring horizon.
+        chaos::ChaosParams cp =
+            chaos::ChaosParams::byProfile(chaos::Profile::Net, seed);
+        cp.hopDelayMax = 100;
+        cp.duplicateSkewMax = 80;
+        chaos::ChaosEngine chaos_mesh(cp), chaos_ref(cp);
+        MeshParams pm = p, pr = p;
+        pm.chaos = &chaos_mesh;
+        pr.chaos = &chaos_ref;
+        StatSet stats("t");
+        Mesh<int> mesh(pm, stats);
+        RefMesh ref(pr);
+
+        using Got = std::tuple<int, int, int>; // dst row, dst col, id
+        std::vector<Got> got, want;
+        Cycle now = 0;
+        // Positive ids divisible by 5 send a follow-up from inside the
+        // delivery callback, due up to 2 cycles before the cycle being
+        // delivered: re-entrant sends, some behind the delivered cycle.
+        auto on = [&now](auto &m, std::vector<Got> &log) {
+            return [&m, &log, &now](Coord dst, int &&id) {
+                log.emplace_back(dst.row, dst.col, id);
+                if (id > 0 && id % 5 == 0)
+                    m.send(now - std::min<Cycle>(now, id % 3), dst, dst,
+                           -id);
+            };
+        };
+        auto coord = [&rng] {
+            return Coord{static_cast<std::uint16_t>(rng.below(5)),
+                         static_cast<std::uint16_t>(rng.below(5))};
+        };
+
+        int id = 0;
+        for (int op = 0; op < 10000; ++op) {
+            std::uint64_t r = rng.below(100);
+            if (r < 55) {
+                Cycle at = now + rng.below(4);
+                if (r < 10)
+                    at = now - std::min<Cycle>(now, rng.below(6));
+                else if (r < 15)
+                    at = now + rng.range(60, 400); // past the horizon
+                Coord src = coord();
+                Coord dst = rng.chance(1, 4) ? src : coord();
+                ++id;
+                ASSERT_EQ(mesh.send(at, src, dst, id),
+                          ref.send(at, src, dst, id));
+            } else if (r < 95) {
+                now += rng.chance(1, 8) ? rng.range(20, 300)
+                                        : rng.below(3);
+                mesh.deliver(now, on(mesh, got));
+                ref.deliver(now, on(ref, want));
+                ASSERT_EQ(got, want) << "op " << op;
+            } else if (r < 99) {
+                // A delivery call behind the last one (only late
+                // arrivals can be due).
+                Cycle back = now;
+                now -= std::min<Cycle>(now, rng.below(4));
+                mesh.deliver(now, on(mesh, got));
+                ref.deliver(now, on(ref, want));
+                now = back;
+                ASSERT_EQ(got, want) << "op " << op;
+            } else {
+                mesh.reset();
+                ref.reset();
+            }
+            ASSERT_EQ(mesh.nextArrival(), ref.nextArrival()) << "op " << op;
+            ASSERT_EQ(mesh.inFlight(), ref.inFlight()) << "op " << op;
+        }
+        // Drain; a follow-up sent while draining can be jittered past
+        // the drain cycle, hence the loop.
+        while (!mesh.empty() || ref.inFlight()) {
+            now += 1000;
+            mesh.deliver(now, on(mesh, got));
+            ref.deliver(now, on(ref, want));
+        }
+        EXPECT_EQ(got, want);
+        EXPECT_TRUE(mesh.empty());
+        EXPECT_EQ(ref.inFlight(), 0u);
+        EXPECT_GT(got.size(), 5000u);
+    }
 }
 
 } // namespace
