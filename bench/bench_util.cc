@@ -10,7 +10,6 @@
 #include <memory>
 #include <tuple>
 
-#include "common/hostinfo.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "common/thread_pool.hh"
@@ -18,6 +17,7 @@
 #include "sim/run_pool.hh"
 #include "super/supervisor.hh"
 #include "super/worker.hh"
+#include "triage/jsonio.hh"
 #include "triage/repro.hh"
 
 namespace edge::bench {
@@ -81,16 +81,6 @@ benchArgs(int argc, char **argv, std::uint64_t default_iters)
         } else if (arg == "--cell-timeout-ms") {
             args.cellTimeoutMs =
                 std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--engine") {
-            args.engine = next();
-            fatal_if(args.engine != "both" &&
-                         !enumLookup<core::EngineKind>(args.engine),
-                     "--engine expects both or one of: %s",
-                     enumNameList<core::EngineKind>().c_str());
-        } else if (arg == "--baseline") {
-            args.baselinePath = next();
-        } else if (arg == "--max-regress") {
-            args.maxRegressPct = std::strtod(next(), nullptr);
         } else if (arg == "--agents") {
             args.agentsPort = static_cast<std::uint16_t>(
                 std::strtoul(next(), nullptr, 10));
@@ -100,9 +90,7 @@ benchArgs(int argc, char **argv, std::uint64_t default_iters)
             std::printf("usage: %s [iterations] [-j N] [--json path] "
                         "[--repro-dir dir] [--isolate] "
                         "[--journal-dir dir] [--resume journal] "
-                        "[--cell-timeout-ms N] [--agents port] "
-                        "[--engine tick|event|both] "
-                        "[--baseline json] [--max-regress pct]\n",
+                        "[--cell-timeout-ms N] [--agents port]\n",
                         argv[0]);
             std::exit(0);
         } else if (!arg.empty() && arg[0] != '-') {
@@ -112,8 +100,7 @@ benchArgs(int argc, char **argv, std::uint64_t default_iters)
                   "(usage: [iterations] [-j N] [--json path] "
                   "[--repro-dir dir] [--isolate] [--journal-dir dir] "
                   "[--resume journal] [--cell-timeout-ms N] "
-                  "[--agents port] [--engine tick|event|both] "
-                  "[--baseline json] [--max-regress pct])",
+                  "[--agents port])",
                   arg.c_str());
         }
     }
@@ -333,96 +320,54 @@ runMatrix(const std::vector<std::string> &kernels,
 
 namespace {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strfmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 void
 writeJson(const std::string &path, const std::string &bench_name,
           const BenchArgs &args, const std::vector<RunRow> &rows,
           double wall_seconds)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("cannot write JSON to %s", path.c_str());
-        return;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"%s\",\n"
-                 "  \"iterations\": %llu,\n"
-                 "  \"threads\": %u,\n"
-                 "  \"engine\": \"%s\",\n"
-                 "  \"host\": %s,\n"
-                 "  \"wall_seconds\": %.3f,\n"
-                 "  \"cells\": [\n",
-                 jsonEscape(bench_name).c_str(),
-                 static_cast<unsigned long long>(args.iterations),
-                 args.threads == 0 ? ThreadPool::defaultThreads()
-                                   : args.threads,
-                 jsonEscape(args.engine).c_str(),
-                 hostInfoJson().c_str(), wall_seconds);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const RunRow &row = rows[i];
-        const sim::RunResult &r = row.result;
-        std::fprintf(
-            f,
-            "    {\"kernel\": \"%s\", \"config\": \"%s\", "
-            "\"seed\": %llu, \"cycles\": %llu, \"insts\": %llu, "
-            "\"blocks\": %llu, \"ipc\": %.4f, \"ok\": %s, "
-            "\"violations\": %llu, \"resends\": %llu, "
-            "\"reexecs\": %llu, \"upgrades\": %llu, "
-            "\"flushes\": %llu, \"error\": \"%s\", "
-            "\"retries\": %u, \"backoff_ms\": %llu, "
-            "\"repro\": \"%s\"}%s\n",
-            jsonEscape(row.spec.kernel).c_str(),
-            jsonEscape(row.spec.config).c_str(),
-            static_cast<unsigned long long>(row.spec.seed),
-            static_cast<unsigned long long>(r.cycles),
-            static_cast<unsigned long long>(r.committedInsts),
-            static_cast<unsigned long long>(r.committedBlocks),
-            r.ipc(), row.ok() ? "true" : "false",
-            static_cast<unsigned long long>(r.violations),
-            static_cast<unsigned long long>(r.resends),
-            static_cast<unsigned long long>(r.reexecs),
-            static_cast<unsigned long long>(r.upgrades),
-            static_cast<unsigned long long>(r.ctrlFlushes +
-                                            r.violFlushes),
-            jsonEscape(r.error.ok() ? "" : r.error.format()).c_str(),
-            r.retries,
-            static_cast<unsigned long long>(r.backoffMs),
-            jsonEscape(row.reproPath).c_str(),
-            i + 1 < rows.size() ? "," : "");
-    }
+    using triage::JsonValue;
+    JsonValue cells = JsonValue::array();
     std::size_t quarantined = 0, fatal_cells = 0;
     for (const RunRow &row : rows) {
+        const sim::RunResult &r = row.result;
+        JsonValue cell = JsonValue::object();
+        cell.set("kernel", JsonValue::str(row.spec.kernel));
+        cell.set("config", JsonValue::str(row.spec.config));
+        cell.set("seed", JsonValue::u64(row.spec.seed));
+        cell.set("cycles", JsonValue::u64(r.cycles));
+        cell.set("insts", JsonValue::u64(r.committedInsts));
+        cell.set("blocks", JsonValue::u64(r.committedBlocks));
+        cell.set("ipc", JsonValue::number(r.ipc()));
+        cell.set("ok", JsonValue::boolean(row.ok()));
+        cell.set("violations", JsonValue::u64(r.violations));
+        cell.set("resends", JsonValue::u64(r.resends));
+        cell.set("reexecs", JsonValue::u64(r.reexecs));
+        cell.set("upgrades", JsonValue::u64(r.upgrades));
+        cell.set("flushes", JsonValue::u64(r.ctrlFlushes + r.violFlushes));
+        cell.set("error",
+                 JsonValue::str(r.error.ok() ? "" : r.error.format()));
+        cell.set("retries", JsonValue::u64(r.retries));
+        cell.set("backoff_ms", JsonValue::u64(r.backoffMs));
+        cell.set("repro", JsonValue::str(row.reproPath));
+        cells.push(std::move(cell));
         quarantined += row.quarantined() ? 1 : 0;
         fatal_cells += row.fatalTransient() ? 1 : 0;
     }
-    std::fprintf(f,
-                 "  ],\n"
-                 "  \"quarantined\": %zu,\n"
-                 "  \"fatal\": %zu\n"
-                 "}\n",
-                 quarantined, fatal_cells);
-    std::fclose(f);
+
+    JsonValue doc = JsonValue::object();
+    doc.set("bench", JsonValue::str(bench_name));
+    doc.set("iterations", JsonValue::u64(args.iterations));
+    doc.set("threads", JsonValue::u64(args.threads == 0
+                                          ? ThreadPool::defaultThreads()
+                                          : args.threads));
+    doc.set("wall_seconds", JsonValue::number(wall_seconds));
+    doc.set("cells", std::move(cells));
+    doc.set("quarantined", JsonValue::u64(quarantined));
+    doc.set("fatal", JsonValue::u64(fatal_cells));
+
+    std::string err;
+    if (!triage::writeFileDurable(path, doc.dump() + "\n", &err))
+        warn("%s", err.c_str());
 }
 
 } // namespace

@@ -84,7 +84,7 @@ struct RunRow
  * Command-line contract shared by every bench binary:
  *   bench_xxx [iterations] [-j N] [--json <path>] [--repro-dir <dir>]
  *             [--isolate] [--journal-dir <dir>] [--resume <journal>]
- *             [--cell-timeout-ms N]
+ *             [--cell-timeout-ms N] [--agents <port>]
  * A bare number is the iteration count; `-j 0` (the default) means
  * all hardware threads.
  */
@@ -119,19 +119,6 @@ struct BenchArgs
      */
     std::uint16_t agentsPort = 0;
     bool agents = false;         ///< --agents was given (port may be 0)
-    /**
-     * Cycle-loop engine the bench should run (--engine). "tick" or
-     * "event" select one; bench_throughput also accepts "both" and
-     * then measures the tick/event speedup per cell.
-     */
-    std::string engine = "event";
-    /**
-     * Baseline JSON to diff against (--baseline; bench_throughput):
-     * prints per-cell current/baseline ratios and fails the run when
-     * the geomean throughput regresses more than maxRegressPct.
-     */
-    std::string baselinePath;
-    double maxRegressPct = 25.0; ///< --max-regress <pct>
     std::chrono::steady_clock::time_point start; ///< harness start
 };
 

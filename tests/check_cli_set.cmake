@@ -1,7 +1,10 @@
 # The edgesim `--set` / `--config` contract, driven end to end:
 #   cmake -DEDGESIM=<path to edgesim> -P check_cli_set.cmake
 # A good override runs, an unknown key and an unknown mechanism are
-# usage errors (exit 1) with a message.
+# usage errors (exit 1) with a message. The cycle-loop engine is a
+# config field like any other: `--set engine=tick` selects the
+# reference loop and must report the same cycle count as the default
+# event engine.
 
 function(run_edgesim want_rc want_text)
     execute_process(
@@ -17,9 +20,32 @@ function(run_edgesim want_rc want_text)
         message(FATAL_ERROR
             "edgesim ${ARGN}: output lacks '${want_text}'\n${out}")
     endif()
+    set(last_out "${out}" PARENT_SCOPE)
+endfunction()
+
+# The "<kernel> / <config>: N cycles, ..." line of the last run.
+function(cycles_line var)
+    string(REGEX MATCH "[^\n]*: [0-9]+ cycles[^\n]*" line "${last_out}")
+    if(NOT line)
+        message(FATAL_ERROR "no cycles line in:\n${last_out}")
+    endif()
+    set(${var} "${line}" PARENT_SCOPE)
 endfunction()
 
 run_edgesim(0 "verified against the reference: PASS"
     --config dsre --set core.hop_latency=2 --set rng_seed=5)
 run_edgesim(1 "unknown --set key 'bogus'" --config dsre --set bogus=1)
 run_edgesim(1 "unknown config 'bogus'" --config bogus)
+
+run_edgesim(0 "verified against the reference: PASS" --config dsre)
+cycles_line(event_line)
+run_edgesim(0 "verified against the reference: PASS"
+    --config dsre --set engine=tick)
+cycles_line(tick_line)
+if(NOT tick_line STREQUAL event_line)
+    message(FATAL_ERROR
+        "--set engine=tick: '${tick_line}' != default '${event_line}'")
+endif()
+run_edgesim(1 "unknown name 'bogus' \\(expected one of: tick event\\)"
+    --config dsre --set engine=bogus)
+run_edgesim(1 "unknown argument '--engine'" --config dsre --engine tick)

@@ -7,7 +7,7 @@
  *  - common/arena: the bump arena behind per-block bookkeeping;
  *  - core/program_image: one decode/validate/place per distinct
  *    program, shared read-only across Processors;
- *  - the engine differential: `--engine tick` and `--engine event`
+ *  - the engine differential: MachineConfig::engine Tick and Event
  *    must produce bit-identical RunResults — cycles, every counter,
  *    every histogram bucket, and (under chaos) the same structured
  *    failure — across kernels x mechanisms x chaos seeds, on 2x4 and

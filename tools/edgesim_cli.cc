@@ -77,7 +77,6 @@ usage()
         "               [--chaos-profile <name>] [--chaos-seed N]\n"
         "               [--check-invariants] [--chaos-sweep N]\n"
         "               [--mutate <name>] [--mutate-node N]\n"
-        "               [--wall-deadline-ms N] [--engine <name>]\n"
         "               [--capture-repro <dir>] [--minimize]\n"
         "               [-j N] [--set key=value ...]\n"
         "       edgesim --replay <file.repro.json> [--minimize] [-j N]\n"
@@ -100,10 +99,6 @@ usage()
         "         signature, program embedded (with --minimize, also\n"
         "         a ddmin-shrunk .min.repro.json)\n"
         "  --list-kernels  print the kernel names, one per line\n"
-        "\n"
-        "  --engine <name>  cycle-loop implementation (default\n"
-        "         event). Bit-identical results either way; tick is\n"
-        "         the original loop, kept as a differential reference\n"
         "\n"
         "  -j N   run grids / minimization on N worker threads\n"
         "         (default: hardware concurrency; results are\n"
@@ -628,8 +623,6 @@ main(int argc, char **argv)
     unsigned threads = 0;
     chaos::Mutation mutation = chaos::Mutation::None;
     unsigned mutation_node = 0;
-    std::uint64_t wall_deadline_ms = 0;
-    core::EngineKind engine = core::MachineConfig{}.engine;
     std::string repro_dir;
     std::string replay_path;
     bool minimize = false;
@@ -708,10 +701,6 @@ main(int argc, char **argv)
         } else if (arg == "--mutate-node") {
             mutation_node = static_cast<unsigned>(
                 std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--wall-deadline-ms") {
-            wall_deadline_ms = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--engine") {
-            engine = parseName<core::EngineKind>("engine", next());
         } else if (arg == "--capture-repro") {
             repro_dir = next();
         } else if (arg == "--isolate") {
@@ -880,8 +869,6 @@ main(int argc, char **argv)
     cfg.chaos.mutation = mutation;
     cfg.chaos.mutationNode = mutation_node;
     cfg.checkInvariants = check_invariants;
-    cfg.wallDeadlineMs = wall_deadline_ms;
-    cfg.engine = engine;
     // --set goes last so it overrides the flags above.
     for (const auto &[k, v] : overrides) {
         std::string err;
