@@ -224,9 +224,8 @@ runSpecsIsolated(const std::vector<RunSpec> &specs,
         auto it = hashes.find(key);
         if (it == hashes.end())
             it = hashes
-                     .emplace(key, triage::programHash(
-                                       triage::buildProgram(
-                                           cell.program)))
+                     .emplace(key, triage::programHash(wl::build(
+                                       spec.kernel, cell.program.params)))
                      .first;
         cell.programHash = it->second;
         cell.config = sim::Configs::byName(spec.config);

@@ -222,6 +222,7 @@ ExecNode::emit(Cycle done, unsigned rs, Word value, ValState state,
     NodeEvent &ev = _out->emplace_back();
     ev.when = done;
     ev.seq = _seq[rs];
+    ev.frame = rs / _p.slotsPerNode;
     ev.slot = _slot[rs];
     ev.lsid = _lsid[rs];
     ev.value = value;

@@ -53,6 +53,7 @@ struct NodeEvent
     Kind kind = Kind::Result;
     Cycle when = 0; ///< completion time (message leaves the node)
     DynBlockSeq seq = 0;
+    unsigned frame = 0; ///< window frame of block `seq`
     SlotId slot = 0;
     Lsid lsid = 0;
     Word value = 0; ///< result / store data / exit index

@@ -28,6 +28,7 @@ struct Msg
     };
 
     Kind kind = Kind::Operand;
+    std::uint16_t frame = 0; ///< window frame holding block `seq`
     DynBlockSeq seq = 0;  ///< dynamic block the message belongs to
     SlotId slot = 0;      ///< consumer slot (Operand) / memop slot
     std::uint8_t operand = 0;

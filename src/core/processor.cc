@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
-#include "core/scheduler.hh"
 
 namespace edge::core {
 
@@ -18,6 +17,7 @@ Processor::Processor(const MachineConfig &config,
       _oracle(oracle),
       _stats(stats),
       _trace(config.traceDepth),
+      _inflight(config.core.numFrames),
       _livelock(config.core.livelockInterval,
                 config.core.livelockRepeats),
       _statCommittedBlocks(stats.counter("core.committed_blocks",
@@ -53,6 +53,7 @@ Processor::Processor(const MachineConfig &config,
         static_cast<std::size_t>(_cfg.core.numFrames) *
         isa::kMaxBlockInsts);
     _nodeFill.resize(_cfg.core.numNodes(), 0);
+    _ctx.resize(_cfg.core.numFrames);
     _activeNodes.resize(_layout->maskWords, 0);
 
     for (const auto &init : program.memImage())
@@ -90,7 +91,8 @@ Processor::Processor(const MachineConfig &config,
                                       stats, &_regOut);
 
     _lsq = std::make_unique<lsq::LoadStoreQueue>(
-        _cfg.lsq, _hier.get(), &_dmem, _policy.get(), stats,
+        _cfg.lsq, _cfg.core.numFrames, _hier.get(), &_dmem,
+        _policy.get(), stats,
         [this](const lsq::LoadReply &r) { routeLoadReply(r); },
         [this](const lsq::Violation &v) { onViolation(v); },
         _chaos.get(), _check.get());
@@ -147,15 +149,6 @@ Processor::codeAddr(BlockId block) const
     return 0x40000000ull + static_cast<Addr>(block) * 512;
 }
 
-Processor::BlockCtx *
-Processor::findCtx(DynBlockSeq seq)
-{
-    for (BlockCtx &ctx : _inflight)
-        if (ctx.seq == seq)
-            return &ctx;
-    return nullptr;
-}
-
 void
 Processor::meshSend(Cycle when, net::Coord src, net::Coord dst,
                     const Msg &msg)
@@ -168,17 +161,18 @@ Processor::meshSend(Cycle when, net::Coord src, net::Coord dst,
 
 void
 Processor::sendToTargets(
-    Cycle when, net::Coord src, DynBlockSeq seq,
+    Cycle when, net::Coord src, unsigned frame, DynBlockSeq seq,
     const std::array<isa::Target, isa::kMaxTargets> &targets, Word value,
     ValState state, std::uint32_t wave, std::uint16_t depth,
     bool status_only, bool echo)
 {
-    BlockCtx *ctx = findCtx(seq);
+    BlockCtx *ctx = findCtx(frame, seq);
     panic_if(!ctx, "sendToTargets for a flushed block");
     for (const isa::Target &t : targets) {
         if (!t.valid())
             continue;
         Msg m;
+        m.frame = static_cast<std::uint16_t>(frame);
         m.seq = seq;
         m.value = value;
         m.state = state;
@@ -207,13 +201,14 @@ Processor::routeNodeEvent(const NodeEvent &ev, unsigned node)
     net::Coord src = gridCoord(node);
     switch (ev.kind) {
       case NodeEvent::Kind::Result:
-        sendToTargets(ev.when, src, ev.seq, ev.targets, ev.value,
-                      ev.state, ev.wave, ev.depth, ev.statusOnly,
-                      false);
+        sendToTargets(ev.when, src, ev.frame, ev.seq, ev.targets,
+                      ev.value, ev.state, ev.wave, ev.depth,
+                      ev.statusOnly, false);
         return;
       case NodeEvent::Kind::LoadRequest: {
         Msg m;
         m.kind = Msg::Kind::LoadReq;
+        m.frame = static_cast<std::uint16_t>(ev.frame);
         m.seq = ev.seq;
         m.slot = ev.slot;
         m.lsid = ev.lsid;
@@ -229,6 +224,7 @@ Processor::routeNodeEvent(const NodeEvent &ev, unsigned node)
       case NodeEvent::Kind::StoreResolve: {
         Msg m;
         m.kind = Msg::Kind::StoreResolve;
+        m.frame = static_cast<std::uint16_t>(ev.frame);
         m.seq = ev.seq;
         m.slot = ev.slot;
         m.lsid = ev.lsid;
@@ -245,6 +241,7 @@ Processor::routeNodeEvent(const NodeEvent &ev, unsigned node)
       case NodeEvent::Kind::Exit: {
         Msg m;
         m.kind = Msg::Kind::ExitVal;
+        m.frame = static_cast<std::uint16_t>(ev.frame);
         m.seq = ev.seq;
         m.value = ev.value;
         m.state = ev.state;
@@ -260,17 +257,17 @@ Processor::routeNodeEvent(const NodeEvent &ev, unsigned node)
 void
 Processor::routeLoadReply(const lsq::LoadReply &reply)
 {
-    sendToTargets(reply.when, lsqCoord(reply.addr), reply.seq,
-                  reply.targets, reply.value, reply.state, reply.wave,
-                  reply.depth, reply.statusOnly, reply.echo);
+    sendToTargets(reply.when, lsqCoord(reply.addr), reply.frame,
+                  reply.seq, reply.targets, reply.value, reply.state,
+                  reply.wave, reply.depth, reply.statusOnly, reply.echo);
 }
 
 void
 Processor::routeRegForward(const RegForward &fwd)
 {
-    sendToTargets(fwd.when, rfCoord(fwd.reg), fwd.readerSeq, fwd.targets,
-                  fwd.value, fwd.state, fwd.wave, fwd.depth,
-                  fwd.statusOnly, false);
+    sendToTargets(fwd.when, rfCoord(fwd.reg), fwd.readerFrame,
+                  fwd.readerSeq, fwd.targets, fwd.value, fwd.state,
+                  fwd.wave, fwd.depth, fwd.statusOnly, false);
 }
 
 bool
@@ -310,7 +307,7 @@ Processor::deliverMsg(Cycle now, const Msg &msg)
     _trace.push({now, chaos::TraceEvent::Kind::Deliver, msg.seq,
                  msg.slot, msg.wave, msg.value,
                  msg.state == ValState::Final});
-    if (_check && findCtx(msg.seq)) {
+    if (_check && findCtx(msg.frame, msg.seq)) {
         using Site = chaos::InvariantChecker::Delivery::Site;
         chaos::InvariantChecker::Delivery d;
         d.seq = msg.seq;
@@ -348,7 +345,7 @@ Processor::deliverMsg(Cycle now, const Msg &msg)
     }
     switch (msg.kind) {
       case Msg::Kind::Operand: {
-        BlockCtx *ctx = findCtx(msg.seq);
+        BlockCtx *ctx = findCtx(msg.frame, msg.seq);
         if (!ctx)
             return; // flushed
         unsigned node = ctx->placement->nodeOf[msg.slot];
@@ -359,18 +356,19 @@ Processor::deliverMsg(Cycle now, const Msg &msg)
         return;
       }
       case Msg::Kind::WriteVal:
-        _regs->writeArrived(now, msg.seq, msg.writeIdx, msg.value,
-                            msg.state, msg.wave, msg.depth);
+        _regs->writeArrived(now, msg.frame, msg.seq, msg.writeIdx,
+                            msg.value, msg.state, msg.wave, msg.depth);
         routeRegForwards();
         return;
       case Msg::Kind::LoadReq:
-        _lsq->loadRequest(now, msg.seq, msg.lsid, msg.addr, msg.state,
-                          msg.wave, msg.depth, msg.targets, msg.slot);
+        _lsq->loadRequest(now, msg.frame, msg.seq, msg.lsid, msg.addr,
+                          msg.state, msg.wave, msg.depth, msg.targets,
+                          msg.slot);
         return;
       case Msg::Kind::StoreResolve:
-        _lsq->storeResolve(now, msg.seq, msg.lsid, msg.addr, msg.value,
-                           msg.addrState, msg.state, msg.wave,
-                           msg.depth);
+        _lsq->storeResolve(now, msg.frame, msg.seq, msg.lsid, msg.addr,
+                           msg.value, msg.addrState, msg.state,
+                           msg.wave, msg.depth);
         return;
       case Msg::Kind::ExitVal:
         handleExit(now, msg);
@@ -381,7 +379,7 @@ Processor::deliverMsg(Cycle now, const Msg &msg)
 void
 Processor::handleExit(Cycle now, const Msg &msg)
 {
-    BlockCtx *ctx = findCtx(msg.seq);
+    BlockCtx *ctx = findCtx(msg.frame, msg.seq);
     if (!ctx)
         return; // flushed
     if (msg.wave <= ctx->exitWave)
@@ -411,10 +409,8 @@ Processor::handleExit(Cycle now, const Msg &msg)
     BlockId succ = ctx->block->exits()[actual];
 
     flushFrom(seq + 1);
-    // flushFrom may invalidate ctx? It flushes strictly younger
-    // blocks, so ctx survives; refresh anyway for clarity.
-    ctx = findCtx(seq);
-    panic_if(!ctx, "exit owner vanished during flush");
+    // flushFrom squashes strictly younger blocks: ctx's frame slot
+    // still holds this block.
     ctx->fetchedExit = actual;
 
     _nbp->restoreHistory(snapshot);
@@ -426,7 +422,7 @@ void
 Processor::onViolation(const lsq::Violation &violation)
 {
     // Only flush recovery routes violations here (DSRE re-sends).
-    BlockCtx *ctx = findCtx(violation.loadSeq);
+    BlockCtx *ctx = findCtx(violation.loadFrame, violation.loadSeq);
     if (!ctx)
         return; // already squashed by an earlier violation
     _trace.push({_cycle, chaos::TraceEvent::Kind::Violation,
@@ -443,10 +439,12 @@ void
 Processor::flushFrom(DynBlockSeq from_seq)
 {
     _trace.push({_cycle, chaos::TraceEvent::Kind::Flush, from_seq});
-    while (!_inflight.empty() && _inflight.back().seq >= from_seq) {
-        BlockCtx &ctx = _inflight.back();
+    while (!_inflight.empty() &&
+           _ctx[_inflight.back()].seq >= from_seq) {
+        BlockCtx &ctx = _ctx[_inflight.back()];
         releaseFrame(ctx);
         _freeFrames.push_back(ctx.frame);
+        ctx.seq = 0;
         _inflight.pop_back();
     }
     _lsq->flushFrom(from_seq);
@@ -500,7 +498,8 @@ Processor::mapFetchedBlock(Cycle now)
     BlockId bid = _fetchBlock;
     const isa::Block &b = _prog.block(bid);
 
-    BlockCtx ctx;
+    BlockCtx &ctx = _ctx[frame];
+    ctx = BlockCtx{};
     ctx.seq = _nextSeq++;
     ctx.blockId = bid;
     ctx.archIdx = _nextArchIdx++;
@@ -533,13 +532,12 @@ Processor::mapFetchedBlock(Cycle now)
     ctx.historySnapshot = _nbp->pushSpeculativeHistory(e);
 
     BlockId succ = b.exits()[e];
-    DynBlockSeq seq = ctx.seq;
     // The context must be visible before the LSQ / register unit
     // map the block: register reads can forward immediately.
-    _inflight.push_back(std::move(ctx));
+    _inflight.push_back(frame);
     ++_statFetchedBlocks;
-    _lsq->mapBlock(seq, _inflight.back().archIdx, bid, b);
-    _regs->mapBlock(now, seq, b);
+    _lsq->mapBlock(frame, ctx.seq, ctx.archIdx, bid, b);
+    _regs->mapBlock(now, frame, ctx.seq, b);
     routeRegForwards();
 
     if (succ == isa::kHaltBlock)
@@ -554,13 +552,13 @@ Processor::commitTick(Cycle now)
 {
     if (_inflight.empty())
         return false;
-    BlockCtx &ctx = _inflight.front();
+    BlockCtx &ctx = _ctx[_inflight.front()];
     bool need_final = _cfg.lsq.recovery == lsq::Recovery::Dsre;
 
     bool exit_ok = ctx.exitSeen &&
                    (!need_final || ctx.exitState == ValState::Final);
-    bool writes_ok = _regs->blockWritesFinal(ctx.seq, need_final);
-    bool mem_ok = _lsq->blockMemFinal(ctx.seq);
+    bool writes_ok = _regs->blockWritesFinal(ctx.frame, need_final);
+    bool mem_ok = _lsq->blockMemFinal(ctx.frame);
     if (!exit_ok || !writes_ok || !mem_ok)
         return false;
 
@@ -585,8 +583,8 @@ Processor::commitTick(Cycle now)
     _nbp->update(ctx.blockId, actual, ctx.historySnapshot);
     _nbp->recordOutcome(actual == ctx.predictedExit);
 
-    _regs->commitBlock(ctx.seq);
-    _lsq->commitBlock(now, ctx.seq);
+    _regs->commitBlock(ctx.frame);
+    _lsq->commitBlock(now, ctx.frame);
     releaseFrame(ctx);
     _freeFrames.push_back(ctx.frame);
 
@@ -599,6 +597,7 @@ Processor::commitTick(Cycle now)
     _lastCommit = now;
 
     BlockId succ = ctx.block->exits()[actual];
+    ctx.seq = 0;
     _inflight.pop_front();
 
     if (succ == isa::kHaltBlock)
@@ -620,20 +619,21 @@ Processor::machineDump(Cycle now)
         _mesh->inFlight());
     dump += strfmt("  fetchBlock=%u fetchReady=%llu\n", _fetchBlock,
                    static_cast<unsigned long long>(_fetchReady));
-    for (const BlockCtx &ctx : _inflight) {
+    for (unsigned i = 0; i < _inflight.size(); ++i) {
+        const BlockCtx &ctx = _ctx[_inflight[i]];
         dump += strfmt(
             "  seq %llu block %u (%s) frame %u exitSeen=%d\n",
             static_cast<unsigned long long>(ctx.seq), ctx.blockId,
             ctx.block->name().c_str(), ctx.frame, ctx.exitSeen);
     }
     if (!_inflight.empty()) {
-        const BlockCtx &o = _inflight.front();
+        const BlockCtx &o = _ctx[_inflight.front()];
         bool nf = _cfg.lsq.recovery == lsq::Recovery::Dsre;
         dump += strfmt(
             "oldest: exitSeen=%d exitFinal=%d writesOk=%d memOk=%d\n",
             o.exitSeen, o.exitState == ValState::Final,
-            _regs->blockWritesFinal(o.seq, nf),
-            _lsq->blockMemFinal(o.seq));
+            _regs->blockWritesFinal(o.frame, nf),
+            _lsq->blockMemFinal(o.frame));
     }
     dump += strfmt("lsq non-final entries:\n%s",
                    _lsq->debugState().c_str());
@@ -654,7 +654,7 @@ Processor::watchdogDump(Cycle now)
     err.message = "deadlock watchdog fired:\n" + machineDump(now);
     err.cycle = now;
     if (!_inflight.empty())
-        err.seq = _inflight.front().seq;
+        err.seq = _ctx[_inflight.front()].seq;
     err.trace = _trace.snapshot();
     return err;
 }
@@ -675,7 +675,7 @@ Processor::livelockDump(Cycle now)
     err.message += machineDump(now);
     err.cycle = now;
     if (!_inflight.empty())
-        err.seq = _inflight.front().seq;
+        err.seq = _ctx[_inflight.front()].seq;
     err.trace = _trace.snapshot();
     return err;
 }
@@ -763,26 +763,40 @@ Processor::runTick(Cycle max_cycles, Result &res)
     }
 }
 
+Cycle
+Processor::nextDeadline(Cycle next) const
+{
+    Cycle wake = ~Cycle{0};
+    auto consider = [&](Cycle at) {
+        if (at >= next)
+            wake = std::min(wake, at);
+    };
+    // The watchdog fires the first cycle where now - lastCommit
+    // exceeds the budget.
+    consider(_lastCommit + _cfg.core.watchdogCycles + 1);
+    if (_fetchBusy)
+        consider(_fetchReady);
+    // Every multiple of the interval is a sample the tick loop visits.
+    if (_livelock.enabled()) {
+        Cycle step = _livelock.interval();
+        consider((next + step - 1) / step * step);
+    }
+    return wake;
+}
+
 void
 Processor::runEvent(Cycle max_cycles, Result &res)
 {
-    // Wake-list engine. Every cycle that the ticking loop would have
-    // processed *non-inertly* is either (a) a mesh/GCN arrival cycle,
-    // (b) the cycle after an active one (local state changed, so
-    // fetch/commit/nodes may act), or (c) a registered wake (fetch
-    // completion, watchdog fire, livelock sample). Everything else is
-    // provably inert — node ticks with no want-bits, fetch with no
-    // state change, commit with unchanged finality have zero side
-    // effects — so skipping those cycles is observably identical to
-    // ticking through them (see DESIGN.md "Event-driven cycle
-    // engine"). Stale wakes merely cause one inert processed cycle.
-    Scheduler sched;
-    sched.wakeAt(_lastCommit + _cfg.core.watchdogCycles + 1);
-    if (_livelock.enabled())
-        sched.wakeAt(_livelock.interval());
-    if (_fetchBusy)
-        sched.wakeAt(_fetchReady);
-
+    // Cycle-skipping engine. Every cycle that the ticking loop would
+    // have processed *non-inertly* is either (a) a mesh/GCN arrival
+    // cycle, (b) the cycle after an active one (local state changed,
+    // so fetch/commit/nodes may act), or (c) one of three deadlines:
+    // fetch completion, the watchdog fire, the next livelock sample.
+    // Everything else is provably inert — node ticks with no
+    // want-bits, fetch with no state change, commit with unchanged
+    // finality have zero side effects — so skipping those cycles is
+    // observably identical to ticking through them (see DESIGN.md
+    // "Event-driven cycle engine").
     while (!_halted && _cycle < max_cycles) {
         bool active = false;
         _mesh->deliver(_cycle, [this, &active](net::Coord, Msg &&m) {
@@ -806,14 +820,8 @@ Processor::runEvent(Cycle max_cycles, Result &res)
         }
         if (fetchTick(_cycle))
             active = true;
-        if (_fetchBusy)
-            sched.wakeAt(_fetchReady);
-        if (commitTick(_cycle)) {
+        if (commitTick(_cycle))
             active = true;
-            // The watchdog deadline moved: it fires the first cycle
-            // where now - lastCommit exceeds the budget.
-            sched.wakeAt(_lastCommit + _cfg.core.watchdogCycles + 1);
-        }
         if (_cycle - _lastCommit > _cfg.core.watchdogCycles) {
             res.error = watchdogDump(_cycle);
             break;
@@ -825,10 +833,6 @@ Processor::runEvent(Cycle max_cycles, Result &res)
                 res.error = livelockDump(_cycle);
                 break;
             }
-            // Keep the sample chain alive: every multiple of the
-            // interval must be processed, exactly as the tick loop
-            // visits them.
-            sched.wakeAt(_cycle + _livelock.interval());
         }
         if (wallDeadlineHit(res))
             break;
@@ -836,7 +840,7 @@ Processor::runEvent(Cycle max_cycles, Result &res)
         Cycle next = _cycle + 1;
         if (!active) {
             Cycle wake = std::min(
-                sched.nextAtOrAfter(next),
+                nextDeadline(next),
                 std::min(_mesh->nextArrival(), _gcn->nextArrival()));
             next = std::max(next, std::min(wake, max_cycles));
         }

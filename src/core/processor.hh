@@ -12,7 +12,6 @@
 #define EDGE_CORE_PROCESSOR_HH
 
 #include <chrono>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "chaos/trace_ring.hh"
 #include "common/arena.hh"
 #include "common/enum_names.hh"
+#include "common/frame_ring.hh"
 #include "compiler/placement.hh"
 #include "core/exec_node.hh"
 #include "core/msg.hh"
@@ -43,7 +43,8 @@ namespace edge::core {
  * Which cycle-loop implementation drives the machine. Both produce
  * bit-identical results (same cycle counts, stats, failure reports);
  * the event engine skips cycles in which nothing can happen by
- * consulting a wake list, and is the default. The tick engine is the
+ * jumping to the next message arrival or deadline, and is the
+ * default. The tick engine is the
  * original poll-every-cycle loop, kept as a differential reference.
  */
 enum class EngineKind : std::uint8_t
@@ -142,9 +143,10 @@ class Processor
     const chaos::InvariantChecker *checker() const { return _check.get(); }
 
   private:
+    /** One window frame's block; slot `frame` of _ctx. */
     struct BlockCtx
     {
-        DynBlockSeq seq = 0;
+        DynBlockSeq seq = 0; ///< owning block; 0 = frame free
         BlockId blockId = 0;
         std::uint64_t archIdx = 0;
         unsigned frame = 0;
@@ -193,7 +195,8 @@ class Processor
     }
     /** Release a block's frame on the nodes it was placed on. */
     void releaseFrame(const BlockCtx &ctx);
-    void sendToTargets(Cycle when, net::Coord src, DynBlockSeq seq,
+    void sendToTargets(Cycle when, net::Coord src, unsigned frame,
+                       DynBlockSeq seq,
                        const std::array<isa::Target, isa::kMaxTargets>
                            &targets,
                        Word value, ValState state, std::uint32_t wave,
@@ -213,7 +216,7 @@ class Processor
 
     /**
      * The two cycle-loop engines behind run(): the original
-     * poll-every-cycle loop and the wake-list engine that jumps over
+     * poll-every-cycle loop and the event engine that jumps over
      * cycles in which nothing can happen. Both fill `res` with the
      * same values for the same machine and program (differentially
      * tested); exceptions propagate to run()'s handler.
@@ -221,13 +224,26 @@ class Processor
     void runTick(Cycle max_cycles, Result &res);
     void runEvent(Cycle max_cycles, Result &res);
 
+    /**
+     * The earliest of the event engine's three deadlines at or after
+     * `next`: fetch completion, the watchdog fire and the next
+     * livelock sample.
+     */
+    Cycle nextDeadline(Cycle next) const;
+
     /** Squash every block with seq >= from_seq. */
     void flushFrom(DynBlockSeq from_seq);
 
     /** Redirect fetch to the given block / architectural index. */
     void redirectFetch(BlockId next, std::uint64_t arch_idx);
 
-    BlockCtx *findCtx(DynBlockSeq seq);
+    /** The block in `frame` if it is `seq`, else null (flushed). */
+    BlockCtx *
+    findCtx(unsigned frame, DynBlockSeq seq)
+    {
+        BlockCtx &ctx = _ctx[frame];
+        return ctx.seq == seq ? &ctx : nullptr;
+    }
 
     /**
      * Host wall-clock deadline poll, engine-independent: counts
@@ -292,7 +308,8 @@ class Processor
      * only set bits, in index order; the tick engine ignores the set.
      */
     std::vector<std::uint64_t> _activeNodes;
-    std::deque<BlockCtx> _inflight; ///< oldest first
+    std::vector<BlockCtx> _ctx; ///< indexed by frame
+    FrameRing _inflight;        ///< occupied frames, oldest first
     std::vector<unsigned> _freeFrames;
     DynBlockSeq _nextSeq = 1;
     std::uint64_t _nextArchIdx = 0;

@@ -11,6 +11,8 @@ RegUnit::RegUnit(const CoreParams &params,
                  std::vector<RegForward> *outbox)
     : _p(params),
       _regs(init_regs),
+      _blocks(params.numFrames),
+      _order(params.numFrames),
       _bankFree(params.cols, 0),
       _out(outbox),
       _archReads(stats.counter("regs.arch_reads",
@@ -49,6 +51,7 @@ RegUnit::forwardTo(Cycle now, Subscription &sub, Word value,
     sub.lastWhen = f.when;
     f.statusOnly = status_only;
     f.readerSeq = sub.readerSeq;
+    f.readerFrame = sub.readerFrame;
     f.reg = sub.reg;
     f.value = value;
     f.state = state;
@@ -58,29 +61,31 @@ RegUnit::forwardTo(Cycle now, Subscription &sub, Word value,
 }
 
 void
-RegUnit::mapBlock(Cycle now, DynBlockSeq seq, const isa::Block &block)
+RegUnit::mapBlock(Cycle now, unsigned frame, DynBlockSeq seq,
+                  const isa::Block &block)
 {
-    panic_if(_blocks.count(seq), "register map of seq twice");
+    panic_if(frame >= _blocks.size(), "register frame %u out of range",
+             frame);
+    panic_if(_blocks[frame].seq != 0, "register map into an occupied frame");
+    panic_if(seq == 0 ||
+                 (!_order.empty() && seq <= _blocks[_order.back()].seq),
+             "register map out of order");
 
     // Resolve the reads *before* inserting our own writes so a block
     // never forwards from itself.
     for (const isa::RegRead &rd : block.reads()) {
         // Youngest older in-flight writer of this register.
         BlockRegs *writer = nullptr;
-        std::size_t write_idx = 0;
-        for (auto it = _blocks.rbegin(); it != _blocks.rend(); ++it) {
-            for (std::size_t w = 0; w < it->second.writes.size(); ++w) {
-                if (it->second.writes[w].reg == rd.reg) {
-                    writer = &it->second;
-                    write_idx = w;
-                    break;
-                }
-            }
-            if (writer)
+        for (unsigned i = _order.size(); i-- > 0;) {
+            BlockRegs &br = _blocks[_order[i]];
+            if (br.writeMask >> rd.reg & 1) {
+                writer = &br;
                 break;
+            }
         }
         Subscription sub;
         sub.readerSeq = seq;
+        sub.readerFrame = frame;
         sub.reg = rd.reg;
         sub.targets = rd.targets;
         if (!writer) {
@@ -92,6 +97,9 @@ RegUnit::mapBlock(Cycle now, DynBlockSeq seq, const isa::Block &block)
             continue;
         }
         ++_forwardReads;
+        std::size_t write_idx = 0;
+        while (writer->writes[write_idx].reg != rd.reg)
+            ++write_idx;
         WriteSlot &ws = writer->writes[write_idx];
         writer->subscribers[write_idx].push_back(sub);
         if (ws.seen) {
@@ -100,26 +108,34 @@ RegUnit::mapBlock(Cycle now, DynBlockSeq seq, const isa::Block &block)
         }
     }
 
-    BlockRegs br;
-    br.block = &block;
-    br.writes.resize(block.writes().size());
-    br.subscribers.resize(block.writes().size());
-    for (std::size_t w = 0; w < block.writes().size(); ++w)
+    BlockRegs &br = _blocks[frame];
+    std::size_t n = block.writes().size();
+    br.seq = seq;
+    br.writes.assign(n, WriteSlot{});
+    if (br.subscribers.size() < n)
+        br.subscribers.resize(n);
+    br.writeMask = 0;
+    for (std::size_t w = 0; w < n; ++w) {
         br.writes[w].reg = block.writes()[w].reg;
-    _blocks.emplace(seq, std::move(br));
+        br.subscribers[w].clear();
+        br.writeMask |= std::uint64_t{1} << br.writes[w].reg;
+    }
+    br.unseen = br.nonFinal = static_cast<unsigned>(n);
+    _order.push_back(frame);
 }
 
 void
-RegUnit::writeArrived(Cycle now, DynBlockSeq seq, unsigned write_idx,
-                      Word value, ValState state, std::uint32_t wave,
-                      std::uint16_t depth)
+RegUnit::writeArrived(Cycle now, unsigned frame, DynBlockSeq seq,
+                      unsigned write_idx, Word value, ValState state,
+                      std::uint32_t wave, std::uint16_t depth)
 {
-    auto it = _blocks.find(seq);
-    if (it == _blocks.end())
+    panic_if(frame >= _blocks.size(), "register frame %u out of range",
+             frame);
+    BlockRegs &br = _blocks[frame];
+    if (br.seq != seq)
         return; // flushed block: stale message
-    panic_if(write_idx >= it->second.writes.size(),
-             "write index out of range");
-    WriteSlot &ws = it->second.writes[write_idx];
+    panic_if(write_idx >= br.writes.size(), "write index out of range");
+    WriteSlot &ws = br.writes[write_idx];
 
     // The data and status networks can reorder messages from the
     // same producer; waves are per-producer monotonic, so anything
@@ -139,6 +155,7 @@ RegUnit::writeArrived(Cycle now, DynBlockSeq seq, unsigned write_idx,
         ++_rewrites;
 
     bool first = !ws.seen;
+    bool was_final = ws.seen && ws.state == ValState::Final;
     ws.seen = true;
     ws.value = value;
     if (state == ValState::Final)
@@ -146,47 +163,52 @@ RegUnit::writeArrived(Cycle now, DynBlockSeq seq, unsigned write_idx,
     else if (first || value_changed)
         ws.state = state;
     ws.depth = depth;
+    if (first)
+        --br.unseen;
+    if (!was_final && ws.state == ValState::Final)
+        --br.nonFinal;
 
     bool status_only = !first && !value_changed && state_up;
-    for (Subscription &sub : it->second.subscribers[write_idx])
+    for (Subscription &sub : br.subscribers[write_idx])
         forwardTo(now, sub, ws.value, ws.state, ws.depth, status_only);
 }
 
 bool
-RegUnit::blockWritesFinal(DynBlockSeq seq, bool need_final) const
+RegUnit::blockWritesFinal(unsigned frame, bool need_final) const
 {
-    auto it = _blocks.find(seq);
-    panic_if(it == _blocks.end(), "blockWritesFinal on unknown seq");
-    for (const WriteSlot &ws : it->second.writes) {
-        if (!ws.seen)
-            return false;
-        if (need_final && ws.state != ValState::Final)
-            return false;
-    }
-    return true;
+    panic_if(frame >= _blocks.size() || _blocks[frame].seq == 0,
+             "blockWritesFinal on an empty frame");
+    const BlockRegs &br = _blocks[frame];
+    return (need_final ? br.nonFinal : br.unseen) == 0;
 }
 
 void
-RegUnit::commitBlock(DynBlockSeq seq)
+RegUnit::commitBlock(unsigned frame)
 {
-    auto it = _blocks.find(seq);
-    panic_if(it == _blocks.end(), "commit of unknown seq");
-    panic_if(it != _blocks.begin(), "register commit out of order");
-    for (const WriteSlot &ws : it->second.writes) {
+    panic_if(frame >= _blocks.size() || _blocks[frame].seq == 0,
+             "commit of an empty register frame");
+    panic_if(_order.front() != frame, "register commit out of order");
+    BlockRegs &br = _blocks[frame];
+    for (const WriteSlot &ws : br.writes) {
         panic_if(!ws.seen, "commit with a missing write value");
         _regs[ws.reg] = ws.value;
     }
-    _blocks.erase(it);
+    br.seq = 0;
+    _order.pop_front();
 }
 
 void
 RegUnit::flushFrom(DynBlockSeq from_seq)
 {
-    _blocks.erase(_blocks.lower_bound(from_seq), _blocks.end());
+    while (!_order.empty() && _blocks[_order.back()].seq >= from_seq) {
+        _blocks[_order.back()].seq = 0;
+        _order.pop_back();
+    }
     // Remove subscriptions from squashed readers.
-    for (auto &[seq, br] : _blocks) {
-        for (auto &subs : br.subscribers) {
-            std::erase_if(subs, [&](const Subscription &s) {
+    for (unsigned i = 0; i < _order.size(); ++i) {
+        BlockRegs &br = _blocks[_order[i]];
+        for (std::size_t w = 0; w < br.writes.size(); ++w) {
+            std::erase_if(br.subscribers[w], [&](const Subscription &s) {
                 return s.readerSeq >= from_seq;
             });
         }

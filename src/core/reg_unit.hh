@@ -12,9 +12,9 @@
 #ifndef EDGE_CORE_REG_UNIT_HH
 #define EDGE_CORE_REG_UNIT_HH
 
-#include <map>
 #include <vector>
 
+#include "common/frame_ring.hh"
 #include "common/stats.hh"
 #include "core/params.hh"
 #include "isa/block.hh"
@@ -30,6 +30,7 @@ struct RegForward
 {
     Cycle when = 0;
     DynBlockSeq readerSeq = 0;
+    unsigned readerFrame = 0;
     std::uint8_t reg = 0; ///< for bank routing
     Word value = 0;
     ValState state = ValState::Spec;
@@ -47,28 +48,40 @@ class RegUnit
             StatSet &stats, std::vector<RegForward> *outbox);
 
     /**
-     * A block entered the window: resolve every register read
-     * (forward immediately or subscribe) and register its writes.
+     * A block entered the window in `frame`: resolve every register
+     * read (forward immediately or subscribe) and register its
+     * writes. Sequence numbers must increase from one map to the
+     * next.
      */
-    void mapBlock(Cycle now, DynBlockSeq seq, const isa::Block &block);
+    void mapBlock(Cycle now, unsigned frame, DynBlockSeq seq,
+                  const isa::Block &block);
 
-    /** A write value arrived (or changed / upgraded) from the grid. */
-    void writeArrived(Cycle now, DynBlockSeq seq, unsigned write_idx,
-                      Word value, ValState state, std::uint32_t wave,
-                      std::uint16_t depth);
+    /**
+     * A write value arrived (or changed / upgraded) from the grid.
+     * Dropped when `frame` no longer holds block `seq` (flushed).
+     */
+    void writeArrived(Cycle now, unsigned frame, DynBlockSeq seq,
+                      unsigned write_idx, Word value, ValState state,
+                      std::uint32_t wave, std::uint16_t depth);
 
-    /** All of the block's writes present (and Final if required)? */
-    bool blockWritesFinal(DynBlockSeq seq, bool need_final) const;
+    /**
+     * All of the block's writes present (and Final if required)?
+     * O(1): reads the frame's counts.
+     */
+    bool blockWritesFinal(unsigned frame, bool need_final) const;
 
-    /** Commit the oldest block: retire its writes architecturally. */
-    void commitBlock(DynBlockSeq seq);
+    /**
+     * Commit the oldest block, which must sit in `frame`: retire its
+     * writes architecturally.
+     */
+    void commitBlock(unsigned frame);
 
     /** Squash blocks with seq >= from_seq. */
     void flushFrom(DynBlockSeq from_seq);
 
     const std::vector<Word> &archRegs() const { return _regs; }
 
-    std::size_t numBlocks() const { return _blocks.size(); }
+    std::size_t numBlocks() const { return _order.size(); }
 
   private:
     struct WriteSlot
@@ -84,19 +97,33 @@ class RegUnit
     struct Subscription
     {
         DynBlockSeq readerSeq = 0;
+        unsigned readerFrame = 0;
         std::uint8_t reg = 0;
         std::array<isa::Target, isa::kMaxTargets> targets{};
         std::uint32_t wave = 0; ///< forwards sent on this link
         Cycle lastWhen = 0;     ///< upgrades may not overtake data
     };
 
+    /**
+     * One window frame's register writes. The slot is reused by every
+     * block mapped into the frame (vector capacity survives); `seq`
+     * says which block owns it now.
+     */
     struct BlockRegs
     {
-        const isa::Block *block = nullptr;
+        DynBlockSeq seq = 0; ///< owning block; 0 = frame free
         std::vector<WriteSlot> writes;
-        /** Readers subscribed to each write slot. */
+        /**
+         * Readers subscribed to each write slot; only the first
+         * writes.size() lists belong to the current block.
+         */
         std::vector<std::vector<Subscription>> subscribers;
+        /** Bit r: the block writes architectural register r. */
+        std::uint64_t writeMask = 0;
+        unsigned unseen = 0;   ///< writes that have not arrived
+        unsigned nonFinal = 0; ///< writes not (yet) Final
     };
+    static_assert(isa::kNumArchRegs <= 64, "writeMask too narrow");
 
     /** Charge a register-bank port; returns the start cycle. */
     Cycle bankPort(Cycle now, unsigned reg);
@@ -107,7 +134,8 @@ class RegUnit
 
     const CoreParams &_p;
     std::vector<Word> _regs;
-    std::map<DynBlockSeq, BlockRegs> _blocks;
+    std::vector<BlockRegs> _blocks; ///< indexed by frame
+    FrameRing _order;               ///< occupied frames, oldest first
     std::vector<Cycle> _bankFree;
 
     std::vector<RegForward> *_out;

@@ -1,6 +1,7 @@
 #include "lsq/lsq.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -10,7 +11,32 @@ namespace edge::lsq {
 
 using pred::rangesOverlap;
 
+namespace {
+
+/** The LSIDs below `n`: a block's entries older than LSID `n`. */
+constexpr std::uint32_t
+lowMask(unsigned n)
+{
+    return n >= 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << n) - 1;
+}
+
+void
+setBit(std::uint32_t &mask, Lsid lsid, bool on)
+{
+    std::uint32_t bit = std::uint32_t{1} << lsid;
+    mask = on ? mask | bit : mask & ~bit;
+}
+
+Lsid
+lowestLsid(std::uint32_t mask)
+{
+    return static_cast<Lsid>(std::countr_zero(mask));
+}
+
+} // namespace
+
 LoadStoreQueue::LoadStoreQueue(const LsqParams &params,
+                               unsigned num_frames,
                                mem::Hierarchy *hierarchy,
                                mem::SparseMemory *memory,
                                pred::DependencePredictor *policy,
@@ -27,6 +53,8 @@ LoadStoreQueue::LoadStoreQueue(const LsqParams &params,
       _violation(std::move(violation)),
       _chaos(chaos),
       _check(check),
+      _blocks(num_frames),
+      _order(num_frames),
       _bankFree(hierarchy->params().numDBanks, 0),
       _loads(stats.counter("lsq.loads", "loads performed")),
       _stores(stats.counter("lsq.stores", "stores resolved")),
@@ -61,33 +89,75 @@ LoadStoreQueue::LoadStoreQueue(const LsqParams &params,
              "wrong predictions");
     if (_p.valuePredictMisses)
         _vpTable.assign(_p.vpTableSize, VpEntry{});
+    for (unsigned f = 0; f < num_frames; ++f)
+        _blocks[f].frame = f;
 }
 
-LoadStoreQueue::MemEntry &
-LoadStoreQueue::entry(MemKey key)
+LoadStoreQueue::BlockEntry *
+LoadStoreQueue::liveBlock(unsigned frame, DynBlockSeq seq)
 {
-    auto it = _blocks.find(key.first);
-    panic_if(it == _blocks.end(), "no LSQ block for seq %llu",
-             static_cast<unsigned long long>(key.first));
-    panic_if(key.second >= it->second.ops.size(),
-             "LSID %u out of range", key.second);
-    return it->second.ops[key.second];
-}
-
-const LoadStoreQueue::MemEntry *
-LoadStoreQueue::find(MemKey key) const
-{
-    auto it = _blocks.find(key.first);
-    if (it == _blocks.end() || key.second >= it->second.ops.size())
-        return nullptr;
-    return &it->second.ops[key.second];
+    panic_if(frame >= _blocks.size(), "LSQ frame %u out of range", frame);
+    BlockEntry &be = _blocks[frame];
+    return be.seq == seq ? &be : nullptr;
 }
 
 BlockId
-LoadStoreQueue::blockIdOf(DynBlockSeq seq) const
+LoadStoreQueue::blockIdOf(unsigned frame, DynBlockSeq seq) const
 {
-    auto it = _blocks.find(seq);
-    return it == _blocks.end() ? kInvalidBlock : it->second.blockId;
+    const BlockEntry &be = _blocks[frame];
+    return be.seq == seq ? be.blockId : kInvalidBlock;
+}
+
+void
+LoadStoreQueue::syncStore(BlockEntry &be, Lsid lsid)
+{
+    const MemEntry &e = be.ops[lsid];
+    setBit(be.resolved, lsid, e.resolved);
+    setBit(be.addrPending, lsid,
+           !e.resolved || e.addrSt != ValState::Final);
+    setBit(be.dataSpec, lsid, !e.resolved || e.state != ValState::Final);
+}
+
+void
+LoadStoreQueue::syncLoad(BlockEntry &be, Lsid lsid)
+{
+    const MemEntry &e = be.ops[lsid];
+    setBit(be.performed, lsid, e.performed);
+    setBit(be.waiting, lsid, e.waiting);
+    setBit(be.specLoads, lsid,
+           e.performed && e.lastState != ValState::Final);
+}
+
+void
+LoadStoreQueue::updateFrontier()
+{
+    _frontier = {kInvalidSeq, 0};
+    for (unsigned i = 0; i < _order.size(); ++i) {
+        const BlockEntry &be = _blocks[_order[i]];
+        if (be.addrPending) {
+            _frontier = {be.seq, lowestLsid(be.addrPending)};
+            return;
+        }
+    }
+}
+
+template <typename Pick, typename Fn>
+void
+LoadStoreQueue::forEachOlder(DynBlockSeq seq, Lsid lsid, Pick pick,
+                             Fn fn) const
+{
+    for (unsigned i = 0; i < _order.size(); ++i) {
+        const BlockEntry &be = _blocks[_order[i]];
+        if (be.seq > seq)
+            return;
+        LsidMask m = pick(be);
+        if (be.seq == seq)
+            m &= lowMask(lsid);
+        for (; m; m &= m - 1) {
+            if (!fn(be, lowestLsid(m)))
+                return;
+        }
+    }
 }
 
 Cycle
@@ -99,16 +169,26 @@ LoadStoreQueue::bankPort(Cycle now, Addr addr)
     return start;
 }
 
+
 void
-LoadStoreQueue::mapBlock(DynBlockSeq seq, std::uint64_t arch_idx,
-                         BlockId block_id, const isa::Block &block)
+LoadStoreQueue::mapBlock(unsigned frame, DynBlockSeq seq,
+                         std::uint64_t arch_idx, BlockId block_id,
+                         const isa::Block &block)
 {
-    panic_if(_blocks.count(seq), "block seq %llu mapped twice",
+    panic_if(frame >= _blocks.size(), "LSQ frame %u out of range", frame);
+    BlockEntry &be = _blocks[frame];
+    panic_if(be.seq != 0, "block seq %llu mapped into occupied frame %u",
+             static_cast<unsigned long long>(seq), frame);
+    panic_if(seq == 0 ||
+                 (!_order.empty() && seq <= _blocks[_order.back()].seq),
+             "block seq %llu mapped out of order",
              static_cast<unsigned long long>(seq));
-    BlockEntry be;
+    be.seq = seq;
     be.archIdx = arch_idx;
     be.blockId = block_id;
-    be.ops.resize(block.numMemOps());
+    be.ops.assign(block.numMemOps(), MemEntry{});
+    be.loads = be.stores = be.resolved = 0;
+    be.performed = be.specLoads = be.waiting = 0;
     for (std::size_t s = 0; s < block.insts().size(); ++s) {
         const auto &in = block.insts()[s];
         if (!isa::isMem(in.op))
@@ -118,40 +198,43 @@ LoadStoreQueue::mapBlock(DynBlockSeq seq, std::uint64_t arch_idx,
         e.bytes = isa::opInfo(in.op).accessBytes;
         e.slot = static_cast<SlotId>(s);
         if (e.isStore) {
-            if (_spec)
-                _nonFinalStores.insert({seq, in.lsid});
+            be.stores |= LsidMask{1} << in.lsid;
             _policy->onStoreMapped(seq, block_id, in.lsid);
         } else {
+            be.loads |= LsidMask{1} << in.lsid;
             e.dep = _policy->onLoadMapped(seq, block_id, in.lsid);
         }
         if (_check)
             _check->onMemOpMapped(seq, in.lsid, e.isStore, e.bytes);
     }
-    _blocks.emplace(seq, std::move(be));
+    be.addrPending = be.dataSpec = be.stores;
+    _order.push_back(frame);
+    updateFrontier();
 }
 
 const std::vector<pred::UnresolvedStore> &
-LoadStoreQueue::olderUnresolved(MemKey key) const
+LoadStoreQueue::olderUnresolved(DynBlockSeq seq, Lsid lsid) const
 {
     std::vector<pred::UnresolvedStore> &out = _olderScratch;
     out.clear();
-    for (const auto &[seq, be] : _blocks) {
-        if (seq > key.first)
-            break;
-        for (Lsid l = 0; l < be.ops.size(); ++l) {
-            if (seq == key.first && l >= key.second)
-                break;
-            const MemEntry &e = be.ops[l];
-            if (e.isStore && !e.resolved)
-                out.push_back({seq, be.archIdx, be.blockId, l});
-        }
-    }
+    // Unresolved stores are a subset of the frontier's stores.
+    if (MemKey{seq, lsid} < _frontier)
+        return out;
+    forEachOlder(
+        seq, lsid,
+        [](const BlockEntry &b) { return b.stores & ~b.resolved; },
+        [&](const BlockEntry &b, Lsid l) {
+            out.push_back({b.seq, b.archIdx, b.blockId, l});
+            return true;
+        });
     return out;
 }
 
 Word
-LoadStoreQueue::computeLoadValue(MemKey key, const MemEntry &e) const
+LoadStoreQueue::computeLoadValue(const BlockEntry &be, Lsid lsid,
+                                 bool *from_mem) const
 {
+    const MemEntry &e = be.ops[lsid];
     // Start from architectural memory, then overlay every resolved
     // older store in ascending (seq, lsid) order so the youngest
     // writer of each byte wins.
@@ -165,21 +248,18 @@ LoadStoreQueue::computeLoadValue(MemKey key, const MemEntry &e) const
         _chaos->mutation() == chaos::Mutation::MisorderForward;
     std::array<bool, kWordBytes> written{};
 #endif
-    for (const auto &[seq, be] : _blocks) {
-        if (seq > key.first)
-            break;
-        for (Lsid l = 0; l < be.ops.size(); ++l) {
-            if (seq == key.first && l >= key.second)
-                break;
-            const MemEntry &st = be.ops[l];
-            if (!st.isStore || !st.resolved)
-                continue;
+    unsigned covered = 0; ///< bit i: byte i comes from a store
+    forEachOlder(
+        be.seq, lsid, [](const BlockEntry &b) { return b.resolved; },
+        [&](const BlockEntry &b, Lsid l) {
+            const MemEntry &st = b.ops[l];
             if (!rangesOverlap(st.addr, st.bytes, e.addr, e.bytes))
-                continue;
+                return true;
             for (unsigned i = 0; i < e.bytes; ++i) {
                 Addr a = e.addr + i;
                 if (a < st.addr || a >= st.addr + st.bytes)
                     continue;
+                covered |= 1u << i;
 #ifdef EDGE_MUTATIONS
                 if (oldest_wins && written[i])
                     continue;
@@ -190,47 +270,50 @@ LoadStoreQueue::computeLoadValue(MemKey key, const MemEntry &e) const
                 value &= ~(Word{0xff} << (8 * i));
                 value |= byte << (8 * i);
             }
-        }
-    }
+            return true;
+        });
+    if (from_mem)
+        *from_mem = covered != (1u << e.bytes) - 1;
     return value;
 }
 
 bool
-LoadStoreQueue::loadIsFinal(MemKey key, const MemEntry &e) const
+LoadStoreQueue::loadIsFinal(const BlockEntry &be, Lsid lsid) const
 {
     if (!_spec)
         return true;
+    const MemEntry &e = be.ops[lsid];
     if (e.addrState != ValState::Final)
         return false;
     // A load is final when no older store can still change it:
-    // every older store must be resolved with a Final address, and
-    // the ones that actually overlap must have Final data too.
-    for (auto it = _nonFinalStores.begin();
-         it != _nonFinalStores.end() && *it < key; ++it) {
-        const MemEntry *st = find(*it);
-        panic_if(!st, "stale non-final store key");
-        if (!st->resolved || st->addrSt != ValState::Final)
-            return false;
-        if (rangesOverlap(st->addr, st->bytes, e.addr, e.bytes) &&
-            st->state != ValState::Final) {
-            return false;
-        }
-    }
-    return true;
+    // every older store must be resolved with a Final address (the
+    // load is older than the frontier), and the ones that actually
+    // overlap must have Final data too.
+    if (!(MemKey{be.seq, lsid} < _frontier))
+        return false;
+    bool final_now = true;
+    forEachOlder(
+        be.seq, lsid, [](const BlockEntry &b) { return b.dataSpec; },
+        [&](const BlockEntry &b, Lsid l) {
+            const MemEntry &st = b.ops[l];
+            final_now = !rangesOverlap(st.addr, st.bytes, e.addr, e.bytes);
+            return final_now;
+        });
+    return final_now;
 }
 
 void
 LoadStoreQueue::loadRequest(
-    Cycle now, DynBlockSeq seq, Lsid lsid, Addr addr,
+    Cycle now, unsigned frame, DynBlockSeq seq, Lsid lsid, Addr addr,
     ValState addr_state, std::uint32_t wave, std::uint16_t depth,
     const std::array<isa::Target, isa::kMaxTargets> &targets,
     SlotId slot)
 {
-    auto bit = _blocks.find(seq);
-    if (bit == _blocks.end())
+    BlockEntry *be = liveBlock(frame, seq);
+    if (!be)
         return; // flushed block: stale message, drop
-    MemKey key{seq, lsid};
-    MemEntry &e = entry(key);
+    panic_if(lsid >= be->ops.size(), "LSID %u out of range", lsid);
+    MemEntry &e = be->ops[lsid];
     panic_if(e.isStore, "load request for a store LSID");
 
     if (e.addrKnown && wave <= e.inWave)
@@ -259,14 +342,14 @@ LoadStoreQueue::loadRequest(
             // Address state upgrade while held: nothing to do yet.
             return;
         }
-        tryIssueLoad(now, key, e);
+        tryIssueLoad(now, *be, lsid);
         return;
     }
 
     // Re-execution of the load's address (a DSRE wave upstream) or
     // an address state upgrade: recompute and resend as needed.
-    Word v = computeLoadValue(key, e);
-    bool final_now = loadIsFinal(key, e);
+    Word v = computeLoadValue(*be, lsid);
+    bool final_now = loadIsFinal(*be, lsid);
     if (v != e.lastValue) {
         if (final_now) {
             // A final correction is mandatory: this may be the last
@@ -274,8 +357,7 @@ LoadStoreQueue::loadRequest(
             // the resend budget (it IS the commit wave).
             e.deferred = false;
             ++_resends;
-            performLoad(now, key, e, true, depth);
-            _specLoads.erase(key);
+            performLoad(now, *be, lsid, true, depth);
             return;
         }
         if (_p.maxResendsPerLoad != 0 &&
@@ -286,37 +368,36 @@ LoadStoreQueue::loadRequest(
         }
         ++e.resends;
         ++_resends;
-        performLoad(now, key, e, true, depth);
+        performLoad(now, *be, lsid, true, depth);
     } else if (final_now && e.lastState != ValState::Final) {
         ++_upgrades;
         e.deferred = false;
-        performLoad(now, key, e, true, depth);
-        _specLoads.erase(key);
+        performLoad(now, *be, lsid, true, depth);
     }
 }
 
 void
-LoadStoreQueue::tryIssueLoad(Cycle now, MemKey key, MemEntry &e)
+LoadStoreQueue::tryIssueLoad(Cycle now, BlockEntry &be, Lsid lsid)
 {
-    auto &be = _blocks.at(key.first);
+    MemEntry &e = be.ops[lsid];
     const std::vector<pred::UnresolvedStore> &older =
-        olderUnresolved(key);
+        olderUnresolved(be.seq, lsid);
     pred::LoadQuery q;
-    q.seq = key.first;
+    q.seq = be.seq;
     q.archIdx = be.archIdx;
     q.block = be.blockId;
-    q.lsid = key.second;
+    q.lsid = lsid;
     q.addr = e.addr;
     q.bytes = e.bytes;
     q.olderUnresolved = &older;
     q.dep = e.dep;
-    auto hold_key = std::make_pair(be.archIdx, key.second);
+    auto hold_key = std::make_pair(be.archIdx, lsid);
     if (_replayHolds.count(hold_key)) {
         if (!older.empty()) {
             if (!e.waiting) {
                 e.waiting = true;
                 ++_replayWaits;
-                _waitingLoads.insert(key);
+                syncLoad(be, lsid);
             }
             return;
         }
@@ -326,50 +407,29 @@ LoadStoreQueue::tryIssueLoad(Cycle now, MemKey key, MemEntry &e)
         if (!e.waiting) {
             e.waiting = true;
             ++_policyHolds;
-            _waitingLoads.insert(key);
+            syncLoad(be, lsid);
         }
         return;
     }
     if (e.waiting) {
         e.waiting = false;
-        _waitingLoads.erase(key);
+        syncLoad(be, lsid);
     }
-    performLoad(now, key, e, false, e.depth);
+    performLoad(now, be, lsid, false, e.depth);
 }
 
 void
-LoadStoreQueue::performLoad(Cycle now, MemKey key, MemEntry &e,
+LoadStoreQueue::performLoad(Cycle now, BlockEntry &be, Lsid lsid,
                             bool is_resend, std::uint16_t depth)
 {
-    Word value = computeLoadValue(key, e);
-    bool final_now = loadIsFinal(key, e);
+    MemEntry &e = be.ops[lsid];
+    // Does any byte come from memory (vs pure store forwarding)?
+    bool any_from_mem = false;
+    Word value = computeLoadValue(be, lsid, &any_from_mem);
+    bool final_now = loadIsFinal(be, lsid);
     // Commit-wave upgrades carry the same value: the LSQ re-sends it
     // without re-accessing the data cache.
     bool value_unchanged = e.performed && value == e.lastValue;
-
-    // Does any byte come from memory (vs pure store forwarding)?
-    bool any_from_mem = false;
-    {
-        std::array<bool, 8> covered{};
-        for (const auto &[seq, be] : _blocks) {
-            if (seq > key.first)
-                break;
-            for (Lsid l = 0; l < be.ops.size(); ++l) {
-                if (seq == key.first && l >= key.second)
-                    break;
-                const MemEntry &st = be.ops[l];
-                if (!st.isStore || !st.resolved)
-                    continue;
-                for (unsigned i = 0; i < e.bytes; ++i) {
-                    Addr a = e.addr + i;
-                    if (a >= st.addr && a < st.addr + st.bytes)
-                        covered[i] = true;
-                }
-            }
-        }
-        for (unsigned i = 0; i < e.bytes; ++i)
-            any_from_mem = any_from_mem || !covered[i];
-    }
 
     Cycle done;
     bool predicted_early = false;
@@ -398,9 +458,10 @@ LoadStoreQueue::performLoad(Cycle now, MemKey key, MemEntry &e,
             LoadReply pr;
             pr.when = std::max(fast, e.lastReplyWhen);
             pr.addr = e.addr;
-            pr.seq = key.first;
+            pr.seq = be.seq;
+            pr.frame = be.frame;
             pr.slot = e.slot;
-            pr.lsid = key.second;
+            pr.lsid = lsid;
             pr.value = guess;
             pr.state = ValState::Spec; // a guess is never final
             pr.wave = ++e.replyWave;
@@ -437,19 +498,15 @@ LoadStoreQueue::performLoad(Cycle now, MemKey key, MemEntry &e,
     e.performed = true;
     e.lastValue = value;
     e.lastState = final_now ? ValState::Final : ValState::Spec;
-    if (_spec) {
-        if (final_now)
-            _specLoads.erase(key);
-        else
-            _specLoads.insert(key);
-    }
+    syncLoad(be, lsid);
 
     LoadReply r;
     r.when = done;
     r.addr = e.addr;
-    r.seq = key.first;
+    r.seq = be.seq;
+    r.frame = be.frame;
     r.slot = e.slot;
-    r.lsid = key.second;
+    r.lsid = lsid;
     r.value = value;
     r.state = e.lastState;
     r.wave = ++e.replyWave;
@@ -463,21 +520,21 @@ LoadStoreQueue::performLoad(Cycle now, MemKey key, MemEntry &e,
 }
 
 void
-LoadStoreQueue::storeResolve(Cycle now, DynBlockSeq seq, Lsid lsid,
-                             Addr addr, Word data, ValState addr_state,
-                             ValState data_state, std::uint32_t wave,
-                             std::uint16_t depth)
+LoadStoreQueue::storeResolve(Cycle now, unsigned frame, DynBlockSeq seq,
+                             Lsid lsid, Addr addr, Word data,
+                             ValState addr_state, ValState data_state,
+                             std::uint32_t wave, std::uint16_t depth)
 {
     // Chaos: hold the store's resolution at the bank entrance for a
     // few cycles, widening the speculation window of younger loads.
     if (_chaos)
         now += _chaos->storeResolveDelay();
 
-    auto bit = _blocks.find(seq);
-    if (bit == _blocks.end())
+    BlockEntry *be = liveBlock(frame, seq);
+    if (!be)
         return; // flushed block: stale message, drop
-    MemKey key{seq, lsid};
-    MemEntry &e = entry(key);
+    panic_if(lsid >= be->ops.size(), "LSID %u out of range", lsid);
+    MemEntry &e = be->ops[lsid];
     panic_if(!e.isStore, "store resolve for a load LSID");
 
     if (e.resolved && wave <= e.inWave)
@@ -526,55 +583,71 @@ LoadStoreQueue::storeResolve(Cycle now, DynBlockSeq seq, Lsid lsid,
     else if (data_changed || !had_old)
         e.state = data_state;
 
+    LsidMask pending_before = be->addrPending;
+    LsidMask data_spec_before = be->dataSpec;
+    syncStore(*be, lsid);
+    if (be->addrPending != pending_before)
+        updateFrontier();
+    // Loads can only become final when a store's address or data does
+    // (see sweepFinality).
+    bool store_finalised = be->addrPending != pending_before ||
+                           be->dataSpec != data_spec_before;
+
     if (_check)
         _check->onStoreState(seq, lsid, e.addr, e.data, e.state,
                              e.addrSt);
 
-    _policy->onStoreResolved(seq, bit->second.blockId, lsid);
+    _policy->onStoreResolved(seq, be->blockId, lsid);
 
-    if (_spec && e.state == ValState::Final &&
-        e.addrSt == ValState::Final) {
-        _nonFinalStores.erase(key);
-    }
-
+    // A flush-recovery violation inside storeChanged may squash this
+    // very block; nothing below touches `be` or `e`.
     if (changed)
-        storeChanged(now, key, old_addr, old_bytes, had_old, depth);
+        storeChanged(now, frame, {seq, lsid}, old_addr, old_bytes,
+                     had_old, depth);
 
     // Re-query loads held back by the policy: the store landscape
-    // just changed. (Snapshot first: tryIssueLoad mutates the set.)
-    _waitingScratch.assign(_waitingLoads.begin(), _waitingLoads.end());
-    for (MemKey wk : _waitingScratch) {
-        auto wit = _blocks.find(wk.first);
-        if (wit == _blocks.end())
+    // just changed. (Snapshot first: tryIssueLoad mutates the masks.)
+    _waitingScratch.clear();
+    for (unsigned i = 0; i < _order.size(); ++i) {
+        const BlockEntry &b = _blocks[_order[i]];
+        for (LsidMask m = b.waiting; m; m &= m - 1)
+            _waitingScratch.push_back({b.frame, {b.seq, lowestLsid(m)}});
+    }
+    for (const auto &[wf, wk] : _waitingScratch) {
+        BlockEntry *wb = liveBlock(wf, wk.first);
+        if (!wb)
             continue; // flushed meanwhile
-        tryIssueLoad(now, wk, wit->second.ops[wk.second]);
+        tryIssueLoad(now, *wb, wk.second);
     }
 
-    sweepFinality(now);
+    if (store_finalised)
+        sweepFinality(now);
 
     if (_chaos && _spec)
         injectSpuriousWave(now);
 }
 
 void
-LoadStoreQueue::storeChanged(Cycle now, MemKey store_key, Addr old_addr,
+LoadStoreQueue::storeChanged(Cycle now, unsigned store_frame,
+                             MemKey store_key, Addr old_addr,
                              unsigned old_bytes, bool had_old,
                              std::uint16_t depth)
 {
-    const MemEntry &st = entry(store_key);
+    const MemEntry &st = _blocks[store_frame].ops[store_key.second];
     std::vector<Hit> &hits = _hitsScratch;
     hits.clear();
 
-    for (auto it = _blocks.lower_bound(store_key.first);
-         it != _blocks.end(); ++it) {
-        auto &[seq, be] = *it;
-        for (Lsid l = 0; l < be.ops.size(); ++l) {
-            MemKey key{seq, l};
-            if (!(store_key < key))
-                continue;
-            MemEntry &ld = be.ops[l];
-            if (ld.isStore || !ld.performed)
-                continue;
+    // Younger performed loads, in (seq, lsid) order.
+    for (unsigned i = 0; i < _order.size(); ++i) {
+        BlockEntry &be = _blocks[_order[i]];
+        if (be.seq < store_key.first)
+            continue;
+        LsidMask m = be.performed;
+        if (be.seq == store_key.first)
+            m &= ~lowMask(store_key.second + 1u);
+        for (; m; m &= m - 1) {
+            Lsid l = lowestLsid(m);
+            const MemEntry &ld = be.ops[l];
             bool overlap_new =
                 rangesOverlap(st.addr, st.bytes, ld.addr, ld.bytes);
             bool overlap_old =
@@ -582,25 +655,25 @@ LoadStoreQueue::storeChanged(Cycle now, MemKey store_key, Addr old_addr,
                 rangesOverlap(old_addr, old_bytes, ld.addr, ld.bytes);
             if (!overlap_new && !overlap_old)
                 continue;
-            Word v = computeLoadValue(key, ld);
+            Word v = computeLoadValue(be, l);
             bool value_changed = v != ld.lastValue;
             bool addr_hit = overlap_new && _p.addrBasedViolations &&
                             _p.recovery == Recovery::Flush;
             if (value_changed || addr_hit)
-                hits.push_back({key, value_changed});
+                hits.push_back({be.frame, {be.seq, l}, value_changed});
         }
     }
 
     for (const Hit &hit : hits) {
-        auto bit = _blocks.find(hit.key.first);
-        if (bit == _blocks.end())
+        BlockEntry *hb = liveBlock(hit.frame, hit.key.first);
+        if (!hb)
             continue; // flushed by an earlier hit in this batch
-        MemEntry &ld = bit->second.ops[hit.key.second];
+        MemEntry &ld = hb->ops[hit.key.second];
 
         ++_violations;
         _violationDistance.sample(hit.key.first - store_key.first);
-        _policy->onViolation(bit->second.blockId, hit.key.second,
-                             blockIdOf(store_key.first),
+        _policy->onViolation(hb->blockId, hit.key.second,
+                             blockIdOf(store_frame, store_key.first),
                              store_key.second);
 
         if (_p.recovery == Recovery::Dsre) {
@@ -614,25 +687,25 @@ LoadStoreQueue::storeChanged(Cycle now, MemKey store_key, Addr old_addr,
                 } else {
                     ++ld.resends;
                     ++_resends;
-                    performLoad(now, hit.key, ld, true,
-                                static_cast<std::uint16_t>(depth));
+                    performLoad(now, *hb, hit.key.second, true, depth);
                 }
             }
         } else {
             // Forward-progress guarantee: replay this dynamic load
             // conservatively after the flush (see _replayHolds).
-            _replayHolds.emplace(bit->second.archIdx, hit.key.second);
+            _replayHolds.emplace(hb->archIdx, hit.key.second);
             Violation v;
             v.loadSeq = hit.key.first;
-            v.loadBlock = bit->second.blockId;
+            v.loadFrame = hit.frame;
+            v.loadBlock = hb->blockId;
             v.loadLsid = hit.key.second;
             v.storeSeq = store_key.first;
-            v.storeBlock = blockIdOf(store_key.first);
+            v.storeBlock = blockIdOf(store_frame, store_key.first);
             v.storeLsid = store_key.second;
             _violation(v);
             // The flush removed this load's block and everything
             // younger; the remaining hits that survived are handled
-            // on the next iteration (find() guards stale keys).
+            // on the next iteration (liveBlock guards stale keys).
         }
     }
 }
@@ -642,41 +715,60 @@ LoadStoreQueue::sweepFinality(Cycle now)
 {
     if (!_spec)
         return;
-    // Snapshot: performLoad mutates _specLoads while we walk it.
-    _sweepScratch.assign(_specLoads.begin(), _specLoads.end());
-    for (MemKey key : _sweepScratch) {
-        auto bit = _blocks.find(key.first);
-        if (bit == _blocks.end()) {
-            _specLoads.erase(key);
-            continue;
+    // Only loads older than the frontier can be final. performLoad
+    // clears the bit of the load it finalises and never reorders the
+    // window, so walking a per-block snapshot of the mask is safe.
+    for (unsigned i = 0; i < _order.size(); ++i) {
+        BlockEntry &be = _blocks[_order[i]];
+        if (be.seq > _frontier.first)
+            break;
+        LsidMask m = be.specLoads;
+        if (be.seq == _frontier.first)
+            m &= lowMask(_frontier.second);
+        for (; m; m &= m - 1) {
+            Lsid l = lowestLsid(m);
+            MemEntry &e = be.ops[l];
+            if (!loadIsFinal(be, l))
+                continue;
+            Word v = computeLoadValue(be, l);
+            panic_if(v != e.lastValue && !e.deferred,
+                     "finality sweep found a changed value that no "
+                     "store event reported (seq %llu lsid %u)",
+                     static_cast<unsigned long long>(be.seq), l);
+            if (v != e.lastValue)
+                ++_resends;
+            else
+                ++_upgrades;
+            e.deferred = false;
+            performLoad(now, be, l, true, e.depth);
         }
-        MemEntry &e = bit->second.ops[key.second];
-        if (!loadIsFinal(key, e))
-            continue;
-        Word v = computeLoadValue(key, e);
-        panic_if(v != e.lastValue && !e.deferred,
-                 "finality sweep found a changed value that no store "
-                 "event reported (seq %llu lsid %u)",
-                 static_cast<unsigned long long>(key.first), key.second);
-        if (v != e.lastValue)
-            ++_resends;
-        else
-            ++_upgrades;
-        e.deferred = false;
-        performLoad(now, key, e, true, e.depth);
-        _specLoads.erase(key);
     }
 }
 
 void
 LoadStoreQueue::injectSpuriousWave(Cycle now)
 {
-    if (_specLoads.empty() || !_chaos->spuriousViolation())
+    std::size_t spec_loads = 0;
+    for (unsigned i = 0; i < _order.size(); ++i)
+        spec_loads += std::popcount(_blocks[_order[i]].specLoads);
+    if (spec_loads == 0 || !_chaos->spuriousViolation())
         return;
-    auto it = _specLoads.begin();
-    std::advance(it, _chaos->pickIndex(_specLoads.size()));
-    MemKey key = *it;
-    MemEntry &e = entry(key);
+    // The k-th Spec load in (seq, lsid) order.
+    std::size_t k = _chaos->pickIndex(spec_loads);
+    unsigned i = 0;
+    for (;; ++i) {
+        auto n = static_cast<std::size_t>(
+            std::popcount(_blocks[_order[i]].specLoads));
+        if (k < n)
+            break;
+        k -= n;
+    }
+    BlockEntry &be = _blocks[_order[i]];
+    LsidMask m = be.specLoads;
+    for (; k; --k)
+        m &= m - 1;
+    Lsid lsid = lowestLsid(m);
+    MemEntry &e = be.ops[lsid];
     _chaos->countSpurious();
 
     // A transient wrong value followed one cycle later by the true
@@ -690,9 +782,10 @@ LoadStoreQueue::injectSpuriousWave(Cycle now)
     LoadReply glitch;
     glitch.when = std::max(now, e.lastReplyWhen);
     glitch.addr = e.addr;
-    glitch.seq = key.first;
+    glitch.seq = be.seq;
+    glitch.frame = be.frame;
     glitch.slot = e.slot;
-    glitch.lsid = key.second;
+    glitch.lsid = lsid;
     glitch.value = e.lastValue ^ 1;
     glitch.state = ValState::Spec;
     glitch.wave = ++e.replyWave;
@@ -710,52 +803,38 @@ LoadStoreQueue::injectSpuriousWave(Cycle now)
 }
 
 bool
-LoadStoreQueue::blockMemFinal(DynBlockSeq seq) const
+LoadStoreQueue::blockMemFinal(unsigned frame) const
 {
-    auto it = _blocks.find(seq);
-    panic_if(it == _blocks.end(), "blockMemFinal on unknown seq");
-    for (Lsid l = 0; l < it->second.ops.size(); ++l) {
-        const MemEntry &e = it->second.ops[l];
-        if (e.isStore) {
-            if (!e.resolved)
-                return false;
-            if (_spec && (e.state != ValState::Final ||
-                          e.addrSt != ValState::Final)) {
-                return false;
-            }
-        } else {
-            if (!e.performed || e.waiting)
-                return false;
-            if (_spec && e.lastState != ValState::Final)
-                return false;
-        }
-    }
-    return true;
+    panic_if(frame >= _blocks.size() || _blocks[frame].seq == 0,
+             "blockMemFinal on an empty frame");
+    const BlockEntry &be = _blocks[frame];
+    // Stores resolved with Final address and data (flush recovery
+    // makes both Final on resolution), loads performed (a load held
+    // by the policy has not) and replied Final.
+    return (be.addrPending | be.dataSpec | be.specLoads |
+            (be.loads & ~be.performed)) == 0;
 }
 
 void
-LoadStoreQueue::commitBlock(Cycle now, DynBlockSeq seq)
+LoadStoreQueue::commitBlock(Cycle now, unsigned frame)
 {
-    auto it = _blocks.find(seq);
-    panic_if(it == _blocks.end(), "commit of unknown seq");
-    panic_if(it != _blocks.begin(),
+    panic_if(frame >= _blocks.size() || _blocks[frame].seq == 0,
+             "commit of an empty frame");
+    BlockEntry &be = _blocks[frame];
+    panic_if(_order.front() != frame,
              "commit of seq %llu but older blocks are in flight",
-             static_cast<unsigned long long>(seq));
-    panic_if(!blockMemFinal(seq), "commit of non-final block");
+             static_cast<unsigned long long>(be.seq));
+    panic_if(!blockMemFinal(frame), "commit of non-final block");
 
-    for (Lsid l = 0; l < it->second.ops.size(); ++l) {
-        const MemEntry &e = it->second.ops[l];
-        if (!e.isStore)
-            continue;
+    for (LsidMask m = be.stores; m; m &= m - 1) {
+        const MemEntry &e = be.ops[lowestLsid(m)];
         _mem->write(e.addr, e.bytes, e.data);
         (void)_hier->dataWrite(now, e.addr); // drain occupancy
-        _nonFinalStores.erase({seq, l});
     }
-    for (Lsid l = 0; l < it->second.ops.size(); ++l) {
-        _specLoads.erase({seq, l});
-        _waitingLoads.erase({seq, l});
-    }
-    _blocks.erase(it);
+    DynBlockSeq seq = be.seq;
+    be.seq = 0;
+    _order.pop_front();
+    // A final block holds no pending store, so the frontier stays.
     if (_check)
         _check->onBlockRetired(seq);
 }
@@ -764,7 +843,8 @@ std::string
 LoadStoreQueue::debugState() const
 {
     std::string out;
-    for (const auto &[seq, be] : _blocks) {
+    for (unsigned i = 0; i < _order.size(); ++i) {
+        const BlockEntry &be = _blocks[_order[i]];
         for (Lsid l = 0; l < be.ops.size(); ++l) {
             const MemEntry &e = be.ops[l];
             if (e.isStore) {
@@ -773,7 +853,7 @@ LoadStoreQueue::debugState() const
                     continue;
                 out += strfmt("  st seq=%llu lsid=%u resolved=%d "
                               "addrFinal=%d dataFinal=%d\n",
-                              (unsigned long long)seq, l, e.resolved,
+                              (unsigned long long)be.seq, l, e.resolved,
                               e.addrSt == ValState::Final,
                               e.state == ValState::Final);
             } else {
@@ -783,7 +863,7 @@ LoadStoreQueue::debugState() const
                 out += strfmt("  ld seq=%llu lsid=%u performed=%d "
                               "waiting=%d deferred=%d addrFinal=%d "
                               "final=%d\n",
-                              (unsigned long long)seq, l, e.performed,
+                              (unsigned long long)be.seq, l, e.performed,
                               e.waiting, e.deferred,
                               e.addrState == ValState::Final,
                               e.lastState == ValState::Final);
@@ -796,16 +876,11 @@ LoadStoreQueue::debugState() const
 void
 LoadStoreQueue::flushFrom(DynBlockSeq from_seq)
 {
-    auto it = _blocks.lower_bound(from_seq);
-    _blocks.erase(it, _blocks.end());
-
-    auto prune = [&](std::set<MemKey> &set) {
-        auto first = set.lower_bound({from_seq, 0});
-        set.erase(first, set.end());
-    };
-    prune(_nonFinalStores);
-    prune(_specLoads);
-    prune(_waitingLoads);
+    while (!_order.empty() && _blocks[_order.back()].seq >= from_seq) {
+        _blocks[_order.back()].seq = 0;
+        _order.pop_back();
+    }
+    updateFrontier();
 
     _policy->onFlush(from_seq);
     if (_check)

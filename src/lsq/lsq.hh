@@ -22,6 +22,10 @@
  * with the L1D banks); we model bank port contention and routing but
  * keep the search structure logically unified, a simplification
  * documented in DESIGN.md.
+ *
+ * In-flight state is keyed by window frame: each frame's slot holds
+ * one block's LSID entries plus per-LSID state bitmaps, and a ring of
+ * frames gives age order (DESIGN.md "Frame-indexed in-flight state").
  */
 
 #ifndef EDGE_LSQ_LSQ_HH
@@ -29,13 +33,13 @@
 
 #include <array>
 #include <functional>
-#include <map>
 #include <set>
 #include <vector>
 
 #include "chaos/chaos.hh"
 #include "chaos/invariants.hh"
 #include "common/enum_names.hh"
+#include "common/frame_ring.hh"
 #include "common/stats.hh"
 #include "isa/block.hh"
 #include "mem/hierarchy.hh"
@@ -107,6 +111,7 @@ struct LoadReply
     Cycle when = 0;            ///< earliest cycle the reply may leave
     Addr addr = 0;             ///< for bank routing
     DynBlockSeq seq = 0;
+    unsigned frame = 0;        ///< the load block's window frame
     SlotId slot = 0;           ///< the load instruction's slot
     Lsid lsid = 0;
     Word value = 0;
@@ -127,6 +132,7 @@ struct LoadReply
 struct Violation
 {
     DynBlockSeq loadSeq = 0;
+    unsigned loadFrame = 0;
     BlockId loadBlock = 0;
     Lsid loadLsid = 0;
     DynBlockSeq storeSeq = 0;
@@ -142,6 +148,7 @@ class LoadStoreQueue
 
     /**
      * @param params configuration
+     * @param num_frames window frames: blocks the core keeps in flight
      * @param hierarchy timing for D-cache accesses (not owned)
      * @param memory architectural memory contents (not owned)
      * @param policy active dependence policy (not owned)
@@ -154,44 +161,55 @@ class LoadStoreQueue
      * @param check optional invariant checker (not owned), fed with
      *        the LSQ's shadow state and every outgoing reply
      */
-    LoadStoreQueue(const LsqParams &params, mem::Hierarchy *hierarchy,
-                   mem::SparseMemory *memory,
+    LoadStoreQueue(const LsqParams &params, unsigned num_frames,
+                   mem::Hierarchy *hierarchy, mem::SparseMemory *memory,
                    pred::DependencePredictor *policy, StatSet &stats,
                    ReplyFn reply, ViolationFn violation,
                    chaos::ChaosEngine *chaos = nullptr,
                    chaos::InvariantChecker *check = nullptr);
 
-    /** A block entered the window: allocate its LSID entries. */
-    void mapBlock(DynBlockSeq seq, std::uint64_t arch_idx,
+    /**
+     * A block entered the window in `frame`: allocate its LSID
+     * entries. Sequence numbers must increase from one map to the
+     * next.
+     */
+    void mapBlock(unsigned frame, DynBlockSeq seq, std::uint64_t arch_idx,
                   BlockId block_id, const isa::Block &block);
 
     /**
      * A load's address arrived (first execution, an address-changing
-     * re-execution, or a state upgrade of the address).
+     * re-execution, or a state upgrade of the address). Dropped when
+     * `frame` no longer holds block `seq` (the block was flushed).
      */
-    void loadRequest(Cycle now, DynBlockSeq seq, Lsid lsid, Addr addr,
-                     ValState addr_state, std::uint32_t wave,
-                     std::uint16_t depth,
+    void loadRequest(Cycle now, unsigned frame, DynBlockSeq seq,
+                     Lsid lsid, Addr addr, ValState addr_state,
+                     std::uint32_t wave, std::uint16_t depth,
                      const std::array<isa::Target, isa::kMaxTargets>
                          &targets, SlotId slot);
 
     /** A store's address and data arrived (or changed / upgraded). */
-    void storeResolve(Cycle now, DynBlockSeq seq, Lsid lsid, Addr addr,
-                      Word data, ValState addr_state,
-                      ValState data_state, std::uint32_t wave,
-                      std::uint16_t depth);
+    void storeResolve(Cycle now, unsigned frame, DynBlockSeq seq,
+                      Lsid lsid, Addr addr, Word data,
+                      ValState addr_state, ValState data_state,
+                      std::uint32_t wave, std::uint16_t depth);
 
-    /** All memory ops of the block performed / resolved and Final? */
-    bool blockMemFinal(DynBlockSeq seq) const;
+    /**
+     * All memory ops of the block in `frame` performed / resolved and
+     * Final? O(1): reads the frame's state bitmaps.
+     */
+    bool blockMemFinal(unsigned frame) const;
 
-    /** Commit: drain stores to memory/D-cache and free the entries. */
-    void commitBlock(Cycle now, DynBlockSeq seq);
+    /**
+     * Commit the oldest block, which must sit in `frame`: drain its
+     * stores to memory/D-cache and free the entries.
+     */
+    void commitBlock(Cycle now, unsigned frame);
 
     /** Squash every block with seq >= from_seq. */
     void flushFrom(DynBlockSeq from_seq);
 
     /** In-flight blocks currently tracked (for asserts/tests). */
-    std::size_t numBlocks() const { return _blocks.size(); }
+    std::size_t numBlocks() const { return _order.size(); }
 
     /** Total violations detected so far. */
     std::uint64_t violations() const { return _violations.value(); }
@@ -205,6 +223,9 @@ class LoadStoreQueue
 
   private:
     using MemKey = std::pair<DynBlockSeq, Lsid>;
+    /** One bit per LSID of a block. */
+    using LsidMask = std::uint32_t;
+    static_assert(isa::kMaxBlockMemOps <= 32, "LsidMask too narrow");
 
     struct MemEntry
     {
@@ -245,29 +266,78 @@ class LoadStoreQueue
         pred::CapturedDep dep;
     };
 
+    /**
+     * One window frame's memory ops. The slot is reused by every block
+     * mapped into the frame; `seq` says which block owns it now, so a
+     * message for a flushed block (same frame, older seq) is stale.
+     * The masks mirror the entries' flags, one bit per LSID, and are
+     * updated wherever an entry's state changes (syncStore/syncLoad):
+     * they let the per-message walks visit only the entries that
+     * matter, and make the commit check a handful of word tests.
+     */
     struct BlockEntry
     {
+        unsigned frame = 0;  ///< this slot's index (fixed)
+        DynBlockSeq seq = 0; ///< owning block; 0 = frame free
         std::uint64_t archIdx = 0;
         BlockId blockId = 0;
-        std::vector<MemEntry> ops; ///< indexed by LSID
+        /** Indexed by LSID; the capacity survives frame reuse. */
+        std::vector<MemEntry> ops;
+
+        LsidMask loads = 0;       ///< static: LSIDs that are loads
+        LsidMask stores = 0;      ///< static: LSIDs that are stores
+        LsidMask resolved = 0;    ///< stores with address + data
+        /** Stores unresolved or with a Spec address. */
+        LsidMask addrPending = 0;
+        /** Stores unresolved or with Spec data. */
+        LsidMask dataSpec = 0;
+        LsidMask performed = 0;   ///< loads performed at least once
+        LsidMask specLoads = 0;   ///< performed, last reply Spec
+        LsidMask waiting = 0;     ///< loads held back by the policy
     };
 
     /** A performed load hit by a store change (see storeChanged). */
     struct Hit
     {
+        unsigned frame;
         MemKey key;
         bool value_changed;
     };
 
-    MemEntry &entry(MemKey key);
-    const MemEntry *find(MemKey key) const;
-    BlockId blockIdOf(DynBlockSeq seq) const;
+    /** The live block in `frame` if it is `seq`, else null (stale). */
+    BlockEntry *liveBlock(unsigned frame, DynBlockSeq seq);
+    BlockId blockIdOf(unsigned frame, DynBlockSeq seq) const;
 
-    /** Current forwarded/loaded value of a performed load. */
-    Word computeLoadValue(MemKey key, const MemEntry &e) const;
+    /** Re-derive an entry's bits in its block's masks. */
+    static void syncStore(BlockEntry &be, Lsid lsid);
+    static void syncLoad(BlockEntry &be, Lsid lsid);
+
+    /**
+     * Recompute the store-address frontier: the oldest store that is
+     * unresolved or has a Spec address. Every load older than it sees
+     * only resolved stores with Final addresses.
+     */
+    void updateFrontier();
+
+    /**
+     * Call fn(block, lsid) for every LSID picked by `pick(block)` that
+     * is older than (seq, lsid), oldest first; stop early when fn
+     * returns false.
+     */
+    template <typename Pick, typename Fn>
+    void forEachOlder(DynBlockSeq seq, Lsid lsid, Pick pick,
+                      Fn fn) const;
+
+    /**
+     * Current forwarded/loaded value of a performed load. When
+     * `from_mem` is given, it is set when some byte comes from
+     * memory rather than from an older store.
+     */
+    Word computeLoadValue(const BlockEntry &be, Lsid lsid,
+                          bool *from_mem = nullptr) const;
 
     /** True when every byte can come only from final sources. */
-    bool loadIsFinal(MemKey key, const MemEntry &e) const;
+    bool loadIsFinal(const BlockEntry &be, Lsid lsid) const;
 
     /**
      * Older unresolved stores, oldest first (policy query input).
@@ -276,25 +346,30 @@ class LoadStoreQueue
      * re-fire path.
      */
     const std::vector<pred::UnresolvedStore> &
-    olderUnresolved(MemKey key) const;
+    olderUnresolved(DynBlockSeq seq, Lsid lsid) const;
 
     /** Try to issue a load now (policy permitting); send the reply. */
-    void tryIssueLoad(Cycle now, MemKey key, MemEntry &e);
+    void tryIssueLoad(Cycle now, BlockEntry &be, Lsid lsid);
 
     /** Actually perform the load and send (or re-send) its reply. */
-    void performLoad(Cycle now, MemKey key, MemEntry &e,
+    void performLoad(Cycle now, BlockEntry &be, Lsid lsid,
                      bool is_resend, std::uint16_t depth);
 
     /**
      * A store changed: scan younger performed loads overlapping
-     * either range for value changes (violations), and waiting loads
-     * for issue opportunities.
+     * either range for value changes (violations).
      */
-    void storeChanged(Cycle now, MemKey store_key, Addr old_addr,
-                      unsigned old_bytes, bool had_old,
+    void storeChanged(Cycle now, unsigned store_frame, MemKey store_key,
+                      Addr old_addr, unsigned old_bytes, bool had_old,
                       std::uint16_t depth);
 
-    /** Advance the commit wave: upgrade now-final performed loads. */
+    /**
+     * Advance the commit wave: upgrade now-final performed loads.
+     * Only Spec loads older than the frontier can have become final,
+     * and only when some store's address or data just turned Final:
+     * every entry point leaves no final-eligible Spec load behind,
+     * so storeResolve sweeps only after such a transition.
+     */
     void sweepFinality(Cycle now);
 
     /**
@@ -318,19 +393,19 @@ class LoadStoreQueue
     chaos::ChaosEngine *_chaos;
     chaos::InvariantChecker *_check;
 
-    std::map<DynBlockSeq, BlockEntry> _blocks;
-    std::set<MemKey> _nonFinalStores; ///< unresolved or Spec stores
-    std::set<MemKey> _specLoads;      ///< performed, reply still Spec
-    std::set<MemKey> _waitingLoads;   ///< held back by the policy
+    std::vector<BlockEntry> _blocks; ///< indexed by frame
+    FrameRing _order;                ///< occupied frames, oldest first
+    /** See updateFrontier; {kInvalidSeq, 0} when there is none. */
+    MemKey _frontier{kInvalidSeq, 0};
 
     // Scratch buffers reused across calls instead of per-call heap
     // allocations (re-fire wave bookkeeping is a hot path). None of
     // these functions re-enter themselves, so one buffer each is
     // safe; capacity persists for the queue's lifetime.
     mutable std::vector<pred::UnresolvedStore> _olderScratch;
-    std::vector<MemKey> _waitingScratch;   ///< storeResolve re-query
+    /** storeResolve re-query of policy-held loads: (frame, key). */
+    std::vector<std::pair<unsigned, MemKey>> _waitingScratch;
     std::vector<Hit> _hitsScratch;         ///< storeChanged victims
-    std::vector<MemKey> _sweepScratch;     ///< sweepFinality candidates
     std::vector<Cycle> _bankFree;     ///< per-bank port availability
 
     /** Last-value table for the miss value-prediction extension. */

@@ -8,8 +8,9 @@
  * `hopLatency` cycles per traversed link, zero-cost local bypass
  * when source == destination.
  *
- * Every (src, dst) route is computed once, when the mesh is built,
- * into a flat link table; a send walks its row of the table. In-flight
+ * Every (src, dst) route is computed once per mesh geometry into a
+ * flat link table that all meshes of that geometry share (see
+ * net::routeTable); a send walks its row of the table. In-flight
  * messages wait in a CalendarQueue (net/calendar_queue.hh), which
  * delivers them in (arrival, send order) order.
  *
@@ -54,6 +55,7 @@ class Mesh
         : _p(params),
           _numRouters(_p.geom.rows * _p.geom.cols),
           _linkFree(numLinks(_p.geom), 0),
+          _routes(&routeTable(_p.geom)),
           _sent(stats.counter(_p.statPrefix + ".messages",
                               "messages sent")),
           _delivered(stats.counter(_p.statPrefix + ".delivered",
@@ -63,24 +65,6 @@ class Mesh
           _queued(stats.counter(_p.statPrefix + ".queue_cycles",
                                 "cycles spent waiting for links"))
     {
-        // Sized exactly up front: every Processor builds two meshes.
-        std::size_t links = 0;
-        for (unsigned s = 0; s < _numRouters; ++s)
-            for (unsigned d = 0; d < _numRouters; ++d)
-                links += hopCount(coordOf(s), coordOf(d));
-        _routeLinks.reserve(links);
-        _routeOff.reserve(std::size_t{_numRouters} * _numRouters + 1);
-        _routeOff.push_back(0);
-        for (unsigned s = 0; s < _numRouters; ++s) {
-            for (unsigned d = 0; d < _numRouters; ++d) {
-                std::vector<LinkId> path =
-                    routeXY(_p.geom, coordOf(s), coordOf(d));
-                _routeLinks.insert(_routeLinks.end(), path.begin(),
-                                   path.end());
-                _routeOff.push_back(
-                    static_cast<std::uint32_t>(_routeLinks.size()));
-            }
-        }
     }
 
     /**
@@ -95,10 +79,10 @@ class Mesh
         if (!(src == dst)) {
             std::size_t pair =
                 std::size_t{routerOf(src)} * _numRouters + routerOf(dst);
-            std::uint32_t first = _routeOff[pair];
-            std::uint32_t last = _routeOff[pair + 1];
+            std::uint32_t first = _routes->off[pair];
+            std::uint32_t last = _routes->off[pair + 1];
             for (std::uint32_t i = first; i < last; ++i) {
-                Cycle &link_free = _linkFree[_routeLinks[i]];
+                Cycle &link_free = _linkFree[_routes->links[i]];
                 Cycle start = std::max(t, link_free);
                 _queued += start - t;
                 link_free = start + 1;
@@ -172,22 +156,10 @@ class Mesh
         return c.row * _p.geom.cols + c.col;
     }
 
-    Coord
-    coordOf(unsigned router) const
-    {
-        return {static_cast<std::uint16_t>(router / _p.geom.cols),
-                static_cast<std::uint16_t>(router % _p.geom.cols)};
-    }
-
     MeshParams _p;
     unsigned _numRouters;
     std::vector<Cycle> _linkFree;
-    /**
-     * The X-Y route from router s to router d is
-     * _routeLinks[_routeOff[s * n + d] .. _routeOff[s * n + d + 1]).
-     */
-    std::vector<std::uint32_t> _routeOff;
-    std::vector<LinkId> _routeLinks;
+    const RouteTable *_routes; ///< shared per geometry, never null
     CalendarQueue<Event> _queue;
 
     Counter &_sent;

@@ -1,5 +1,9 @@
 #include "net/route.hh"
 
+#include <map>
+#include <memory>
+#include <mutex>
+
 #include "common/logging.hh"
 
 namespace edge::net {
@@ -51,6 +55,44 @@ routeXY(const MeshGeom &geom, Coord src, Coord dst)
         at.row = d == South ? at.row + 1 : at.row - 1;
     }
     return path;
+}
+
+const RouteTable &
+routeTable(const MeshGeom &geom)
+{
+    static std::mutex mu;
+    static std::map<std::pair<unsigned, unsigned>,
+                    std::unique_ptr<RouteTable>>
+        byGeom;
+    std::lock_guard<std::mutex> lock(mu);
+    auto &slot = byGeom[{geom.rows, geom.cols}];
+    if (!slot) {
+        auto coordOf = [&](unsigned router) {
+            return Coord{static_cast<std::uint16_t>(router / geom.cols),
+                         static_cast<std::uint16_t>(router % geom.cols)};
+        };
+        unsigned n = geom.rows * geom.cols;
+        auto table = std::make_unique<RouteTable>();
+        std::size_t links = 0;
+        for (unsigned s = 0; s < n; ++s)
+            for (unsigned d = 0; d < n; ++d)
+                links += hopCount(coordOf(s), coordOf(d));
+        table->links.reserve(links);
+        table->off.reserve(std::size_t{n} * n + 1);
+        table->off.push_back(0);
+        for (unsigned s = 0; s < n; ++s) {
+            for (unsigned d = 0; d < n; ++d) {
+                std::vector<LinkId> path =
+                    routeXY(geom, coordOf(s), coordOf(d));
+                table->links.insert(table->links.end(), path.begin(),
+                                    path.end());
+                table->off.push_back(
+                    static_cast<std::uint32_t>(table->links.size()));
+            }
+        }
+        slot = std::move(table);
+    }
+    return *slot;
 }
 
 } // namespace edge::net

@@ -50,6 +50,24 @@ unsigned hopCount(Coord src, Coord dst);
 /** Total number of distinct links in the mesh (for table sizing). */
 std::size_t numLinks(const MeshGeom &geom);
 
+/**
+ * Every X-Y route of one mesh geometry, tabulated: the route from
+ * router s to router d (routers numbered row-major) is
+ * links[off[s * n + d] .. off[s * n + d + 1]), n = rows * cols.
+ */
+struct RouteTable
+{
+    std::vector<std::uint32_t> off;
+    std::vector<LinkId> links;
+};
+
+/**
+ * The route table of `geom`, built on first use and shared by every
+ * mesh of that geometry. Thread-safe; the table lives as long as the
+ * process, so the reference never dangles.
+ */
+const RouteTable &routeTable(const MeshGeom &geom);
+
 } // namespace edge::net
 
 #endif // EDGE_NET_ROUTE_HH

@@ -49,6 +49,8 @@ sweepCells(const ChaosSweepParams &params)
             cell.machine.chaos.mutation = params.mutation;
             cell.machine.chaos.mutationNode = params.mutationNode;
             cell.machine.checkInvariants = params.checkInvariants;
+            if (params.tweak)
+                params.tweak(cell.machine);
             cells.push_back(std::move(cell));
         }
     }

@@ -11,6 +11,7 @@
 #ifndef EDGE_SIM_SWEEP_HH
 #define EDGE_SIM_SWEEP_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,12 @@ struct ChaosSweepParams
     unsigned mutationNode = 0;
     /** Transient-failure retry policy applied to every cell. */
     RetryPolicy retry;
+    /**
+     * Applied last to every cell's machine, after the preset and the
+     * chaos fields (the CLI's --set overrides). Runs in-process and
+     * under --isolate; a fabric submission does not carry it.
+     */
+    std::function<void(core::MachineConfig &)> tweak;
 };
 
 /** One (seed, config) cell of the sweep grid. */

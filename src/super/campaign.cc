@@ -9,8 +9,10 @@ chaosSweepIsolated(const sim::ChaosSweepParams &params,
 {
     std::vector<sim::SweepCell> grid = sim::sweepCells(params);
 
-    const std::uint64_t phash =
-        triage::programHash(triage::buildProgram(program));
+    // An unknown kernel hashes as 0; every cell then fails in its
+    // worker with a WorkerProtocol error.
+    std::optional<isa::Program> prog = triage::buildProgram(program);
+    const std::uint64_t phash = prog ? triage::programHash(*prog) : 0;
     std::vector<CellSpec> cells;
     cells.reserve(grid.size());
     for (const sim::SweepCell &gc : grid) {

@@ -12,8 +12,12 @@ std::uint64_t
 cellHash(const CellSpec &cell)
 {
     std::uint64_t phash = cell.programHash;
-    if (phash == 0)
-        phash = triage::programHash(triage::buildProgram(cell.program));
+    if (phash == 0) {
+        // An unknown kernel leaves 0: the cell fails when it runs.
+        if (std::optional<isa::Program> prog =
+                triage::buildProgram(cell.program))
+            phash = triage::programHash(*prog);
+    }
 
     // FNV-1a over (program hash, canonical config JSON, budget). The
     // config is hashed through its serialized form so every field —

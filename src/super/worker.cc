@@ -89,7 +89,15 @@ workerCellMain(std::istream &in, std::ostream &out)
 
     maybeTestCrash(cell.testCrash, out);
 
-    isa::Program prog = triage::buildProgram(cell.program);
+    std::optional<isa::Program> built =
+        triage::buildProgram(cell.program, &err);
+    if (!built) {
+        fprintf(stderr,
+                "edgesim: worker-cell: WorkerProtocol: bad spec: %s\n",
+                err.c_str());
+        return 2;
+    }
+    isa::Program prog = std::move(*built);
     if (cell.program.hasEmbedded) {
         std::vector<isa::ValidationIssue> issues = prog.validateAll();
         if (!issues.empty()) {

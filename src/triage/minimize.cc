@@ -153,7 +153,10 @@ minimizeRepro(const ReproSpec &spec, const MinimizeOptions &opts)
     // One Simulator; every candidate run shares its reference
     // execution read-only (the expensive part of a run for the small
     // kernels triage deals with).
-    sim::Simulator simulator(buildProgram(spec.program), spec.config);
+    std::string err;
+    std::optional<isa::Program> prog = buildProgram(spec.program, &err);
+    fatal_if(!prog, "minimize: %s", err.c_str());
+    sim::Simulator simulator(std::move(*prog), spec.config);
     simulator.prepare();
     sim::RunPool pool(opts.threads);
 

@@ -250,7 +250,10 @@ testPrograms(const ReproSpec &spec, sim::RunPool &pool,
 ProgramMinimizeResult
 minimizeProgram(const ReproSpec &spec, const MinimizeOptions &opts)
 {
-    isa::Program orig = buildProgram(spec.program);
+    std::string err;
+    std::optional<isa::Program> built = buildProgram(spec.program, &err);
+    fatal_if(!built, "minimize: %s", err.c_str());
+    isa::Program orig = std::move(*built);
     {
         std::vector<isa::ValidationIssue> issues = orig.validateAll();
         fatal_if(!issues.empty(),

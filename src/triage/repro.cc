@@ -82,12 +82,15 @@ embeddedRef(std::string label, isa::Program program,
     return ref;
 }
 
-isa::Program
-buildProgram(const ProgramRef &ref)
+std::optional<isa::Program>
+buildProgram(const ProgramRef &ref, std::string *err)
 {
     if (ref.hasEmbedded)
         return ref.embedded;
-    return wl::build(ref.kernel, ref.params);
+    std::optional<isa::Program> prog = wl::tryBuild(ref.kernel, ref.params);
+    if (!prog && err)
+        *err = "unknown kernel '" + ref.kernel + "'";
+    return prog;
 }
 
 JsonValue
@@ -159,6 +162,10 @@ fromJson(const JsonValue &root, ReproSpec *spec, std::string *err)
             return false;
         }
         spec->program.hasEmbedded = true;
+    } else if (!wl::exists(spec->program.kernel)) {
+        if (err)
+            *err = "unknown kernel '" + spec->program.kernel + "'";
+        return false;
     }
 
     if (const JsonValue *cfg = root.get("config"))
@@ -230,7 +237,9 @@ captureFromResult(const ProgramRef &program,
 {
     ReproSpec spec;
     spec.program = program;
-    spec.programHash = programHash(buildProgram(program));
+    // An unbuildable program keeps hash 0, which replay never checks.
+    if (std::optional<isa::Program> prog = buildProgram(program))
+        spec.programHash = programHash(*prog);
     spec.config = config;
     // Bake the effective seeds so the spec replays standalone: the
     // runtime derives chaos.seed from rngSeed when left at 0.
@@ -298,7 +307,15 @@ captureSweepFailures(sim::ChaosSweepReport &report,
 sim::RunResult
 replay(const ReproSpec &spec)
 {
-    isa::Program prog = buildProgram(spec.program);
+    std::string err;
+    std::optional<isa::Program> prog = buildProgram(spec.program, &err);
+    if (!prog) {
+        // Classified like a worker cell given the same spec.
+        sim::RunResult r;
+        r.error.reason = chaos::SimError::Reason::WorkerProtocol;
+        r.error.message = "repro: " + err;
+        return r;
+    }
     if (!spec.build.empty()) {
         std::string mismatch = buildMismatch(spec.build);
         if (!mismatch.empty())
@@ -306,14 +323,14 @@ replay(const ReproSpec &spec)
                  "replay may legitimately not reproduce",
                  mismatch.c_str());
     }
-    std::uint64_t hash = programHash(prog);
+    std::uint64_t hash = programHash(*prog);
     if (spec.programHash != 0 && hash != spec.programHash)
         warn("repro: program hash mismatch (spec %016llx, built "
              "%016llx) — the workload generator changed; the replay "
              "may not reproduce the failure",
              static_cast<unsigned long long>(spec.programHash),
              static_cast<unsigned long long>(hash));
-    sim::Simulator sim(std::move(prog), spec.config);
+    sim::Simulator sim(std::move(*prog), spec.config);
     return sim.run(spec.config, spec.maxCycles);
 }
 

@@ -15,6 +15,7 @@
 #ifndef EDGE_TRIAGE_REPRO_HH
 #define EDGE_TRIAGE_REPRO_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,8 +85,13 @@ struct ReproSpec
 /** 64-bit content hash of a program (code, registers, memory image). */
 std::uint64_t programHash(const isa::Program &program);
 
-/** Rebuild the program a spec refers to (fatal on unknown kernel). */
-isa::Program buildProgram(const ProgramRef &ref);
+/**
+ * Rebuild the program a spec refers to. std::nullopt (with *err set)
+ * when the kernel name is unknown: a decoded file or cell may name
+ * any kernel.
+ */
+std::optional<isa::Program> buildProgram(const ProgramRef &ref,
+                                         std::string *err = nullptr);
 
 JsonValue toJson(const ReproSpec &spec);
 
@@ -128,7 +134,11 @@ std::size_t captureSweepFailures(sim::ChaosSweepReport &report,
                                  Cycle max_cycles,
                                  const std::string &dir);
 
-/** Re-run the spec's exact configuration (the replay semantics). */
+/**
+ * Re-run the spec's exact configuration (the replay semantics). A
+ * spec whose program cannot be built (fromJson rejects those) yields
+ * a WorkerProtocol result carrying the build error.
+ */
 sim::RunResult replay(const ReproSpec &spec);
 
 /**

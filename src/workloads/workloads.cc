@@ -1,6 +1,6 @@
 #include "workloads/workloads.hh"
 
-#include "common/logging.hh"
+#include <stdexcept>
 
 namespace edge::wl {
 
@@ -64,8 +64,8 @@ exists(const std::string &name)
     return false;
 }
 
-isa::Program
-build(const std::string &name, const KernelParams &params)
+std::optional<isa::Program>
+tryBuild(const std::string &name, const KernelParams &params)
 {
     if (name == "gzipish")
         return buildGzipish(params);
@@ -95,7 +95,16 @@ build(const std::string &name, const KernelParams &params)
         return buildSwimish(params);
     if (name == "gccish")
         return buildGccish(params);
-    fatal("unknown kernel '%s'", name.c_str());
+    return std::nullopt;
+}
+
+isa::Program
+build(const std::string &name, const KernelParams &params)
+{
+    std::optional<isa::Program> prog = tryBuild(name, params);
+    if (!prog)
+        throw std::invalid_argument("unknown kernel '" + name + "'");
+    return std::move(*prog);
 }
 
 } // namespace edge::wl

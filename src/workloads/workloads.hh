@@ -16,6 +16,7 @@
 #ifndef EDGE_WORKLOADS_WORKLOADS_HH
 #define EDGE_WORKLOADS_WORKLOADS_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,18 @@ std::vector<std::string> kernelNames();
 /** Is `name` a kernel build() accepts? */
 bool exists(const std::string &name);
 
-/** Build the named kernel (fatal on unknown name). */
+/**
+ * Build the named kernel; std::nullopt when `name` is not a kernel.
+ * The entry point for names that come from files, clients or agents.
+ */
+std::optional<isa::Program> tryBuild(const std::string &name,
+                                     const KernelParams &params = {});
+
+/**
+ * Build a kernel whose name the caller has already checked (a fixed
+ * table, or exists()). Throws std::invalid_argument on an unknown
+ * name.
+ */
 isa::Program build(const std::string &name,
                    const KernelParams &params = {});
 

@@ -4,7 +4,7 @@
 # usage errors (exit 1) with a message. The cycle-loop engine is a
 # config field like any other: `--set engine=tick` selects the
 # reference loop and must report the same cycle count as the default
-# event engine.
+# event engine. Overrides reach every cell of a chaos sweep.
 
 function(run_edgesim want_rc want_text)
     execute_process(
@@ -49,3 +49,15 @@ endif()
 run_edgesim(1 "unknown name 'bogus' \\(expected one of: tick event\\)"
     --config dsre --set engine=bogus)
 run_edgesim(1 "unknown argument '--engine'" --config dsre --engine tick)
+
+# A chaos sweep runs every cell under the --set overrides too: a
+# 16-frame window changes the sweep's totals.
+run_edgesim(0 "2/2 runs converged" --config dsre --chaos-sweep 2)
+string(REGEX MATCH "[0-9]+ injections, [0-9]+ checks" sweep8 "${last_out}")
+run_edgesim(0 "2/2 runs converged"
+    --config dsre --chaos-sweep 2 --set core.num_frames=16)
+string(REGEX MATCH "[0-9]+ injections, [0-9]+ checks" sweep16 "${last_out}")
+if(NOT sweep8 OR sweep8 STREQUAL sweep16)
+    message(FATAL_ERROR
+        "--set core.num_frames=16 did not reach the sweep: '${sweep16}'")
+endif()

@@ -1,5 +1,6 @@
-# Decoders of client, agent and on-disk input must return errors,
-# never end the process:
+# Decoders of client, agent and on-disk input, and the kernel builder
+# they hand decoded names to, must return errors, never end the
+# process:
 #   cmake -DSRC=<repo>/src -P check_decoders_no_fatal.cmake
 # fails if any of these files calls fatal()/panic() (or the _if forms).
 
@@ -12,7 +13,8 @@ set(files
     serve/agent.cc
     super/journal.cc
     super/cell.cc
-    log/result_log.cc)
+    log/result_log.cc
+    workloads/workloads.cc)
 foreach(f IN LISTS files)
     file(STRINGS "${SRC}/${f}" hits REGEX "(fatal|panic)(_if)?\\(")
     if(hits)

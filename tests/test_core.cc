@@ -222,6 +222,9 @@ class RegUnitTest : public ::testing::Test
         prog = std::make_unique<isa::Program>(pb.build());
     }
 
+    /** Frames deliberately differ from seqs (and from age order). */
+    static unsigned frameOf(DynBlockSeq seq) { return 7 - seq; }
+
     const isa::Block &writer() { return prog->block(0); }
     const isa::Block &reader() { return prog->block(1); }
 
@@ -235,7 +238,7 @@ class RegUnitTest : public ::testing::Test
 
 TEST_F(RegUnitTest, ArchitecturalReadIsImmediateAndFinal)
 {
-    unit->mapBlock(0, 1, reader());
+    unit->mapBlock(0, frameOf(1), 1, reader());
     ASSERT_EQ(forwards.size(), 1u);
     EXPECT_EQ(forwards[0].value, 333u);
     EXPECT_EQ(forwards[0].state, ValState::Final);
@@ -243,13 +246,13 @@ TEST_F(RegUnitTest, ArchitecturalReadIsImmediateAndFinal)
 
 TEST_F(RegUnitTest, ReaderSubscribesToInFlightWriter)
 {
-    unit->mapBlock(0, 1, writer());
+    unit->mapBlock(0, frameOf(1), 1, writer());
     forwards.clear();
-    unit->mapBlock(0, 2, reader());
+    unit->mapBlock(0, frameOf(2), 2, reader());
     // The reader subscribed to the in-flight writer; nothing can be
     // forwarded until the writer's value actually arrives.
     EXPECT_TRUE(forwards.empty());
-    unit->writeArrived(5, 1, 0, 334, ValState::Final, 1, 0);
+    unit->writeArrived(5, frameOf(1), 1, 0, 334, ValState::Final, 1, 0);
     ASSERT_EQ(forwards.size(), 1u);
     EXPECT_EQ(forwards[0].readerSeq, 2u);
     EXPECT_EQ(forwards[0].value, 334u);
@@ -258,10 +261,10 @@ TEST_F(RegUnitTest, ReaderSubscribesToInFlightWriter)
 
 TEST_F(RegUnitTest, LateSubscriberGetsCurrentValue)
 {
-    unit->mapBlock(0, 1, writer());
-    unit->writeArrived(5, 1, 0, 334, ValState::Spec, 1, 0);
+    unit->mapBlock(0, frameOf(1), 1, writer());
+    unit->writeArrived(5, frameOf(1), 1, 0, 334, ValState::Spec, 1, 0);
     forwards.clear();
-    unit->mapBlock(6, 2, reader());
+    unit->mapBlock(6, frameOf(2), 2, reader());
     ASSERT_EQ(forwards.size(), 1u);
     EXPECT_EQ(forwards[0].value, 334u);
     EXPECT_EQ(forwards[0].state, ValState::Spec);
@@ -269,11 +272,11 @@ TEST_F(RegUnitTest, LateSubscriberGetsCurrentValue)
 
 TEST_F(RegUnitTest, WaveValueChangeReforwards)
 {
-    unit->mapBlock(0, 1, writer());
-    unit->mapBlock(0, 2, reader());
-    unit->writeArrived(5, 1, 0, 334, ValState::Spec, 1, 0);
+    unit->mapBlock(0, frameOf(1), 1, writer());
+    unit->mapBlock(0, frameOf(2), 2, reader());
+    unit->writeArrived(5, frameOf(1), 1, 0, 334, ValState::Spec, 1, 0);
     std::size_t n = forwards.size();
-    unit->writeArrived(9, 1, 0, 500, ValState::Spec, 2, 1);
+    unit->writeArrived(9, frameOf(1), 1, 0, 500, ValState::Spec, 2, 1);
     ASSERT_GT(forwards.size(), n);
     EXPECT_EQ(forwards.back().value, 500u);
     EXPECT_EQ(stats.counterValue("regs.rewrites"), 1u);
@@ -281,42 +284,73 @@ TEST_F(RegUnitTest, WaveValueChangeReforwards)
 
 TEST_F(RegUnitTest, StaleWriteWavesAreDropped)
 {
-    unit->mapBlock(0, 1, writer());
-    unit->writeArrived(5, 1, 0, 334, ValState::Final, 5, 0);
+    unit->mapBlock(0, frameOf(1), 1, writer());
+    unit->writeArrived(5, frameOf(1), 1, 0, 334, ValState::Final, 5, 0);
     std::size_t n = forwards.size();
-    unit->writeArrived(6, 1, 0, 111, ValState::Spec, 3, 0); // stale
+    unit->writeArrived(6, frameOf(1), 1, 0, 111, ValState::Spec, 3, 0); // stale
     EXPECT_EQ(forwards.size(), n);
-    EXPECT_TRUE(unit->blockWritesFinal(1, true));
+    EXPECT_TRUE(unit->blockWritesFinal(frameOf(1), true));
 }
 
 TEST_F(RegUnitTest, CommitAppliesWritesArchitecturally)
 {
-    unit->mapBlock(0, 1, writer());
-    unit->writeArrived(5, 1, 0, 334, ValState::Final, 1, 0);
-    unit->commitBlock(1);
+    unit->mapBlock(0, frameOf(1), 1, writer());
+    unit->writeArrived(5, frameOf(1), 1, 0, 334, ValState::Final, 1, 0);
+    unit->commitBlock(frameOf(1));
     EXPECT_EQ(unit->archRegs()[3], 334u);
     forwards.clear();
-    unit->mapBlock(9, 2, reader());
+    unit->mapBlock(9, frameOf(2), 2, reader());
     EXPECT_EQ(forwards[0].value, 334u); // now from the arch RF
 }
 
 TEST_F(RegUnitTest, FlushRemovesSubscriptions)
 {
-    unit->mapBlock(0, 1, writer());
-    unit->mapBlock(0, 2, reader());
+    unit->mapBlock(0, frameOf(1), 1, writer());
+    unit->mapBlock(0, frameOf(2), 2, reader());
     unit->flushFrom(2);
     forwards.clear();
-    unit->writeArrived(5, 1, 0, 334, ValState::Final, 1, 0);
+    unit->writeArrived(5, frameOf(1), 1, 0, 334, ValState::Final, 1, 0);
     EXPECT_TRUE(forwards.empty()); // no subscriber left
     EXPECT_EQ(unit->numBlocks(), 1u);
 }
 
 TEST_F(RegUnitTest, OutOfOrderCommitPanics)
 {
-    unit->mapBlock(0, 1, writer());
-    unit->mapBlock(0, 2, writer());
-    unit->writeArrived(5, 2, 0, 1, ValState::Final, 1, 0);
-    EXPECT_PANIC(unit->commitBlock(2), "out of order");
+    unit->mapBlock(0, frameOf(1), 1, writer());
+    unit->mapBlock(0, frameOf(2), 2, writer());
+    unit->writeArrived(5, frameOf(2), 2, 0, 1, ValState::Final, 1, 0);
+    EXPECT_PANIC(unit->commitBlock(frameOf(2)), "out of order");
+}
+
+TEST_F(RegUnitTest, WriteCountsTrackArrivalAndFinality)
+{
+    unit->mapBlock(0, frameOf(1), 1, writer());
+    EXPECT_FALSE(unit->blockWritesFinal(frameOf(1), false));
+    unit->writeArrived(5, frameOf(1), 1, 0, 334, ValState::Spec, 1, 0);
+    EXPECT_TRUE(unit->blockWritesFinal(frameOf(1), false));
+    EXPECT_FALSE(unit->blockWritesFinal(frameOf(1), true));
+    // A changed Spec value keeps the write present but not Final.
+    unit->writeArrived(6, frameOf(1), 1, 0, 335, ValState::Spec, 2, 0);
+    EXPECT_FALSE(unit->blockWritesFinal(frameOf(1), true));
+    unit->writeArrived(7, frameOf(1), 1, 0, 335, ValState::Final, 3, 0);
+    EXPECT_TRUE(unit->blockWritesFinal(frameOf(1), true));
+    // Final is sticky: a late Spec duplicate changes nothing.
+    unit->writeArrived(8, frameOf(1), 1, 0, 335, ValState::Spec, 4, 0);
+    EXPECT_TRUE(unit->blockWritesFinal(frameOf(1), true));
+}
+
+TEST_F(RegUnitTest, ReusedFrameDropsWritesForTheFlushedSeq)
+{
+    unit->mapBlock(0, frameOf(1), 1, writer());
+    unit->mapBlock(0, frameOf(2), 2, writer());
+    unit->flushFrom(2);
+    // Seq 3 reuses seq 2's frame; seq 2's late write must not land.
+    unit->mapBlock(1, frameOf(2), 3, writer());
+    unit->writeArrived(5, frameOf(2), 2, 0, 99, ValState::Final, 1, 0);
+    EXPECT_FALSE(unit->blockWritesFinal(frameOf(2), false));
+    unit->writeArrived(6, frameOf(2), 3, 0, 7, ValState::Final, 1, 0);
+    EXPECT_TRUE(unit->blockWritesFinal(frameOf(2), true));
+    EXPECT_EQ(unit->numBlocks(), 2u);
 }
 
 // ---------------------------------------------------------------------------

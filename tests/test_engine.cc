@@ -2,8 +2,6 @@
  * @file
  * The event-driven cycle engine and its supporting pieces:
  *
- *  - core/scheduler: the calendar-wheel wake list (near window,
- *    overflow heap, wraparound, pruning, idempotence);
  *  - common/arena: the bump arena behind per-block bookkeeping;
  *  - core/program_image: one decode/validate/place per distinct
  *    program, shared read-only across Processors;
@@ -11,16 +9,15 @@
  *    must produce bit-identical RunResults — cycles, every counter,
  *    every histogram bucket, and (under chaos) the same structured
  *    failure — across kernels x mechanisms x chaos seeds, on 2x4 and
- *    8x8 grids as well as the default 4x4, and across 20
- *    fuzz-generated programs. This is the guardrail that lets the
- *    wake-list engine replace the ticking loop as the default.
+ *    8x8 grids as well as the default 4x4, with a 16-frame window as
+ *    well as the default 8, and across 20 fuzz-generated programs. This is the guardrail that lets the
+ *    cycle-skipping engine replace the ticking loop as the default.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/arena.hh"
 #include "core/program_image.hh"
-#include "core/scheduler.hh"
 #include "fuzz/generator.hh"
 #include "sim/run_pool.hh"
 #include "sim/simulator.hh"
@@ -29,103 +26,6 @@
 using namespace edge;
 
 namespace {
-
-// ---------------------------------------------------------------
-// Scheduler
-
-constexpr Cycle kIdle = core::Scheduler::kIdle;
-
-TEST(Scheduler, EmptyIsIdle)
-{
-    core::Scheduler s;
-    EXPECT_EQ(s.nextAtOrAfter(0), kIdle);
-    EXPECT_EQ(s.nextAtOrAfter(1'000'000), kIdle);
-}
-
-TEST(Scheduler, NearWakeIsNonConsuming)
-{
-    core::Scheduler s;
-    s.wakeAt(17);
-    // The wake stays visible until the caller advances past it.
-    EXPECT_EQ(s.nextAtOrAfter(0), 17u);
-    EXPECT_EQ(s.nextAtOrAfter(17), 17u);
-    EXPECT_EQ(s.nextAtOrAfter(18), kIdle);
-}
-
-TEST(Scheduler, EarliestOfSeveralWins)
-{
-    core::Scheduler s;
-    s.wakeAt(90);
-    s.wakeAt(40);
-    s.wakeAt(70);
-    EXPECT_EQ(s.nextAtOrAfter(0), 40u);
-    EXPECT_EQ(s.nextAtOrAfter(41), 70u);
-    EXPECT_EQ(s.nextAtOrAfter(71), 90u);
-    EXPECT_EQ(s.nextAtOrAfter(91), kIdle);
-}
-
-TEST(Scheduler, DuplicateWakesAreIdempotent)
-{
-    core::Scheduler s;
-    s.wakeAt(5);
-    s.wakeAt(5);
-    s.wakeAt(5);
-    EXPECT_EQ(s.nextAtOrAfter(0), 5u);
-    EXPECT_EQ(s.nextAtOrAfter(6), kIdle);
-}
-
-TEST(Scheduler, PastWakeClampsToNowInsteadOfVanishing)
-{
-    core::Scheduler s;
-    EXPECT_EQ(s.nextAtOrAfter(100), kIdle); // window now starts at 100
-    s.wakeAt(30); // already due: must surface, not silently drop
-    EXPECT_EQ(s.nextAtOrAfter(100), 100u);
-}
-
-TEST(Scheduler, FarWakeBeyondTheWheelHorizon)
-{
-    core::Scheduler s;
-    s.wakeAt(2'000'000); // far past the 1024-cycle near window
-    s.wakeAt(500);
-    EXPECT_EQ(s.nextAtOrAfter(0), 500u);
-    EXPECT_EQ(s.nextAtOrAfter(501), 2'000'000u);
-    EXPECT_EQ(s.nextAtOrAfter(2'000'001), kIdle);
-}
-
-TEST(Scheduler, WraparoundDoesNotAliasOldBits)
-{
-    core::Scheduler s;
-    s.wakeAt(5);
-    EXPECT_EQ(s.nextAtOrAfter(0), 5u);
-    // Advance past the wake; cycle 5's wheel slot is also the slot
-    // for cycle 5 + 1024. It must come back empty.
-    EXPECT_EQ(s.nextAtOrAfter(6), kIdle);
-    EXPECT_EQ(s.nextAtOrAfter(5 + 1024), kIdle);
-    // And a genuine wake on the re-used slot still works.
-    s.wakeAt(5 + 2048);
-    EXPECT_EQ(s.nextAtOrAfter(5 + 1024), 5u + 2048u);
-}
-
-TEST(Scheduler, LargeJumpsClearTheWholeWheel)
-{
-    core::Scheduler s;
-    for (Cycle c = 0; c < 1024; ++c)
-        s.wakeAt(c);
-    EXPECT_EQ(s.nextAtOrAfter(10'000'000), kIdle);
-    s.wakeAt(10'000'123);
-    EXPECT_EQ(s.nextAtOrAfter(10'000'000), 10'000'123u);
-}
-
-TEST(Scheduler, FarWakesMigrateCorrectlyAsTimeAdvances)
-{
-    core::Scheduler s;
-    s.wakeAt(5'000);
-    s.wakeAt(6'000);
-    // Jump to just before the first far wake: it must be found even
-    // though it was registered beyond the original near window.
-    EXPECT_EQ(s.nextAtOrAfter(4'999), 5'000u);
-    EXPECT_EQ(s.nextAtOrAfter(5'001), 6'000u);
-}
 
 // ---------------------------------------------------------------
 // Arena
@@ -370,6 +270,29 @@ TEST(EngineDifferential, NonDefaultGrids)
                 EXPECT_TRUE(results[i].halted);
                 expectIdentical(results[i], results[half + i]);
             }
+        }
+    }
+
+    // The widest window (Fig. 6): 16 frames of in-flight state, with
+    // frames recycled out of age order by flushes and commits.
+    for (const char *kernel : {"parserish", "swimish"}) {
+        SCOPED_TRACE(std::string("16 frames, ") + kernel);
+        wl::KernelParams kp;
+        kp.iterations = 100;
+        isa::Program prog = wl::build(kernel, kp);
+        std::vector<sim::RunJob> jobs =
+            dualEngineJobs(prog, {"dsre", "storesets-flush"}, {0, 1});
+        for (sim::RunJob &job : jobs)
+            job.config.core.numFrames = 16;
+        std::vector<sim::RunResult> results =
+            sim::RunPool(4).runAll(jobs);
+
+        std::size_t half = jobs.size() / 2;
+        ASSERT_EQ(results.size(), half * 2);
+        for (std::size_t i = 0; i < half; ++i) {
+            SCOPED_TRACE("cell " + std::to_string(i));
+            EXPECT_TRUE(results[i].halted);
+            expectIdentical(results[i], results[half + i]);
         }
     }
 }

@@ -69,6 +69,28 @@ TEST(Route, SharedPrefixForSameColumnTargets)
     EXPECT_EQ(p1[1], p2[1]);
 }
 
+TEST(Route, TableIsSharedPerGeometryAndHoldsEveryRoute)
+{
+    MeshGeom geom{3, 4};
+    const RouteTable &t = routeTable(geom);
+    EXPECT_EQ(&t, &routeTable(MeshGeom{3, 4})); // one per geometry
+    EXPECT_NE(&t, &routeTable(MeshGeom{4, 3}));
+    unsigned n = geom.rows * geom.cols;
+    ASSERT_EQ(t.off.size(), std::size_t{n} * n + 1);
+    for (unsigned s = 0; s < n; ++s) {
+        for (unsigned d = 0; d < n; ++d) {
+            Coord cs{static_cast<std::uint16_t>(s / geom.cols),
+                     static_cast<std::uint16_t>(s % geom.cols)};
+            Coord cd{static_cast<std::uint16_t>(d / geom.cols),
+                     static_cast<std::uint16_t>(d % geom.cols)};
+            std::size_t pair = std::size_t{s} * n + d;
+            std::vector<LinkId> row(t.links.begin() + t.off[pair],
+                                    t.links.begin() + t.off[pair + 1]);
+            EXPECT_EQ(row, routeXY(geom, cs, cd));
+        }
+    }
+}
+
 TEST(Mesh, DeliversAfterHopLatency)
 {
     StatSet stats("t");

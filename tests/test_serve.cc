@@ -80,7 +80,7 @@ grid(std::size_t n)
 sim::RunResult
 runInProcess(const super::CellSpec &cell)
 {
-    isa::Program prog = triage::buildProgram(cell.program);
+    isa::Program prog = triage::buildProgram(cell.program).value();
     sim::Simulator sim(std::move(prog), cell.config);
     return sim.run(cell.config, cell.maxCycles);
 }
@@ -207,7 +207,7 @@ TEST(ServeFallback, FabricSweepReportMatchesInProcessSweep)
     triage::ProgramRef ref;
     ref.kernel = "parserish";
     ref.params.iterations = 60;
-    isa::Program prog = triage::buildProgram(ref);
+    isa::Program prog = triage::buildProgram(ref).value();
     sim::ChaosSweepReport inproc = sim::chaosSweep(prog, params);
 
     serve::Fabric fabric(fastOptions());

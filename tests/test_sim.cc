@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
@@ -97,7 +99,9 @@ TEST(Workloads, RegistryAndBuildersAgree)
         EXPECT_FALSE(info.specAnalog.empty());
         EXPECT_FALSE(info.description.empty());
     }
-    EXPECT_DEATH((void)wl::build("bogus", {}), "unknown kernel");
+    // An unknown name is an answer, not an exit.
+    EXPECT_FALSE(wl::tryBuild("bogus").has_value());
+    EXPECT_THROW((void)wl::build("bogus", {}), std::invalid_argument);
 }
 
 TEST(Workloads, SeedsChangeInputsDeterministically)

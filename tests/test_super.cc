@@ -79,7 +79,7 @@ kernelCell(std::uint64_t seed, const std::string &config_name = "dsre",
 sim::RunResult
 runInProcess(const super::CellSpec &cell)
 {
-    isa::Program prog = triage::buildProgram(cell.program);
+    isa::Program prog = triage::buildProgram(cell.program).value();
     sim::Simulator sim(std::move(prog), cell.config);
     return sim.run(cell.config, cell.maxCycles);
 }
@@ -107,7 +107,7 @@ TEST(SuperCell, JsonRoundTripPreservesIdentity)
 {
     super::CellSpec cell = kernelCell(7);
     cell.programHash =
-        triage::programHash(triage::buildProgram(cell.program));
+        triage::programHash(triage::buildProgram(cell.program).value());
 
     std::string doc = super::cellToJson(cell).dump();
     triage::JsonValue root;
@@ -144,7 +144,7 @@ TEST(SuperCell, HashDistinguishesSeedAndBudgetButNotCrashHook)
 TEST(SuperCell, EmbeddedProgramRoundTrips)
 {
     isa::Program prog =
-        triage::buildProgram(kernelCell(1).program);
+        triage::buildProgram(kernelCell(1).program).value();
     super::CellSpec cell;
     cell.program = triage::embeddedRef("fuzz", prog, 42);
     cell.config = sim::Configs::byName("dsre");
@@ -688,7 +688,7 @@ TEST(SuperCampaign, IsolatedSweepReportIsByteIdentical)
     triage::ProgramRef ref;
     ref.kernel = "parserish";
     ref.params.iterations = 60;
-    isa::Program prog = triage::buildProgram(ref);
+    isa::Program prog = triage::buildProgram(ref).value();
 
     sim::ChaosSweepReport inproc = sim::chaosSweep(prog, params);
 

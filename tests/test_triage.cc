@@ -394,6 +394,34 @@ TEST(ConfigWire, ReproWithUnknownNameFailsToLoad)
     EXPECT_NE(err.find("unknown name 'bogus'"), std::string::npos) << err;
 }
 
+TEST(TriageRepro, UnknownKernelIsAnErrorNotAnExit)
+{
+    // The name reaches the kernel builder from a file on disk: every
+    // layer must answer with an error the caller can report.
+    triage::ReproSpec spec;
+    spec.program.kernel = "bogus";
+    TempDir dir("unknown-kernel");
+    const std::string path = dir.str() + "/bogus.repro.json";
+    std::string err;
+    ASSERT_TRUE(triage::writeFileDurable(
+        path, triage::toJson(spec).dump(), &err))
+        << err;
+    triage::ReproSpec back;
+    EXPECT_FALSE(triage::load(path, &back, &err));
+    EXPECT_NE(err.find("unknown kernel 'bogus'"), std::string::npos)
+        << err;
+
+    err.clear();
+    EXPECT_FALSE(triage::buildProgram(spec.program, &err).has_value());
+    EXPECT_EQ(err, "unknown kernel 'bogus'");
+
+    sim::RunResult r = triage::replay(spec);
+    EXPECT_EQ(r.error.reason, chaos::SimError::Reason::WorkerProtocol);
+    EXPECT_NE(r.error.message.find("unknown kernel 'bogus'"),
+              std::string::npos)
+        << r.error.message;
+}
+
 TEST(ConfigWire, SetOverridesAddressFieldsByJsonPath)
 {
     core::MachineConfig cfg = sim::Configs::dsre();
@@ -619,7 +647,7 @@ plantedProgram()
 TEST(TriageRetry, DeterministicInvariantFailureIsNeverRetried)
 {
     triage::ProgramRef ref = plantedProgram();
-    isa::Program prog = triage::buildProgram(ref);
+    isa::Program prog = triage::buildProgram(ref).value();
     sim::RunJob job;
     job.program = &prog;
     job.config = sim::Configs::dsre();
@@ -650,7 +678,7 @@ TEST(TriageRetry, DeterministicInvariantFailureIsNeverRetried)
 TEST(TriageReplay, CapturedParallelSweepFailureReplaysBitIdentically)
 {
     triage::ProgramRef ref = plantedProgram();
-    isa::Program prog = triage::buildProgram(ref);
+    isa::Program prog = triage::buildProgram(ref).value();
     sim::ChaosSweepParams sp = plantedSweep(/*threads=*/8);
     sim::ChaosSweepReport rep = sim::chaosSweep(prog, sp);
     ASSERT_FALSE(rep.allConverged());
@@ -694,7 +722,7 @@ TEST(TriageReplay, CapturedParallelSweepFailureReplaysBitIdentically)
 TEST(TriageMinimize, RealFailureScheduleShrinksToAtMostTwoEvents)
 {
     triage::ProgramRef ref = plantedProgram();
-    isa::Program prog = triage::buildProgram(ref);
+    isa::Program prog = triage::buildProgram(ref).value();
     sim::ChaosSweepParams sp = plantedSweep(/*threads=*/4);
     sim::ChaosSweepReport rep = sim::chaosSweep(prog, sp);
     ASSERT_FALSE(rep.allConverged());

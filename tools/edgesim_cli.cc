@@ -889,6 +889,15 @@ main(int argc, char **argv)
         sp.threads = threads;
         sp.mutation = mutation;
         sp.mutationNode = mutation_node;
+        if (!overrides.empty()) {
+            fatal_if(!submit_to.empty(),
+                     "--set cannot be combined with --submit");
+            // Checked against cfg above, so every override applies.
+            sp.tweak = [&overrides](core::MachineConfig &m) {
+                for (const auto &[k, v] : overrides)
+                    triage::applyConfigOverride(&m, k, v, nullptr);
+            };
+        }
         if (!submit_to.empty()) {
             sim::ChaosSweepReport rep;
             bool interrupted = false;
