@@ -70,7 +70,8 @@ class TraceRing
         if (_buf.empty())
             return;
         _buf[_next] = ev;
-        _next = (_next + 1) % _buf.size();
+        if (++_next == _buf.size())
+            _next = 0;
         if (_count < _buf.size())
             ++_count;
     }

@@ -9,30 +9,20 @@ namespace edge::core {
 
 namespace {
 
+/** Set or clear bit `idx & 63` of a bitmap word. */
 inline void
-setBit(std::vector<std::uint64_t> &words, unsigned idx, bool on)
+setBit(std::uint64_t &word, unsigned idx, bool on)
 {
     std::uint64_t mask = std::uint64_t{1} << (idx & 63);
-    if (on)
-        words[idx >> 6] |= mask;
-    else
-        words[idx >> 6] &= ~mask;
+    word = (word & ~mask) | (-std::uint64_t{on} & mask);
 }
 
-/** Clear bits [lo, lo + n) a word at a time. */
-inline void
-clearBits(std::vector<std::uint64_t> &words, unsigned lo, unsigned n)
+/** Mask of bits [lo, lo + n) within one word (lo + n <= 64). */
+inline std::uint64_t
+rangeMask(unsigned lo, unsigned n)
 {
-    while (n) {
-        unsigned bit = lo & 63;
-        unsigned take = std::min(n, 64 - bit);
-        std::uint64_t mask = take == 64 ? ~std::uint64_t{0}
-                                        : ((std::uint64_t{1} << take) - 1)
-                                              << bit;
-        words[lo >> 6] &= ~mask;
-        lo += take;
-        n -= take;
-    }
+    return (n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1)
+           << lo;
 }
 
 } // namespace
@@ -46,28 +36,9 @@ ExecNode::ExecNode(const CoreParams &params, NodeStats stats,
       _chaos(chaos),
       _nodeIndex(node_index),
       _numSlots(params.slotsPerNode * params.numFrames),
-      _flags(_numSlots, 0),
-      _seen(_numSlots, 0),
-      _full(_numSlots, 0),
-      _numOps(_numSlots, 0),
-      _seq(_numSlots, 0),
-      _slot(_numSlots, 0),
-      _op(_numSlots, isa::Opcode::MOVI),
-      _imm(_numSlots, 0),
-      _lsid(_numSlots, 0),
-      _targets(_numSlots),
-      _opVal(_numSlots * isa::kMaxOperands, 0),
-      _opState(_numSlots * isa::kMaxOperands, ValState::Spec),
-      _opWave(_numSlots * isa::kMaxOperands, 0),
-      _lastValue(_numSlots, 0),
-      _lastData(_numSlots, 0),
-      _lastState(_numSlots, ValState::Spec),
-      _lastAddrState(_numSlots, ValState::Spec),
-      _sendCount(_numSlots, 0),
-      _lastSendWhen(_numSlots, 0),
-      _triggerDepth(_numSlots, 0),
-      _wantAlu((_numSlots + 63) / 64, 0),
-      _wantUpgrade((_numSlots + 63) / 64, 0)
+      _hot(_numSlots),
+      _cold(_numSlots),
+      _bits((_numSlots + 63) / 64)
 {
 }
 
@@ -93,19 +64,20 @@ ExecNode::at(unsigned frame, unsigned local) const
 }
 
 ValState
-ExecNode::inputState(unsigned rs) const
+ExecNode::inputState(const HotSlot &h) const
 {
     ValState s = ValState::Final;
-    for (unsigned k = 0; k < _numOps[rs]; ++k)
-        s = andState(s, _opState[rs * isa::kMaxOperands + k]);
+    for (unsigned k = 0; k < h.numOps; ++k)
+        s = andState(s, h.opState[k]);
     return s;
 }
 
 void
 ExecNode::refreshWant(unsigned rs)
 {
-    std::uint8_t f = _flags[rs];
-    bool ready = (f & kValid) && _seen[rs] == _full[rs];
+    const HotSlot &h = _hot[rs];
+    std::uint8_t f = h.flags;
+    bool ready = h.seen == h.full;
     bool executed = f & kExecuted;
     bool dv = f & kDirtyValue;
     bool ds = f & kDirtyState;
@@ -113,8 +85,9 @@ ExecNode::refreshWant(unsigned rs)
         ready && (!executed || dv || (_p.commitWaveUsesAlu && ds));
     bool want_up =
         ready && !_p.commitWaveUsesAlu && executed && !dv && ds;
-    setBit(_wantAlu, rs, want_alu);
-    setBit(_wantUpgrade, rs, want_up);
+    SlotBits &b = _bits[rs >> 6];
+    setBit(b.wantAlu, rs, want_alu);
+    setBit(b.wantUpgrade, rs, want_up);
 }
 
 void
@@ -122,43 +95,40 @@ ExecNode::mapInst(unsigned frame, unsigned local, DynBlockSeq seq,
                   SlotId slot, const isa::Instruction &inst)
 {
     unsigned rs = at(frame, local);
-    panic_if(_flags[rs] & kValid, "mapping into an occupied RS slot");
-    _flags[rs] = kValid;
-    _seq[rs] = seq;
-    _slot[rs] = slot;
-    _op[rs] = inst.op;
-    _imm[rs] = inst.imm;
-    _lsid[rs] = inst.lsid;
+    panic_if(valid(rs), "mapping into an occupied RS slot");
     auto n = static_cast<std::uint8_t>(inst.numOperands());
-    _numOps[rs] = n;
-    _full[rs] = static_cast<std::uint8_t>((1u << n) - 1);
-    _seen[rs] = 0;
-    _targets[rs] = inst.targets;
-    for (unsigned k = 0; k < isa::kMaxOperands; ++k) {
-        unsigned oi = rs * isa::kMaxOperands + k;
-        _opVal[oi] = 0;
-        _opState[oi] = ValState::Spec;
-        _opWave[oi] = 0;
-    }
-    _lastValue[rs] = 0;
-    _lastData[rs] = 0;
-    _lastState[rs] = ValState::Spec;
-    _lastAddrState[rs] = ValState::Spec;
-    _sendCount[rs] = 0;
-    _lastSendWhen[rs] = 0;
-    _triggerDepth[rs] = 0;
+    HotSlot &h = _hot[rs];
+    h = HotSlot{};
+    h.seq = seq;
+    h.slot = slot;
+    h.full = static_cast<std::uint8_t>((1u << n) - 1);
+    h.numOps = n;
+    ColdSlot &c = _cold[rs];
+    c = ColdSlot{};
+    c.inst = &inst;
+    c.frame = static_cast<std::uint16_t>(frame);
+    setBit(_bits[rs >> 6].valid, rs, true);
     refreshWant(rs);
 }
 
 void
 ExecNode::clearFrame(unsigned frame)
 {
-    // A frame's slots are contiguous: clear its flags and want-bits
-    // as ranges, not slot by slot.
+    // A frame's slots are contiguous: clear its valid and want bits a
+    // word at a time, without touching the records.
     unsigned lo = frame * _p.slotsPerNode;
-    std::fill_n(_flags.begin() + lo, _p.slotsPerNode, 0);
-    clearBits(_wantAlu, lo, _p.slotsPerNode);
-    clearBits(_wantUpgrade, lo, _p.slotsPerNode);
+    unsigned n = _p.slotsPerNode;
+    while (n) {
+        unsigned bit = lo & 63;
+        unsigned take = std::min(n, 64 - bit);
+        std::uint64_t keep = ~rangeMask(bit, take);
+        SlotBits &b = _bits[lo >> 6];
+        b.valid &= keep;
+        b.wantAlu &= keep;
+        b.wantUpgrade &= keep;
+        lo += take;
+        n -= take;
+    }
 }
 
 bool
@@ -167,47 +137,43 @@ ExecNode::deliver(unsigned frame, unsigned local, unsigned operand,
                   std::uint16_t depth)
 {
     unsigned rs = at(frame, local);
-    panic_if(!(_flags[rs] & kValid),
-             "operand delivered to an empty RS slot");
-    panic_if(operand >= _numOps[rs], "operand %u out of range for %s",
-             operand, isa::opName(_op[rs]));
+    HotSlot &h = _hot[rs];
+    panic_if(!valid(rs), "operand delivered to an empty RS slot");
+    panic_if(operand >= h.numOps, "operand %u out of range for %s",
+             operand, isa::opName(_cold[rs].inst->op));
 
-    unsigned oi = rs * isa::kMaxOperands + operand;
-    if (wave <= _opWave[oi])
+    if (wave <= h.opWave[operand])
         return false; // stale wave: the producer has sent newer data
-    _opWave[oi] = wave;
+    h.opWave[operand] = wave;
 
-    bool first = !(_seen[rs] & (1u << operand));
-    ValState prev_state = first ? ValState::Spec : _opState[oi];
-    bool value_changed = first || _opVal[oi] != value;
+    bool first = !(h.seen & (1u << operand));
+    ValState prev_state = first ? ValState::Spec : h.opState[operand];
+    bool value_changed = first || h.opVal[operand] != value;
 
     panic_if(!first && prev_state == ValState::Final && value_changed,
              "protocol violation: Final operand changed value "
              "(seq %llu slot %u op %u)",
-             static_cast<unsigned long long>(_seq[rs]), _slot[rs],
-             operand);
+             static_cast<unsigned long long>(h.seq), h.slot, operand);
 
     // Final is sticky.
     ValState next_state = state;
     if (prev_state == ValState::Final)
         next_state = ValState::Final;
 
-    _seen[rs] |= static_cast<std::uint8_t>(1u << operand);
-    _opVal[oi] = value;
-    _opState[oi] = next_state;
+    h.seen |= static_cast<std::uint8_t>(1u << operand);
+    h.opVal[operand] = value;
+    h.opState[operand] = next_state;
 
-    if (_flags[rs] & kExecuted) {
+    if (h.flags & kExecuted) {
         if (value_changed) {
-            _flags[rs] |= kDirtyValue;
-            _triggerDepth[rs] = std::max<std::uint16_t>(
-                _triggerDepth[rs],
-                static_cast<std::uint16_t>(depth + 1));
+            h.flags |= kDirtyValue;
+            h.triggerDepth = std::max<std::uint16_t>(
+                h.triggerDepth, static_cast<std::uint16_t>(depth + 1));
         } else if (prev_state != ValState::Final &&
                    next_state == ValState::Final) {
-            _flags[rs] |= kDirtyState;
-            _triggerDepth[rs] = std::max<std::uint16_t>(
-                _triggerDepth[rs],
-                static_cast<std::uint16_t>(depth + 1));
+            h.flags |= kDirtyState;
+            h.triggerDepth = std::max<std::uint16_t>(
+                h.triggerDepth, static_cast<std::uint16_t>(depth + 1));
         }
     }
     refreshWant(rs);
@@ -218,28 +184,29 @@ NodeEvent &
 ExecNode::emit(Cycle done, unsigned rs, Word value, ValState state,
                std::uint16_t depth)
 {
-    unsigned oi = rs * isa::kMaxOperands;
+    const HotSlot &h = _hot[rs];
+    const ColdSlot &c = _cold[rs];
+    const isa::Instruction &in = *c.inst;
     NodeEvent &ev = _out->emplace_back();
     ev.when = done;
-    ev.seq = _seq[rs];
-    ev.frame = rs / _p.slotsPerNode;
-    ev.slot = _slot[rs];
-    ev.lsid = _lsid[rs];
+    ev.seq = h.seq;
+    ev.frame = c.frame;
+    ev.slot = h.slot;
+    ev.lsid = in.lsid;
     ev.value = value;
     ev.state = state;
-    ev.wave = _sendCount[rs];
+    ev.wave = c.sendCount;
     ev.depth = depth;
-    ev.targets = _targets[rs];
-    if (isa::isLoad(_op[rs])) {
+    if (isa::isLoad(in.op)) {
         ev.kind = NodeEvent::Kind::LoadRequest;
-        ev.addr = isa::memEffAddr(_opVal[oi + 0], _imm[rs]);
-    } else if (isa::isStore(_op[rs])) {
+        ev.addr = isa::memEffAddr(h.opVal[0], in.imm);
+    } else if (isa::isStore(in.op)) {
         ev.kind = NodeEvent::Kind::StoreResolve;
-        ev.addr = isa::memEffAddr(_opVal[oi + 0], _imm[rs]);
-        ev.value = _opVal[oi + 1];
-        ev.addrState = _opState[oi + 0];
-        ev.state = _opState[oi + 1];
-    } else if (isa::isBranch(_op[rs])) {
+        ev.addr = isa::memEffAddr(h.opVal[0], in.imm);
+        ev.value = h.opVal[1];
+        ev.addrState = h.opState[0];
+        ev.state = h.opState[1];
+    } else if (isa::isBranch(in.op)) {
         ev.kind = NodeEvent::Kind::Exit;
     } else {
         ev.kind = NodeEvent::Kind::Result;
@@ -250,30 +217,32 @@ ExecNode::emit(Cycle done, unsigned rs, Word value, ValState state,
 void
 ExecNode::execute(Cycle now, unsigned rs, bool is_reexec)
 {
-    unsigned oi = rs * isa::kMaxOperands;
-    Cycle done = now + _p.execLatency(_op[rs]);
-    ValState state = inputState(rs);
-    std::uint16_t depth = is_reexec ? _triggerDepth[rs] : 0;
+    HotSlot &h = _hot[rs];
+    ColdSlot &c = _cold[rs];
+    const isa::Instruction &in = *c.inst;
+    Cycle done = now + _p.execLatency(in.op);
+    ValState state = inputState(h);
+    std::uint16_t depth = is_reexec ? h.triggerDepth : 0;
 
     Word value = 0;
     Word addr_key = 0; ///< identity key for the squash comparison
     Word data_key = 0;
-    if (isa::isLoad(_op[rs])) {
-        addr_key = isa::memEffAddr(_opVal[oi + 0], _imm[rs]);
-        state = _opState[oi + 0];
-    } else if (isa::isStore(_op[rs])) {
-        addr_key = isa::memEffAddr(_opVal[oi + 0], _imm[rs]);
-        data_key = _opVal[oi + 1];
+    if (isa::isLoad(in.op)) {
+        addr_key = isa::memEffAddr(h.opVal[0], in.imm);
+        state = h.opState[0];
+    } else if (isa::isStore(in.op)) {
+        addr_key = isa::memEffAddr(h.opVal[0], in.imm);
+        data_key = h.opVal[1];
     } else {
-        value = isa::evalOp(_op[rs], _opVal[oi + 0], _opVal[oi + 1],
-                            _opVal[oi + 2], _imm[rs]);
+        value = isa::evalOp(in.op, h.opVal[0], h.opVal[1], h.opVal[2],
+                            in.imm);
         addr_key = value;
     }
 
     ValState addr_state =
-        isa::isMem(_op[rs]) ? _opState[oi + 0] : ValState::Spec;
-    if (isa::isStore(_op[rs]))
-        state = _opState[oi + 1]; // data state travels separately
+        isa::isMem(in.op) ? h.opState[0] : ValState::Spec;
+    if (isa::isStore(in.op))
+        state = h.opState[1]; // data state travels separately
 
     ++_stats.issues;
     if (is_reexec) {
@@ -281,11 +250,10 @@ ExecNode::execute(Cycle now, unsigned rs, bool is_reexec)
         _stats.waveDepth.sample(depth);
     }
 
-    bool executed = _flags[rs] & kExecuted;
-    bool identical = executed && _lastValue[rs] == addr_key &&
-                     _lastData[rs] == data_key &&
-                     _lastState[rs] == state &&
-                     _lastAddrState[rs] == addr_state;
+    bool executed = h.flags & kExecuted;
+    bool identical = executed && c.lastValue == addr_key &&
+                     c.lastData == data_key && c.lastState == state &&
+                     c.lastAddrState == addr_state;
     bool squash = identical && _p.squashIdenticalValues;
     // Deliberate protocol mutation: this node forgets to squash and
     // re-sends bit-identical waves. The invariant checker catches it
@@ -296,18 +264,18 @@ ExecNode::execute(Cycle now, unsigned rs, bool is_reexec)
     if (squash)
         ++_stats.squashes;
 
-    _flags[rs] = static_cast<std::uint8_t>(
-        (_flags[rs] | kExecuted) & ~(kDirtyValue | kDirtyState));
-    _triggerDepth[rs] = 0;
-    _lastValue[rs] = addr_key;
-    _lastData[rs] = data_key;
-    _lastState[rs] = state;
-    _lastAddrState[rs] = addr_state;
+    h.flags = static_cast<std::uint8_t>(
+        (h.flags | kExecuted) & ~(kDirtyValue | kDirtyState));
+    h.triggerDepth = 0;
+    c.lastValue = addr_key;
+    c.lastData = data_key;
+    c.lastState = state;
+    c.lastAddrState = addr_state;
 
     if (send) {
-        ++_sendCount[rs];
-        done = std::max(done, _lastSendWhen[rs]);
-        _lastSendWhen[rs] = done;
+        ++c.sendCount;
+        done = std::max(done, c.lastSendWhen);
+        c.lastSendWhen = done;
         emit(done, rs, value, state, depth);
     }
 }
@@ -315,10 +283,11 @@ ExecNode::execute(Cycle now, unsigned rs, bool is_reexec)
 void
 ExecNode::upgrade(Cycle now, unsigned rs)
 {
-    unsigned oi = rs * isa::kMaxOperands;
-    _flags[rs] &= static_cast<std::uint8_t>(~kDirtyState);
-    std::uint16_t depth = _triggerDepth[rs];
-    _triggerDepth[rs] = 0;
+    HotSlot &h = _hot[rs];
+    ColdSlot &c = _cold[rs];
+    h.flags &= static_cast<std::uint8_t>(~kDirtyState);
+    std::uint16_t depth = h.triggerDepth;
+    h.triggerDepth = 0;
 
     // Deliberate protocol mutation: this node swallows commit-wave
     // upgrades, so downstream finality never arrives and the commit
@@ -326,38 +295,38 @@ ExecNode::upgrade(Cycle now, unsigned rs)
     if (mutated(chaos::Mutation::DropUpgrade))
         return;
 
-    if (isa::isStore(_op[rs])) {
+    isa::Opcode op = c.inst->op;
+    if (isa::isStore(op)) {
         // Stores propagate address and data finality independently:
         // a final address alone already un-blocks younger loads'
         // commit waves (they learn the store cannot move onto them).
-        ValState as = _opState[oi + 0];
-        ValState ds = _opState[oi + 1];
-        if (as == _lastAddrState[rs] && ds == _lastState[rs])
+        ValState as = h.opState[0];
+        ValState ds = h.opState[1];
+        if (as == c.lastAddrState && ds == c.lastState)
             return;
-        _lastAddrState[rs] = as;
-        _lastState[rs] = ds;
+        c.lastAddrState = as;
+        c.lastState = ds;
         ++_stats.upgrades;
-        ++_sendCount[rs];
-        Cycle when = std::max(now + 1, _lastSendWhen[rs]);
-        _lastSendWhen[rs] = when;
-        NodeEvent &ev = emit(when, rs, _lastData[rs], ds, depth);
-        ev.addr = _lastValue[rs];
+        ++c.sendCount;
+        Cycle when = std::max(now + 1, c.lastSendWhen);
+        c.lastSendWhen = when;
+        NodeEvent &ev = emit(when, rs, c.lastData, ds, depth);
+        ev.addr = c.lastValue;
         ev.statusOnly = true;
         return;
     }
 
-    ValState state =
-        isa::isLoad(_op[rs]) ? _opState[oi + 0] : inputState(rs);
-    if (state != ValState::Final || _lastState[rs] == ValState::Final)
+    ValState state = isa::isLoad(op) ? h.opState[0] : inputState(h);
+    if (state != ValState::Final || c.lastState == ValState::Final)
         return;
-    _lastState[rs] = state;
+    c.lastState = state;
     ++_stats.upgrades;
-    ++_sendCount[rs];
-    Cycle when = std::max(now + 1, _lastSendWhen[rs]);
-    _lastSendWhen[rs] = when;
-    NodeEvent &ev = emit(when, rs, _lastValue[rs], state, depth);
+    ++c.sendCount;
+    Cycle when = std::max(now + 1, c.lastSendWhen);
+    c.lastSendWhen = when;
+    NodeEvent &ev = emit(when, rs, c.lastValue, state, depth);
     if (ev.kind == NodeEvent::Kind::LoadRequest)
-        ev.addr = _lastValue[rs]; // lastValue holds the address key
+        ev.addr = c.lastValue; // lastValue holds the address key
     ev.statusOnly = true;
 }
 
@@ -370,22 +339,24 @@ ExecNode::tick(Cycle now)
     // The want-ALU bitmap holds exactly the valid, all-seen slots
     // that need a (re-)execution, so the scan touches only those.
     int best = -1;
-    for (std::size_t w = 0; w < _wantAlu.size(); ++w) {
-        std::uint64_t bits = _wantAlu[w];
+    for (std::size_t w = 0; w < _bits.size(); ++w) {
+        std::uint64_t bits = _bits[w].wantAlu;
         while (bits) {
             unsigned rs = static_cast<unsigned>(w * 64) +
                           static_cast<unsigned>(__builtin_ctzll(bits));
             bits &= bits - 1;
-            if (best < 0 || _seq[rs] < _seq[best] ||
-                (_seq[rs] == _seq[best] && _slot[rs] < _slot[best]))
+            if (best < 0 || _hot[rs].seq < _hot[best].seq ||
+                (_hot[rs].seq == _hot[best].seq &&
+                 _hot[rs].slot < _hot[best].slot))
                 best = static_cast<int>(rs);
         }
     }
     if (best >= 0) {
         unsigned rs = static_cast<unsigned>(best);
-        bool is_reexec = _flags[rs] & kExecuted;
-        if (_p.commitWaveUsesAlu && is_reexec &&
-            !(_flags[rs] & kDirtyValue) && (_flags[rs] & kDirtyState)) {
+        std::uint8_t f = _hot[rs].flags;
+        bool is_reexec = f & kExecuted;
+        if (_p.commitWaveUsesAlu && is_reexec && !(f & kDirtyValue) &&
+            (f & kDirtyState)) {
             upgrade(now, rs);
         } else {
             execute(now, rs, is_reexec);
@@ -396,9 +367,8 @@ ExecNode::tick(Cycle now)
 
     if (!_p.commitWaveUsesAlu) {
         unsigned budget = _p.commitPortsPerNode;
-        for (std::size_t w = 0; w < _wantUpgrade.size() && budget;
-             ++w) {
-            std::uint64_t bits = _wantUpgrade[w];
+        for (std::size_t w = 0; w < _bits.size() && budget; ++w) {
+            std::uint64_t bits = _bits[w].wantUpgrade;
             while (bits && budget) {
                 unsigned rs =
                     static_cast<unsigned>(w * 64) +
@@ -418,8 +388,8 @@ unsigned
 ExecNode::occupancy() const
 {
     unsigned n = 0;
-    for (unsigned rs = 0; rs < _numSlots; ++rs)
-        n += (_flags[rs] & kValid) != 0;
+    for (const SlotBits &b : _bits)
+        n += static_cast<unsigned>(__builtin_popcountll(b.valid));
     return n;
 }
 
@@ -428,15 +398,16 @@ ExecNode::debugState() const
 {
     std::string out;
     for (unsigned rs = 0; rs < _numSlots; ++rs) {
-        if (!(_flags[rs] & kValid) || (_flags[rs] & kExecuted))
+        const HotSlot &h = _hot[rs];
+        if (!valid(rs) || (h.flags & kExecuted))
             continue;
         std::string missing;
-        for (unsigned k = 0; k < _numOps[rs]; ++k)
-            if (!(_seen[rs] & (1u << k)))
+        for (unsigned k = 0; k < h.numOps; ++k)
+            if (!(h.seen & (1u << k)))
                 missing += strfmt(" op%u", k);
         out += strfmt("  seq %llu slot %u %s waiting:%s\n",
-                      static_cast<unsigned long long>(_seq[rs]),
-                      _slot[rs], isa::opName(_op[rs]),
+                      static_cast<unsigned long long>(h.seq), h.slot,
+                      isa::opName(_cold[rs].inst->op),
                       missing.empty() ? " (ready)" : missing.c_str());
     }
     return out;

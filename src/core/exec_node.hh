@@ -14,12 +14,19 @@
  *  - wave numbers are per producer-link monotonic: stale (lower
  *    wave) messages are ignored, Final is sticky.
  *
- * Reservation-station state is stored structure-of-arrays: the issue
- * scan walks two per-slot want-bitmaps (want-ALU, want-upgrade) kept
- * incrementally up to date by deliver/map/issue, so an idle node
+ * Each reservation-station slot is two records: a 64-byte hot line
+ * holding everything deliver, refreshWant and the issue scan read
+ * (operand values, waves and states, the seen/full/flag bytes, seq,
+ * slot and trigger depth), and a cold record for what only the issue
+ * path reads (what the slot last sent, and its instruction). The
+ * issue scan walks two per-slot want-bitmaps (want-ALU, want-upgrade)
+ * kept incrementally up to date by deliver/map/issue, so an idle node
  * answers hasWork() from a couple of words and a busy node's tick
- * touches only the slots that can actually issue — instead of
- * striding over ~100-byte cold slot objects every cycle.
+ * touches only the slots that can actually issue.
+ *
+ * Static instruction data (opcode, immediate, LSID, targets) is not
+ * copied into the slot: the slot points at the program's instruction,
+ * which must outlive the mapping (see mapInst).
  */
 
 #ifndef EDGE_CORE_EXEC_NODE_HH
@@ -63,7 +70,6 @@ struct NodeEvent
     std::uint32_t wave = 0; ///< per-producer monotonic send count
     std::uint16_t depth = 0;
     bool statusOnly = false; ///< commit-wave upgrade (no new value)
-    std::array<isa::Target, isa::kMaxTargets> targets{};
 };
 
 /** Aggregated (across nodes) execution statistics. */
@@ -91,7 +97,13 @@ class ExecNode
              chaos::ChaosEngine *chaos = nullptr,
              unsigned node_index = 0);
 
-    /** Install one instruction into (frame, local slot). */
+    /**
+     * Install one instruction into (frame, local slot). The node keeps
+     * a pointer to `inst`, not a copy: the instruction must stay alive
+     * and unchanged until the frame is cleared. A Processor's program
+     * outlives the Processor, so every mapping it makes satisfies
+     * this.
+     */
     void mapInst(unsigned frame, unsigned local, DynBlockSeq seq,
                  SlotId slot, const isa::Instruction &inst);
 
@@ -121,8 +133,8 @@ class ExecNode
     bool
     hasWork() const
     {
-        for (std::size_t w = 0; w < _wantAlu.size(); ++w)
-            if (_wantAlu[w] | _wantUpgrade[w])
+        for (const SlotBits &b : _bits)
+            if (b.wantAlu | b.wantUpgrade)
                 return true;
         return false;
     }
@@ -134,18 +146,59 @@ class ExecNode
     std::string debugState() const;
 
   private:
-    // Per-slot flag bits (_flags).
-    static constexpr std::uint8_t kValid = 1u << 0;
-    static constexpr std::uint8_t kExecuted = 1u << 1;
-    static constexpr std::uint8_t kDirtyValue = 1u << 2;
-    static constexpr std::uint8_t kDirtyState = 1u << 3;
+    /**
+     * The part of a slot that operand delivery and the issue scan
+     * touch, in one cache line: a first delivery to a slot misses
+     * once, not once per field.
+     */
+    struct alignas(64) HotSlot
+    {
+        DynBlockSeq seq = 0;
+        Word opVal[isa::kMaxOperands] = {};
+        std::uint32_t opWave[isa::kMaxOperands] = {};
+        SlotId slot = 0;
+        std::uint16_t triggerDepth = 0;
+        ValState opState[isa::kMaxOperands] = {};
+        std::uint8_t flags = 0;
+        std::uint8_t seen = 0; ///< operand-seen bitmask
+        std::uint8_t full = 0; ///< (1 << numOps) - 1
+        std::uint8_t numOps = 0;
+    };
+    static_assert(sizeof(HotSlot) == 64, "RS hot record is one line");
+
+    /** What only execute / upgrade / emit read. */
+    struct ColdSlot
+    {
+        const isa::Instruction *inst = nullptr; ///< see mapInst
+        Word lastValue = 0; ///< last sent value (loads: address)
+        Word lastData = 0;  ///< stores: last sent data
+        Cycle lastSendWhen = 0; ///< upgrades don't overtake data
+        std::uint32_t sendCount = 0; ///< outgoing wave counter
+        std::uint16_t frame = 0;
+        ValState lastState = ValState::Spec;
+        ValState lastAddrState = ValState::Spec; ///< stores only
+    };
+
+    // Per-slot flag bits (HotSlot::flags).
+    static constexpr std::uint8_t kExecuted = 1u << 0;
+    static constexpr std::uint8_t kDirtyValue = 1u << 1;
+    static constexpr std::uint8_t kDirtyState = 1u << 2;
 
     unsigned at(unsigned frame, unsigned local) const;
 
-    bool allSeen(unsigned rs) const { return _seen[rs] == _full[rs]; }
-    ValState inputState(unsigned rs) const;
+    ValState inputState(const HotSlot &h) const;
 
-    /** Re-derive the two want bits of slot `rs` from its flags. */
+    bool
+    valid(unsigned rs) const
+    {
+        return _bits[rs >> 6].valid >> (rs & 63) & 1;
+    }
+
+    /**
+     * Re-derive the two want bits of slot `rs` from its flags. Only
+     * called on a valid slot: mapInst, deliver and issue are the only
+     * callers, and each works on an occupied slot.
+     */
     void refreshWant(unsigned rs);
 
     /** Is the given protocol mutation active on this node? */
@@ -171,37 +224,26 @@ class ExecNode
     unsigned _nodeIndex;
     unsigned _numSlots; ///< slotsPerNode * numFrames
 
-    // Structure-of-arrays reservation-station state, indexed by
-    // rs = frame * slotsPerNode + local. The scan-hot fields (flags,
-    // seen masks, seq for age ordering) are dense byte/word arrays;
-    // operand values are flattened [rs * kMaxOperands + k].
-    std::vector<std::uint8_t> _flags;
-    std::vector<std::uint8_t> _seen; ///< operand-seen bitmask
-    std::vector<std::uint8_t> _full; ///< (1 << numOps) - 1
-    std::vector<std::uint8_t> _numOps;
-    std::vector<DynBlockSeq> _seq;
-    std::vector<SlotId> _slot;
-    std::vector<isa::Opcode> _op;
-    std::vector<std::int64_t> _imm;
-    std::vector<Lsid> _lsid;
-    std::vector<std::array<isa::Target, isa::kMaxTargets>> _targets;
+    // Reservation-station records, indexed by
+    // rs = frame * slotsPerNode + local.
+    std::vector<HotSlot> _hot;
+    std::vector<ColdSlot> _cold;
 
-    std::vector<Word> _opVal;
-    std::vector<ValState> _opState;
-    std::vector<std::uint32_t> _opWave;
-
-    std::vector<Word> _lastValue; ///< last sent value (loads: address)
-    std::vector<Word> _lastData;  ///< stores: last sent data
-    std::vector<ValState> _lastState;
-    std::vector<ValState> _lastAddrState; ///< stores only
-    std::vector<std::uint32_t> _sendCount; ///< outgoing wave counter
-    std::vector<Cycle> _lastSendWhen; ///< upgrades don't overtake data
-    std::vector<std::uint16_t> _triggerDepth;
-
-    // Wake bitmaps: bit rs set iff the slot is valid, all operands
-    // seen, and it wants an ALU issue / a commit-port upgrade.
-    std::vector<std::uint64_t> _wantAlu;
-    std::vector<std::uint64_t> _wantUpgrade;
+    /**
+     * Per-slot bitmaps, one word each for slots [64w, 64w + 64).
+     * `valid`: the slot holds an instruction. `wantAlu` / `wantUpgrade`:
+     * it is valid, has seen every operand, and wants an ALU issue / a
+     * commit-port upgrade. Bitmaps rather than flags in the records,
+     * so clearing a frame writes a few words instead of touching every
+     * slot's line, and hasWork() and the issue scan read one array.
+     */
+    struct SlotBits
+    {
+        std::uint64_t valid = 0;
+        std::uint64_t wantAlu = 0;
+        std::uint64_t wantUpgrade = 0;
+    };
+    std::vector<SlotBits> _bits;
 };
 
 } // namespace edge::core

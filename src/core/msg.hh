@@ -9,13 +9,16 @@
 #ifndef EDGE_CORE_MSG_HH
 #define EDGE_CORE_MSG_HH
 
-#include <array>
-
 #include "common/types.hh"
-#include "isa/instruction.hh"
 
 namespace edge::core {
 
+/**
+ * Fields are ordered by size so the message packs into 48 bytes; it is
+ * copied once per send, into the network's pooled queue. A message
+ * carries no copy of the program: consumers look targets up in the
+ * block the (frame, seq) pair names.
+ */
 struct Msg
 {
     enum class Kind : std::uint8_t
@@ -27,19 +30,19 @@ struct Msg
         ExitVal,      ///< branch outcome to the control unit
     };
 
-    Kind kind = Kind::Operand;
-    std::uint16_t frame = 0; ///< window frame holding block `seq`
     DynBlockSeq seq = 0;  ///< dynamic block the message belongs to
-    SlotId slot = 0;      ///< consumer slot (Operand) / memop slot
-    std::uint8_t operand = 0;
-    std::uint16_t writeIdx = 0;
-    Lsid lsid = 0;
     Word value = 0;       ///< operand value / store data / exit index
     Addr addr = 0;        ///< memory ops only
+    std::uint32_t wave = 0;
+    std::uint16_t frame = 0; ///< window frame holding block `seq`
+    SlotId slot = 0;      ///< consumer slot (Operand) / memop slot
+    std::uint16_t writeIdx = 0;
+    Lsid lsid = 0;
+    std::uint16_t depth = 0;
+    Kind kind = Kind::Operand;
+    std::uint8_t operand = 0;
     ValState state = ValState::Spec;
     ValState addrState = ValState::Spec; ///< store address state
-    std::uint32_t wave = 0;
-    std::uint16_t depth = 0;
     /** Commit-wave (state-only) message: rides the status
      *  network, the analogue of TRIPS's global control network. */
     bool statusOnly = false;
@@ -47,9 +50,8 @@ struct Msg
      *  prediction confirmation); exempt from the
      *  value-identity-squash invariant. */
     bool echo = false;
-    /** Load replies are sent straight to these consumers. */
-    std::array<isa::Target, isa::kMaxTargets> targets{};
 };
+static_assert(sizeof(Msg) <= 48, "Msg grew past 48 bytes");
 
 } // namespace edge::core
 

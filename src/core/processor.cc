@@ -49,10 +49,6 @@ Processor::Processor(const MachineConfig &config,
     _layout = &image->layout(
         {_cfg.core.rows, _cfg.core.cols, _cfg.core.slotsPerNode});
 
-    _localIdxPool = _arena.allocArray<std::uint16_t>(
-        static_cast<std::size_t>(_cfg.core.numFrames) *
-        isa::kMaxBlockInsts);
-    _nodeFill.resize(_cfg.core.numNodes(), 0);
     _ctx.resize(_cfg.core.numFrames);
     _activeNodes.resize(_layout->maskWords, 0);
 
@@ -74,6 +70,17 @@ Processor::Processor(const MachineConfig &config,
 
     _hier =
         std::make_unique<mem::Hierarchy>(_cfg.mem, stats, _chaos.get());
+
+    // The register file is row 0, the LSQ / D-cache banks column 0;
+    // node n sits at (n / cols + 1, n % cols + 1).
+    const unsigned rows = _cfg.core.rows, cols = _cfg.core.cols;
+    for (unsigned n = 0; n < _cfg.core.numNodes(); ++n)
+        _nodeCoord.push_back({static_cast<std::uint16_t>(n / cols + 1),
+                              static_cast<std::uint16_t>(n % cols + 1)});
+    for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
+        _regCoord.push_back({0, static_cast<std::uint16_t>(r % cols + 1)});
+    for (unsigned b = 0; b < _cfg.mem.numDBanks; ++b)
+        _bankCoord.push_back({static_cast<std::uint16_t>(b % rows + 1), 0});
 
     net::MeshParams mp;
     mp.geom = {_cfg.core.rows + 1, _cfg.core.cols + 1};
@@ -105,10 +112,9 @@ Processor::Processor(const MachineConfig &config,
         stats.histogram("core.wave_depth",
                         "propagation depth of re-executions"),
     };
-    for (unsigned n = 0; n < _cfg.core.numNodes(); ++n) {
-        _nodes.push_back(std::make_unique<ExecNode>(
-            _cfg.core, ns, &_nodeOut, _chaos.get(), n));
-    }
+    _nodes.reserve(_cfg.core.numNodes());
+    for (unsigned n = 0; n < _cfg.core.numNodes(); ++n)
+        _nodes.emplace_back(_cfg.core, ns, &_nodeOut, _chaos.get(), n);
 
     for (unsigned f = 0; f < _cfg.core.numFrames; ++f)
         _freeFrames.push_back(_cfg.core.numFrames - 1 - f);
@@ -119,26 +125,6 @@ const std::vector<Word> &
 Processor::archRegs() const
 {
     return _regs->archRegs();
-}
-
-net::Coord
-Processor::gridCoord(unsigned node) const
-{
-    return {static_cast<std::uint16_t>(node / _cfg.core.cols + 1),
-            static_cast<std::uint16_t>(node % _cfg.core.cols + 1)};
-}
-
-net::Coord
-Processor::rfCoord(unsigned reg) const
-{
-    return {0, static_cast<std::uint16_t>(reg % _cfg.core.cols + 1)};
-}
-
-net::Coord
-Processor::lsqCoord(Addr addr) const
-{
-    unsigned bank = _hier->bankOf(addr);
-    return {static_cast<std::uint16_t>(bank % _cfg.core.rows + 1), 0};
 }
 
 Addr
@@ -161,19 +147,17 @@ Processor::meshSend(Cycle when, net::Coord src, net::Coord dst,
 
 void
 Processor::sendToTargets(
-    Cycle when, net::Coord src, unsigned frame, DynBlockSeq seq,
+    Cycle when, net::Coord src, const BlockCtx &ctx,
     const std::array<isa::Target, isa::kMaxTargets> &targets, Word value,
     ValState state, std::uint32_t wave, std::uint16_t depth,
     bool status_only, bool echo)
 {
-    BlockCtx *ctx = findCtx(frame, seq);
-    panic_if(!ctx, "sendToTargets for a flushed block");
     for (const isa::Target &t : targets) {
         if (!t.valid())
             continue;
         Msg m;
-        m.frame = static_cast<std::uint16_t>(frame);
-        m.seq = seq;
+        m.frame = static_cast<std::uint16_t>(ctx.frame);
+        m.seq = ctx.seq;
         m.value = value;
         m.state = state;
         m.wave = wave;
@@ -184,12 +168,12 @@ Processor::sendToTargets(
             m.kind = Msg::Kind::Operand;
             m.slot = t.index;
             m.operand = t.operand;
-            unsigned node = ctx->placement->nodeOf[t.index];
+            unsigned node = ctx.nodeOf[t.index];
             meshSend(when, src, gridCoord(node), m);
         } else {
             m.kind = Msg::Kind::WriteVal;
             m.writeIdx = t.index;
-            unsigned reg = ctx->block->writes()[t.index].reg;
+            unsigned reg = ctx.block->writes()[t.index].reg;
             meshSend(when, src, rfCoord(reg), m);
         }
     }
@@ -200,11 +184,13 @@ Processor::routeNodeEvent(const NodeEvent &ev, unsigned node)
 {
     net::Coord src = gridCoord(node);
     switch (ev.kind) {
-      case NodeEvent::Kind::Result:
-        sendToTargets(ev.when, src, ev.frame, ev.seq, ev.targets,
-                      ev.value, ev.state, ev.wave, ev.depth,
-                      ev.statusOnly, false);
+      case NodeEvent::Kind::Result: {
+        const BlockCtx &ctx = liveCtx(ev.frame, ev.seq);
+        sendToTargets(ev.when, src, ctx,
+                      ctx.block->insts()[ev.slot].targets, ev.value,
+                      ev.state, ev.wave, ev.depth, ev.statusOnly, false);
         return;
+      }
       case NodeEvent::Kind::LoadRequest: {
         Msg m;
         m.kind = Msg::Kind::LoadReq;
@@ -217,7 +203,6 @@ Processor::routeNodeEvent(const NodeEvent &ev, unsigned node)
         m.wave = ev.wave;
         m.depth = ev.depth;
         m.statusOnly = ev.statusOnly;
-        m.targets = ev.targets;
         meshSend(ev.when, src, lsqCoord(ev.addr), m);
         return;
       }
@@ -257,23 +242,26 @@ Processor::routeNodeEvent(const NodeEvent &ev, unsigned node)
 void
 Processor::routeLoadReply(const lsq::LoadReply &reply)
 {
-    sendToTargets(reply.when, lsqCoord(reply.addr), reply.frame,
-                  reply.seq, reply.targets, reply.value, reply.state,
-                  reply.wave, reply.depth, reply.statusOnly, reply.echo);
+    const BlockCtx &ctx = liveCtx(reply.frame, reply.seq);
+    sendToTargets(reply.when, lsqCoord(reply.addr), ctx,
+                  ctx.block->insts()[reply.slot].targets, reply.value,
+                  reply.state, reply.wave, reply.depth, reply.statusOnly,
+                  reply.echo);
 }
 
 void
 Processor::routeRegForward(const RegForward &fwd)
 {
-    sendToTargets(fwd.when, rfCoord(fwd.reg), fwd.readerFrame,
-                  fwd.readerSeq, fwd.targets, fwd.value, fwd.state,
-                  fwd.wave, fwd.depth, fwd.statusOnly, false);
+    const BlockCtx &ctx = liveCtx(fwd.readerFrame, fwd.readerSeq);
+    sendToTargets(fwd.when, rfCoord(fwd.reg), ctx,
+                  ctx.block->reads()[fwd.readIdx].targets, fwd.value,
+                  fwd.state, fwd.wave, fwd.depth, fwd.statusOnly, false);
 }
 
 bool
 Processor::tickNode(unsigned n, Cycle now)
 {
-    bool did = _nodes[n]->tick(now);
+    bool did = _nodes[n].tick(now);
     for (const NodeEvent &ev : _nodeOut)
         routeNodeEvent(ev, n);
     _nodeOut.clear();
@@ -296,7 +284,7 @@ Processor::releaseFrame(const BlockCtx &ctx)
         for (std::uint64_t bits = mask[w]; bits; bits &= bits - 1) {
             unsigned n = w * 64 +
                          static_cast<unsigned>(__builtin_ctzll(bits));
-            _nodes[n]->clearFrame(ctx.frame);
+            _nodes[n].clearFrame(ctx.frame);
         }
     }
 }
@@ -348,8 +336,8 @@ Processor::deliverMsg(Cycle now, const Msg &msg)
         BlockCtx *ctx = findCtx(msg.frame, msg.seq);
         if (!ctx)
             return; // flushed
-        unsigned node = ctx->placement->nodeOf[msg.slot];
-        _nodes[node]->deliver(ctx->frame, ctx->localIdx[msg.slot],
+        unsigned node = ctx->nodeOf[msg.slot];
+        _nodes[node].deliver(ctx->frame, ctx->localIdx[msg.slot],
                               msg.operand, msg.value, msg.state,
                               msg.wave, msg.depth);
         markActive(node);
@@ -362,8 +350,7 @@ Processor::deliverMsg(Cycle now, const Msg &msg)
         return;
       case Msg::Kind::LoadReq:
         _lsq->loadRequest(now, msg.frame, msg.seq, msg.lsid, msg.addr,
-                          msg.state, msg.wave, msg.depth, msg.targets,
-                          msg.slot);
+                          msg.state, msg.wave, msg.depth);
         return;
       case Msg::Kind::StoreResolve:
         _lsq->storeResolve(now, msg.frame, msg.seq, msg.lsid, msg.addr,
@@ -505,25 +492,17 @@ Processor::mapFetchedBlock(Cycle now)
     ctx.archIdx = _nextArchIdx++;
     ctx.frame = frame;
     ctx.block = &b;
-    ctx.placement = &_layout->placements[bid];
-    // The frame's fixed region of the arena pool: frames recycle out
-    // of order (flush vs. commit), so the pool is keyed by frame, not
-    // carved per block.
-    ctx.localIdx =
-        _localIdxPool +
-        static_cast<std::size_t>(frame) * isa::kMaxBlockInsts;
+    ctx.nodeOf = _layout->placements[bid].nodeOf.data();
+    ctx.localIdx = _layout->localOf[bid].data();
 
-    std::fill(_nodeFill.begin(), _nodeFill.end(), 0);
     for (std::size_t s = 0; s < b.insts().size(); ++s) {
-        unsigned node = ctx.placement->nodeOf[s];
-        std::uint16_t local = _nodeFill[node]++;
-        panic_if(local >= _cfg.core.slotsPerNode,
-                 "placement overflows node %u", node);
-        ctx.localIdx[s] = local;
-        _nodes[node]->mapInst(frame, local, ctx.seq,
-                              static_cast<SlotId>(s), b.insts()[s]);
-        markActive(node);
+        _nodes[ctx.nodeOf[s]].mapInst(
+            frame, ctx.localIdx[s], ctx.seq, static_cast<SlotId>(s),
+            b.insts()[s]);
     }
+    const std::uint64_t *mask = _layout->nodeMask(bid);
+    for (unsigned w = 0; w < _layout->maskWords; ++w)
+        _activeNodes[w] |= mask[w];
 
     unsigned e = std::min<unsigned>(
         _nbp->predict(bid),
@@ -638,7 +617,7 @@ Processor::machineDump(Cycle now)
     dump += strfmt("lsq non-final entries:\n%s",
                    _lsq->debugState().c_str());
     for (unsigned n = 0; n < _nodes.size(); ++n) {
-        std::string s = _nodes[n]->debugState();
+        std::string s = _nodes[n].debugState();
         if (!s.empty())
             dump += strfmt("node %u:\n%s", n, s.c_str());
     }
@@ -812,9 +791,9 @@ Processor::runEvent(Cycle max_cycles, Result &res)
                  bits &= bits - 1) {
                 unsigned n = w * 64 +
                              static_cast<unsigned>(__builtin_ctzll(bits));
-                if (_nodes[n]->hasWork())
+                if (_nodes[n].hasWork())
                     active |= tickNode(n, _cycle);
-                if (!_nodes[n]->hasWork())
+                if (!_nodes[n].hasWork())
                     _activeNodes[w] &= ~(std::uint64_t{1} << (n & 63));
             }
         }

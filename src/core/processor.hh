@@ -20,8 +20,8 @@
 #include "chaos/progress.hh"
 #include "chaos/sim_error.hh"
 #include "chaos/trace_ring.hh"
-#include "common/arena.hh"
 #include "common/enum_names.hh"
+#include "common/logging.hh"
 #include "common/frame_ring.hh"
 #include "compiler/placement.hh"
 #include "core/exec_node.hh"
@@ -151,13 +151,10 @@ class Processor
         std::uint64_t archIdx = 0;
         unsigned frame = 0;
         const isa::Block *block = nullptr;
-        const compiler::Placement *placement = nullptr;
-        /**
-         * Per-slot node-local RS index. Points into the processor's
-         * arena-backed per-frame pool (kMaxBlockInsts entries per
-         * frame), valid while this block owns its frame.
-         */
-        std::uint16_t *localIdx = nullptr;
+        /** Per-slot grid node (the layout's placement nodeOf). */
+        const std::uint16_t *nodeOf = nullptr;
+        /** Per-slot node-local RS index (the layout's localOf row). */
+        const std::uint16_t *localIdx = nullptr;
 
         unsigned predictedExit = 0; ///< original prediction (stats)
         unsigned fetchedExit = 0;   ///< exit the fetch chain follows
@@ -170,9 +167,14 @@ class Processor
     };
 
     // --- geometry helpers -------------------------------------------------
-    net::Coord gridCoord(unsigned node) const;
-    net::Coord rfCoord(unsigned reg) const;
-    net::Coord lsqCoord(Addr addr) const;
+    // Table lookups built at construction: no division per message.
+    net::Coord gridCoord(unsigned node) const { return _nodeCoord[node]; }
+    net::Coord rfCoord(unsigned reg) const { return _regCoord[reg]; }
+    net::Coord
+    lsqCoord(Addr addr) const
+    {
+        return _bankCoord[_hier->bankOf(addr)];
+    }
     net::Coord ctrlCoord() const { return {0, 0}; }
     Addr codeAddr(BlockId block) const;
 
@@ -195,8 +197,13 @@ class Processor
     }
     /** Release a block's frame on the nodes it was placed on. */
     void releaseFrame(const BlockCtx &ctx);
-    void sendToTargets(Cycle when, net::Coord src, unsigned frame,
-                       DynBlockSeq seq,
+    /**
+     * Send a value to `targets`, which belong to the block in `ctx`:
+     * an instruction's or a register read's targets, read from the
+     * program rather than carried by the event that produced the
+     * value.
+     */
+    void sendToTargets(Cycle when, net::Coord src, const BlockCtx &ctx,
                        const std::array<isa::Target, isa::kMaxTargets>
                            &targets,
                        Word value, ValState state, std::uint32_t wave,
@@ -245,6 +252,15 @@ class Processor
         return ctx.seq == seq ? &ctx : nullptr;
     }
 
+    /** findCtx for a sender whose block must be live. */
+    const BlockCtx &
+    liveCtx(unsigned frame, DynBlockSeq seq)
+    {
+        const BlockCtx *ctx = findCtx(frame, seq);
+        panic_if(!ctx, "sending for a flushed block");
+        return *ctx;
+    }
+
     /**
      * Host wall-clock deadline poll, engine-independent: counts
      * iterations (not simulated cycles, which the event engine can
@@ -287,19 +303,18 @@ class Processor
     std::unique_ptr<pred::NextBlockPredictor> _nbp;
     std::unique_ptr<RegUnit> _regs;
     std::unique_ptr<lsq::LoadStoreQueue> _lsq;
-    std::vector<std::unique_ptr<ExecNode>> _nodes;
+    std::vector<ExecNode> _nodes;
     /** What the ticking node sent; routed right after its tick. */
     std::vector<NodeEvent> _nodeOut;
     /** Forwards from the current RegUnit call; routed right after. */
     std::vector<RegForward> _regOut;
 
+    /** Mesh coordinates of each grid node, register and D-bank. */
+    std::vector<net::Coord> _nodeCoord;
+    std::vector<net::Coord> _regCoord;
+    std::vector<net::Coord> _bankCoord;
+
     // --- dynamic state -----------------------------------------------------
-    /** Backs the per-frame localIdx pools (see BlockCtx::localIdx). */
-    Arena _arena;
-    /** numFrames x kMaxBlockInsts, carved from _arena once. */
-    std::uint16_t *_localIdxPool = nullptr;
-    /** Per-node fill scratch reused by every mapFetchedBlock. */
-    std::vector<std::uint16_t> _nodeFill;
     /**
      * Active-node set, one bit per node. A node's bit is set when an
      * operand is delivered to it or an instruction is mapped onto it,

@@ -30,6 +30,12 @@ namespace edge::core {
 struct Layout
 {
     std::vector<compiler::Placement> placements; ///< per static block
+    /**
+     * Per static block, each instruction's reservation-station index
+     * on its node: the k-th instruction placed on a node gets local
+     * slot k. Computed once here, so mapping a block is a lookup.
+     */
+    std::vector<std::vector<std::uint16_t>> localOf;
     /** Words per block in nodeMasks: ceil(numNodes / 64). */
     unsigned maskWords = 0;
     /**

@@ -53,11 +53,11 @@ RegUnit::forwardTo(Cycle now, Subscription &sub, Word value,
     f.readerSeq = sub.readerSeq;
     f.readerFrame = sub.readerFrame;
     f.reg = sub.reg;
+    f.readIdx = sub.readIdx;
     f.value = value;
     f.state = state;
     f.wave = ++sub.wave;
     f.depth = depth;
-    f.targets = sub.targets;
 }
 
 void
@@ -73,7 +73,8 @@ RegUnit::mapBlock(Cycle now, unsigned frame, DynBlockSeq seq,
 
     // Resolve the reads *before* inserting our own writes so a block
     // never forwards from itself.
-    for (const isa::RegRead &rd : block.reads()) {
+    for (std::size_t r = 0; r < block.reads().size(); ++r) {
+        const isa::RegRead &rd = block.reads()[r];
         // Youngest older in-flight writer of this register.
         BlockRegs *writer = nullptr;
         for (unsigned i = _order.size(); i-- > 0;) {
@@ -87,7 +88,7 @@ RegUnit::mapBlock(Cycle now, unsigned frame, DynBlockSeq seq,
         sub.readerSeq = seq;
         sub.readerFrame = frame;
         sub.reg = rd.reg;
-        sub.targets = rd.targets;
+        sub.readIdx = static_cast<std::uint8_t>(r);
         if (!writer) {
             // Architectural value: Final by definition.
             ++_archReads;

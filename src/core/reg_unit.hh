@@ -24,7 +24,8 @@ namespace edge::core {
 /**
  * A register value being forwarded to one reader's targets. The unit
  * appends it to an outbox the processor owns and routes right after
- * the mapBlock / writeArrived call that produced it.
+ * the mapBlock / writeArrived call that produced it. The targets are
+ * those of read `readIdx` of the reader's block.
  */
 struct RegForward
 {
@@ -32,13 +33,14 @@ struct RegForward
     DynBlockSeq readerSeq = 0;
     unsigned readerFrame = 0;
     std::uint8_t reg = 0; ///< for bank routing
+    std::uint8_t readIdx = 0; ///< the reader block's read slot
     Word value = 0;
     ValState state = ValState::Spec;
     std::uint32_t wave = 0; ///< per reader-read link, monotonic
     std::uint16_t depth = 0;
     bool statusOnly = false; ///< commit-wave upgrade (same value)
-    std::array<isa::Target, isa::kMaxTargets> targets{};
 };
+static_assert(isa::kMaxBlockReads <= 256, "readIdx too narrow");
 
 class RegUnit
 {
@@ -99,7 +101,7 @@ class RegUnit
         DynBlockSeq readerSeq = 0;
         unsigned readerFrame = 0;
         std::uint8_t reg = 0;
-        std::array<isa::Target, isa::kMaxTargets> targets{};
+        std::uint8_t readIdx = 0; ///< the reader block's read slot
         std::uint32_t wave = 0; ///< forwards sent on this link
         Cycle lastWhen = 0;     ///< upgrades may not overtake data
     };

@@ -305,9 +305,7 @@ LoadStoreQueue::loadIsFinal(const BlockEntry &be, Lsid lsid) const
 void
 LoadStoreQueue::loadRequest(
     Cycle now, unsigned frame, DynBlockSeq seq, Lsid lsid, Addr addr,
-    ValState addr_state, std::uint32_t wave, std::uint16_t depth,
-    const std::array<isa::Target, isa::kMaxTargets> &targets,
-    SlotId slot)
+    ValState addr_state, std::uint32_t wave, std::uint16_t depth)
 {
     BlockEntry *be = liveBlock(frame, seq);
     if (!be)
@@ -330,8 +328,6 @@ LoadStoreQueue::loadRequest(
         addr_state = ValState::Final;
     else
         e.addrState = addr_state;
-    e.targets = targets;
-    e.slot = slot;
     e.depth = depth;
 
     if (_check)
@@ -470,8 +466,7 @@ LoadStoreQueue::performLoad(Cycle now, BlockEntry &be, Lsid lsid,
             // repeats the value on the next wave; exempt it from the
             // value-identity-squash invariant.
             pr.echo = true;
-            pr.targets = e.targets;
-            _reply(pr);
+                    _reply(pr);
             e.lastReplyWhen = pr.when;
             predicted_early = true;
             // The real reply below corrects (or confirms) it; when
@@ -512,7 +507,6 @@ LoadStoreQueue::performLoad(Cycle now, BlockEntry &be, Lsid lsid,
     r.wave = ++e.replyWave;
     r.depth = static_cast<std::uint16_t>(is_resend ? depth + 1 : depth);
     r.statusOnly = value_unchanged;
-    r.targets = e.targets;
     if (_check)
         _check->onLoadReply(r.when, r.seq, r.lsid, r.value, r.state,
                             r.echo);
@@ -791,7 +785,6 @@ LoadStoreQueue::injectSpuriousWave(Cycle now)
     glitch.wave = ++e.replyWave;
     glitch.depth = e.depth;
     glitch.echo = true;
-    glitch.targets = e.targets;
     _reply(glitch);
 
     LoadReply fix = glitch;

@@ -105,7 +105,10 @@ struct LsqParams
     std::size_t vpTableSize = 1024;
 };
 
-/** A load reply / resend / upgrade the core must put on the network. */
+/**
+ * A load reply / resend / upgrade the core must put on the network.
+ * It goes to the targets of instruction `slot` of the load's block.
+ */
 struct LoadReply
 {
     Cycle when = 0;            ///< earliest cycle the reply may leave
@@ -125,7 +128,6 @@ struct LoadReply
      * invariant must not flag it.
      */
     bool echo = false;
-    std::array<isa::Target, isa::kMaxTargets> targets{};
 };
 
 /** A detected dependence violation (flush recovery consumes this). */
@@ -183,9 +185,7 @@ class LoadStoreQueue
      */
     void loadRequest(Cycle now, unsigned frame, DynBlockSeq seq,
                      Lsid lsid, Addr addr, ValState addr_state,
-                     std::uint32_t wave, std::uint16_t depth,
-                     const std::array<isa::Target, isa::kMaxTargets>
-                         &targets, SlotId slot);
+                     std::uint32_t wave, std::uint16_t depth);
 
     /** A store's address and data arrived (or changed / upgraded). */
     void storeResolve(Cycle now, unsigned frame, DynBlockSeq seq,
@@ -261,7 +261,6 @@ class LoadStoreQueue
         Cycle lastReplyWhen = 0;
         std::uint32_t replyWave = 0;
         std::uint16_t depth = 0;
-        std::array<isa::Target, isa::kMaxTargets> targets{};
         /** Store-set dependence captured when the block mapped. */
         pred::CapturedDep dep;
     };

@@ -45,14 +45,11 @@ Hierarchy::Hierarchy(const HierarchyParams &params, StatSet &stats,
         dp.numBanks = 1;
         _l1d.push_back(std::make_unique<Cache>(dp, _l2.get(), stats));
     }
-}
 
-unsigned
-Hierarchy::bankOf(Addr addr) const
-{
-    // Interleave on cache lines so that unit-stride streams hit all
-    // banks and a line lives in exactly one bank.
-    return (addr / _p.lineBytes) % _p.numDBanks;
+    // Every Cache above has checked that lineBytes is a power of two.
+    _lineShift = static_cast<unsigned>(__builtin_ctz(_p.lineBytes));
+    _banksPow2 = (_p.numDBanks & (_p.numDBanks - 1)) == 0;
+    _bankMask = _p.numDBanks - 1;
 }
 
 Cycle

@@ -51,8 +51,19 @@ class Hierarchy
     Hierarchy(const HierarchyParams &params, StatSet &stats,
               chaos::ChaosEngine *chaos = nullptr);
 
-    /** The L1D bank (== LSQ bank) an address maps to. */
-    unsigned bankOf(Addr addr) const;
+    /**
+     * The L1D bank (== LSQ bank) an address maps to: lines interleave
+     * across banks, so unit-stride streams hit every bank and a line
+     * lives in exactly one. Equal to (addr / lineBytes) % numDBanks,
+     * computed with a shift, and a mask for a power-of-two bank count.
+     */
+    unsigned
+    bankOf(Addr addr) const
+    {
+        Addr line = addr >> _lineShift;
+        return static_cast<unsigned>(_banksPow2 ? line & _bankMask
+                                                : line % _p.numDBanks);
+    }
 
     /** Timing of a data-cache load reaching bank `bankOf(addr)`. */
     Cycle dataRead(Cycle now, Addr addr);
@@ -73,6 +84,9 @@ class Hierarchy
 
   private:
     HierarchyParams _p;
+    unsigned _lineShift = 0; ///< log2(lineBytes)
+    bool _banksPow2 = false; ///< numDBanks is a power of two
+    Addr _bankMask = 0;      ///< numDBanks - 1
     chaos::ChaosEngine *_chaos;
     std::unique_ptr<Dram> _dram;
     std::unique_ptr<Cache> _l2;

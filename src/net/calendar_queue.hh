@@ -30,6 +30,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -43,11 +44,23 @@ class CalendarQueue
     /** Returned by nextArrival() when the queue is empty. */
     static constexpr Cycle kNone = ~Cycle{0};
 
-    /** Enqueue `payload` for delivery at cycle `arrival`. */
+    /** Enqueue a copy of `payload` for delivery at cycle `arrival`. */
     void
-    push(Cycle arrival, Payload &&payload)
+    push(Cycle arrival, const Payload &payload)
     {
-        std::uint32_t idx = alloc(arrival, std::move(payload));
+        emplace(arrival, payload);
+    }
+
+    /**
+     * Enqueue Payload{args...} for delivery at cycle `arrival`, built
+     * straight into its pool slot: a send copies its message once.
+     */
+    template <typename... Args>
+    void
+    emplace(Cycle arrival, Args &&...args)
+    {
+        std::uint32_t idx = alloc(arrival);
+        _pool[idx].payload = Payload{std::forward<Args>(args)...};
         ++_count;
         if (arrival < _base)
             linkLate(idx);
@@ -115,9 +128,9 @@ class CalendarQueue
 
     struct Event
     {
-        Cycle arrival;
-        std::uint32_t next; ///< FIFO / late-list / free-list link
-        Payload payload;
+        Cycle arrival = 0;
+        std::uint32_t next = kNil; ///< FIFO / late-list / free-list link
+        Payload payload{};
     };
 
     /** An overflow entry; seq keeps equal arrivals in send order. */
@@ -135,18 +148,20 @@ class CalendarQueue
         }
     };
 
+    /** A pool slot for an event at `arrival`; the caller fills it. */
     std::uint32_t
-    alloc(Cycle arrival, Payload &&payload)
+    alloc(Cycle arrival)
     {
         if (_free == kNil) {
-            _pool.push_back(Event{arrival, kNil, std::move(payload)});
+            _pool.emplace_back();
+            _pool.back().arrival = arrival;
+            _pool.back().next = kNil;
             return static_cast<std::uint32_t>(_pool.size() - 1);
         }
         std::uint32_t idx = _free;
         _free = _pool[idx].next;
         _pool[idx].arrival = arrival;
         _pool[idx].next = kNil;
-        _pool[idx].payload = std::move(payload);
         return idx;
     }
 

@@ -69,10 +69,11 @@ class Mesh
 
     /**
      * Inject a message at cycle `now`; it becomes visible to the
-     * destination's deliver phase at the returned cycle.
+     * destination's deliver phase at the returned cycle. The payload
+     * is copied once, into the in-flight queue.
      */
     Cycle
-    send(Cycle now, Coord src, Coord dst, Payload payload)
+    send(Cycle now, Coord src, Coord dst, const Payload &payload)
     {
         ++_sent;
         Cycle t = now;
@@ -81,13 +82,18 @@ class Mesh
                 std::size_t{routerOf(src)} * _numRouters + routerOf(dst);
             std::uint32_t first = _routes->off[pair];
             std::uint32_t last = _routes->off[pair + 1];
+            // Locals, not the counters: the link stores below could
+            // alias them and force a reload every hop.
+            const unsigned hop = _p.hopLatency;
+            Cycle waited = 0;
             for (std::uint32_t i = first; i < last; ++i) {
                 Cycle &link_free = _linkFree[_routes->links[i]];
                 Cycle start = std::max(t, link_free);
-                _queued += start - t;
+                waited += start - t;
                 link_free = start + 1;
-                t = start + _p.hopLatency;
+                t = start + hop;
             }
+            _queued += waited;
             _hops += last - first;
         }
         if (_p.chaos) {
@@ -96,12 +102,10 @@ class Mesh
             // bit-identical copy later. Consumers drop the copy as a
             // stale wave — duplicate delivery is idempotent.
             t += _p.chaos->hopJitter();
-            if (_p.chaos->duplicate()) {
-                _queue.push(t + _p.chaos->duplicateSkew(),
-                            Event{dst, payload});
-            }
+            if (_p.chaos->duplicate())
+                _queue.emplace(t + _p.chaos->duplicateSkew(), dst, payload);
         }
-        _queue.push(t, Event{dst, std::move(payload)});
+        _queue.emplace(t, dst, payload);
         return t;
     }
 

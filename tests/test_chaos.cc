@@ -289,6 +289,26 @@ TEST(TraceRing, WraparoundKeepsNewestDepthEvents)
     EXPECT_EQ(snapshotCycles(ring), (std::vector<Cycle>{3, 4, 5, 6}));
 }
 
+TEST(TraceRing, NonPowerOfTwoDepthWrapsTwice)
+{
+    chaos::TraceRing ring(3);
+    for (Cycle c = 1; c <= 7; ++c)
+        ring.push(cycleEvent(c));
+    EXPECT_EQ(ring.size(), 3u);
+    EXPECT_EQ(snapshotCycles(ring), (std::vector<Cycle>{5, 6, 7}));
+}
+
+TEST(TraceRing, DepthOneKeepsTheNewestEvent)
+{
+    chaos::TraceRing ring(1);
+    ring.push(cycleEvent(1));
+    EXPECT_EQ(snapshotCycles(ring), (std::vector<Cycle>{1}));
+    for (Cycle c = 2; c <= 4; ++c)
+        ring.push(cycleEvent(c));
+    EXPECT_EQ(ring.size(), 1u);
+    EXPECT_EQ(snapshotCycles(ring), (std::vector<Cycle>{4}));
+}
+
 TEST(TraceRing, DepthZeroIsInertAndSafe)
 {
     chaos::TraceRing ring(0);

@@ -40,12 +40,13 @@ class ExecNodeTest : public ::testing::Test
     void
     mapAdd()
     {
-        isa::Instruction in;
-        in.op = Opcode::ADD;
-        in.targets[0] = Target::toWrite(0);
-        node.mapInst(0, 0, /*seq=*/1, /*slot=*/0, in);
+        add.op = Opcode::ADD;
+        add.targets[0] = Target::toWrite(0);
+        node.mapInst(0, 0, /*seq=*/1, /*slot=*/0, add);
     }
 
+    // The node points at mapped instructions: they must outlive it.
+    isa::Instruction add;
     CoreParams params;
     StatSet stats;
     NodeStats ns;
@@ -172,20 +173,97 @@ TEST_F(ExecNodeTest, StoreEmitsResolveWithSplitStates)
     EXPECT_EQ(events[0].lsid, 3u);
 }
 
-TEST_F(ExecNodeTest, LoadEmitsRequestWithTargets)
+TEST_F(ExecNodeTest, LoadEmitsRequestWithSlot)
 {
+    // The request names the load's slot; its reply's targets are read
+    // from that instruction of the program, not carried along.
     isa::Instruction ld;
     ld.op = Opcode::LDD;
     ld.imm = 8;
-    ld.lsid = 0;
+    ld.lsid = 2;
     ld.targets[0] = Target::toOperand(5, 1);
-    node.mapInst(0, 0, 1, 0, ld);
+    node.mapInst(0, 0, 1, /*slot=*/6, ld);
     node.deliver(0, 0, 0, 0x100, ValState::Final, 1, 0);
     node.tick(0);
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].kind, NodeEvent::Kind::LoadRequest);
     EXPECT_EQ(events[0].addr, 0x108u);
-    EXPECT_EQ(events[0].targets[0], Target::toOperand(5, 1));
+    EXPECT_EQ(events[0].slot, 6u);
+    EXPECT_EQ(events[0].lsid, 2u);
+}
+
+TEST_F(ExecNodeTest, ReusedSlotForgetsItsPreviousInstruction)
+{
+    // First occupant: a store with Final operands, sent late.
+    isa::Instruction st0;
+    st0.op = Opcode::STD;
+    st0.lsid = 1;
+    node.mapInst(0, 0, /*seq=*/1, /*slot=*/0, st0);
+    node.deliver(0, 0, 0, 0x100, ValState::Final, 3, 0);
+    node.deliver(0, 0, 1, 7, ValState::Final, 3, 0);
+    node.tick(100);
+    ASSERT_EQ(events.size(), 1u);
+    node.clearFrame(0);
+    events.clear();
+
+    // A different instruction in the same slot.
+    isa::Instruction st1;
+    st1.op = Opcode::STW;
+    st1.imm = 8;
+    st1.lsid = 2;
+    node.mapInst(0, 0, /*seq=*/2, /*slot=*/3, st1);
+    // Wave 1 is new on this slot, although the old occupant saw wave 3.
+    EXPECT_TRUE(node.deliver(0, 0, 0, 0x200, ValState::Spec, 1, 0));
+    node.tick(5);
+    EXPECT_TRUE(events.empty()); // the old data operand is not seen
+    EXPECT_TRUE(node.deliver(0, 0, 1, 9, ValState::Spec, 1, 0));
+    node.tick(6);
+    ASSERT_EQ(events.size(), 1u);
+    const NodeEvent &ev = events[0];
+    EXPECT_EQ(ev.kind, NodeEvent::Kind::StoreResolve);
+    EXPECT_EQ(ev.wave, 1u);
+    // No wait on the old occupant's last send (cycle 101).
+    EXPECT_EQ(ev.when, 6 + params.latMemAddr);
+    EXPECT_EQ(ev.seq, 2u);
+    EXPECT_EQ(ev.slot, 3u);
+    EXPECT_EQ(ev.lsid, 2u);
+    EXPECT_EQ(ev.addr, 0x208u);
+    EXPECT_EQ(ev.value, 9u);
+    EXPECT_EQ(ev.addrState, ValState::Spec);
+    EXPECT_EQ(ev.state, ValState::Spec);
+
+    // Both halves turning Final is news to the new occupant: one
+    // commit-wave upgrade carries the split states.
+    node.deliver(0, 0, 0, 0x200, ValState::Final, 2, 0);
+    node.deliver(0, 0, 1, 9, ValState::Final, 2, 0);
+    node.tick(7);
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_TRUE(events[1].statusOnly);
+    EXPECT_EQ(events[1].wave, 2u);
+    EXPECT_EQ(events[1].addrState, ValState::Final);
+    EXPECT_EQ(events[1].state, ValState::Final);
+}
+
+TEST_F(ExecNodeTest, SixteenFramesIssueOldestFirstAcrossWantWords)
+{
+    // 16 frames x 8 slots = 128 RS slots: two want-bitmap words.
+    CoreParams p16;
+    p16.numFrames = 16;
+    ExecNode wide(p16, ns, &events);
+    isa::Instruction movi;
+    movi.op = Opcode::MOVI;
+    // Frame -> seq: the oldest block sits in the second word.
+    const std::pair<unsigned, DynBlockSeq> maps[] = {
+        {2, 7}, {15, 3}, {9, 5}, {0, 8}, {12, 4}};
+    for (auto [frame, seq] : maps)
+        wide.mapInst(frame, p16.slotsPerNode - 1, seq, 0, movi);
+    for (Cycle now = 0; now < 5; ++now)
+        EXPECT_TRUE(wide.tick(now));
+    EXPECT_FALSE(wide.hasWork());
+    ASSERT_EQ(events.size(), 5u);
+    const DynBlockSeq order[] = {3, 4, 5, 7, 8};
+    for (unsigned i = 0; i < 5; ++i)
+        EXPECT_EQ(events[i].seq, order[i]) << "issue " << i;
 }
 
 TEST_F(ExecNodeTest, ClearFrameFreesSlots)

@@ -2,7 +2,6 @@
  * @file
  * The event-driven cycle engine and its supporting pieces:
  *
- *  - common/arena: the bump arena behind per-block bookkeeping;
  *  - core/program_image: one decode/validate/place per distinct
  *    program, shared read-only across Processors;
  *  - the engine differential: MachineConfig::engine Tick and Event
@@ -16,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.hh"
 #include "core/program_image.hh"
 #include "fuzz/generator.hh"
 #include "sim/run_pool.hh"
@@ -26,50 +24,6 @@
 using namespace edge;
 
 namespace {
-
-// ---------------------------------------------------------------
-// Arena
-
-TEST(Arena, AlignedBumpAllocation)
-{
-    Arena a(256);
-    void *p1 = a.alloc(3, 1);
-    void *p8 = a.alloc(40, 8);
-    void *p64 = a.alloc(10, 64);
-    EXPECT_NE(p1, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p8) % 8, 0u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p64) % 64, 0u);
-    EXPECT_GE(a.bytesUsed(), 53u);
-    EXPECT_GE(a.bytesReserved(), a.bytesUsed());
-}
-
-TEST(Arena, GrowsAcrossChunksAndHandlesOversizeRequests)
-{
-    Arena a(128);
-    // Many small allocations spill into fresh chunks...
-    for (int i = 0; i < 100; ++i)
-        EXPECT_NE(a.alloc(32, 8), nullptr);
-    // ...and a request larger than the chunk size gets its own chunk.
-    std::uint16_t *big = a.allocArray<std::uint16_t>(4096);
-    ASSERT_NE(big, nullptr);
-    big[0] = 1;
-    big[4095] = 2; // touch both ends: the region must be real
-    EXPECT_EQ(big[0], 1);
-    EXPECT_EQ(big[4095], 2);
-}
-
-TEST(Arena, ResetRetainsChunksAndReusesMemory)
-{
-    Arena a(256);
-    void *first = a.alloc(64, 8);
-    a.alloc(64, 8);
-    std::size_t reserved = a.bytesReserved();
-    a.reset();
-    EXPECT_EQ(a.bytesUsed(), 0u);
-    EXPECT_EQ(a.bytesReserved(), reserved); // chunks retained
-    // The first post-reset allocation lands back at the start.
-    EXPECT_EQ(a.alloc(64, 8), first);
-}
 
 // ---------------------------------------------------------------
 // ProgramImage
@@ -113,6 +67,30 @@ TEST(ProgramImage, NodeMaskIsTheSetOfPlacedNodes)
         for (unsigned n = 0; n < geom.numNodes(); ++n)
             EXPECT_EQ((mask[n / 64] >> (n % 64)) & 1, used[n] ? 1u : 0u)
                 << "block " << b << " node " << n;
+    }
+}
+
+TEST(ProgramImage, LocalIndicesNumberEachNodesInstructionsInSlotOrder)
+{
+    wl::KernelParams kp;
+    kp.iterations = 10;
+    isa::Program prog = wl::build("bzip2ish", kp);
+    core::ProgramImage image(prog);
+    for (compiler::GridGeom geom :
+         {compiler::GridGeom{}, compiler::GridGeom{8, 8, 2}}) {
+        const core::Layout &l = image.layout(geom);
+        ASSERT_EQ(l.localOf.size(), prog.numBlocks());
+        for (BlockId b = 0; b < prog.numBlocks(); ++b) {
+            const auto &node_of = l.placements[b].nodeOf;
+            ASSERT_EQ(l.localOf[b].size(), node_of.size());
+            // The k-th instruction placed on a node gets local slot k.
+            std::vector<std::uint16_t> next(geom.numNodes(), 0);
+            for (std::size_t s = 0; s < node_of.size(); ++s) {
+                EXPECT_EQ(l.localOf[b][s], next[node_of[s]]++)
+                    << "block " << b << " slot " << s;
+                EXPECT_LT(l.localOf[b][s], geom.slotsPerNode);
+            }
+        }
     }
 }
 

@@ -24,7 +24,6 @@
 namespace edge::lsq {
 namespace {
 
-using isa::Target;
 
 /**
  * Fixture: an LSQ over a tiny hierarchy with captured outputs, plus
@@ -102,10 +101,7 @@ class LsqTest : public ::testing::Test
     sendLoad(Cycle now, DynBlockSeq seq, Addr addr,
              ValState st = ValState::Spec, std::uint32_t wave = 1)
     {
-        std::array<Target, isa::kMaxTargets> tgts{};
-        tgts[0] = Target::toOperand(1, 1);
-        lsq->loadRequest(now, frame(seq), seq, 0, addr, st, wave, 0, tgts,
-                         0);
+        lsq->loadRequest(now, frame(seq), seq, 0, addr, st, wave, 0);
     }
 
     void
@@ -396,12 +392,9 @@ TEST_F(LsqFlushTest, ReplayHoldForcesConservativeRetry)
     // architectural index (4 -> older, 5 -> the replayed instance).
     map(4);
     map(5, 2); // archIdx 2 again
-    std::array<Target, isa::kMaxTargets> tgts{};
-    tgts[0] = Target::toOperand(1, 1);
     // The one-shot replay hold makes the load wait for block 4's
     // unresolved store even under the blind policy.
-    lsq->loadRequest(10, frame(5), 5, 0, 0x100, ValState::Final, 1, 0,
-                     tgts, 0);
+    lsq->loadRequest(10, frame(5), 5, 0, 0x100, ValState::Final, 1, 0);
     EXPECT_TRUE(replies.empty());
     EXPECT_GT(stats.counterValue("lsq.replay_waits"), 0u);
     // Resolving the older store releases the hold.
@@ -453,10 +446,9 @@ TEST_F(LsqTest, FrameReuseAfterFlushDropsStaleMessages)
 
     // Messages for the flushed seqs: one addresses the frame block 4
     // now owns, the other a free frame.
-    std::array<Target, isa::kMaxTargets> tgts{};
     for (DynBlockSeq stale : {2u, 3u}) {
         lsq->loadRequest(1, frame(stale), stale, 0, 0x100,
-                         ValState::Final, 1, 0, tgts, 0);
+                         ValState::Final, 1, 0);
         lsq->storeResolve(1, frame(stale), stale, 1, 0x100, 77,
                           ValState::Final, ValState::Final, 1, 0);
     }
@@ -829,11 +821,10 @@ TEST_P(LsqRandom, MatchesBruteForceRescan)
                 } else {
                     op.known = true;
                     op.addrFinal = af;
-                    std::array<Target, isa::kMaxTargets> tgts{};
                     lsq->loadRequest(now, blk.frame, blk.seq, l, op.addr,
                                      af ? ValState::Final
                                         : ValState::Spec,
-                                     op.wave, 0, tgts, 0);
+                                     op.wave, 0);
                 }
             } else if (what < 70 && !window.empty()) {
                 // Flush from a random block, the oldest included.
@@ -850,9 +841,8 @@ TEST_P(LsqRandom, MatchesBruteForceRescan)
                 // A message for a flushed block must be dropped, even
                 // when its frame has been reused.
                 auto [f, seq] = flushed[rng.below(flushed.size())];
-                std::array<Target, isa::kMaxTargets> tgts{};
                 lsq->loadRequest(now, f, seq, 0, kBase, ValState::Final,
-                                 ~0u, 0, tgts, 0);
+                                 ~0u, 0);
                 lsq->storeResolve(now, f, seq, 0, kBase, 1,
                                   ValState::Final, ValState::Final, ~0u,
                                   0);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -203,6 +204,28 @@ TEST(Hierarchy, BankInterleavingByLine)
     EXPECT_NE(h.bankOf(0x00), h.bankOf(0x40));  // adjacent lines
     unsigned b0 = h.bankOf(0);
     EXPECT_EQ(h.bankOf(0 + 64ull * p.numDBanks), b0); // wraps
+}
+
+TEST(Hierarchy, BankOfMatchesDivisionForEveryBankCount)
+{
+    // The shift/mask form must equal (addr / lineBytes) % numDBanks,
+    // power-of-two bank counts or not, for either line size.
+    Rng rng(17);
+    for (unsigned line : {32u, 64u}) {
+        for (unsigned banks : {1u, 2u, 3u, 4u, 6u, 8u}) {
+            StatSet stats("t");
+            HierarchyParams p;
+            p.lineBytes = line;
+            p.numDBanks = banks;
+            Hierarchy h(p, stats);
+            for (int i = 0; i < 2000; ++i) {
+                Addr a = i < 1000 ? rng.next() : rng.below(1 << 16);
+                ASSERT_EQ(h.bankOf(a), (a / line) % banks)
+                    << "line " << line << " banks " << banks << " addr "
+                    << a;
+            }
+        }
+    }
 }
 
 TEST(Hierarchy, ReadsArePerBankIndependent)
