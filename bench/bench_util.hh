@@ -1,19 +1,17 @@
 /**
  * @file
- * Shared harness for the paper-reproduction benches: run a kernel
- * under a machine configuration, collect the metrics the paper's
- * tables and figures report, and print aligned tables. Each bench
- * binary regenerates one table or figure (see DESIGN.md's
- * per-experiment index).
+ * The run harness under bench_paper's figures (bench/figures.hh): run
+ * grids of kernels under machine configurations and report their
+ * failing cells.
  *
  * Grids (runSpecs / runMatrix) execute on a sim::RunPool: every cell
  * is an independent deterministic run, the per-kernel reference
  * execution is computed once and shared read-only, and results come
  * back in submission order — so `-j N` changes wall-clock only,
  * never a single printed digit. Failing cells (timeout, divergence,
- * structured SimError) no longer kill the binary: they are reported
- * at the end by finishBench(), which also emits the optional
- * `--json` metrics file and the exit status.
+ * structured SimError) never kill the driver: they are reported at
+ * the end by finishBench(), which also emits the optional `--json`
+ * metrics file and the exit status.
  */
 
 #ifndef EDGE_BENCH_BENCH_UTIL_HH
@@ -80,56 +78,46 @@ struct RunRow
     std::string failure() const;
 };
 
-/**
- * Command-line contract shared by every bench binary:
- *   bench_xxx [iterations] [-j N] [--json <path>] [--repro-dir <dir>]
- *             [--isolate] [--journal-dir <dir>] [--resume <journal>]
- *             [--cell-timeout-ms N] [--agents <port>]
- * A bare number is the iteration count; `-j 0` (the default) means
- * all hardware threads.
- */
+/** What finishBench() needs from the command line. */
 struct BenchArgs
 {
     std::uint64_t iterations = 2000;
     unsigned threads = 0;     ///< -j; 0 = hardware_concurrency
     std::string jsonPath;     ///< --json; empty = no JSON output
-    /**
-     * Directory for .repro.json captures of failing cells
-     * (--repro-dir, falling back to $EDGE_REPRO_DIR; empty disables
-     * capture).
-     */
-    std::string reproDir;
-    /**
-     * Supervised-campaign controls (see src/super/): run every grid
-     * cell in a sandboxed child process, journal completed cells,
-     * resume an interrupted grid. --journal-dir and --resume imply
-     * --isolate. Results are byte-identical to the in-process grid.
-     */
-    bool isolate = false;        ///< --isolate
-    std::string journalDir;      ///< --journal-dir
-    std::string resumePath;      ///< --resume <journal>
-    std::uint64_t cellTimeoutMs = 0; ///< --cell-timeout-ms
-    /**
-     * Campaign-fabric pass-through (--agents <port>, implies
-     * --isolate): the bench hosts a serve::Fabric coordinator on this
-     * port and leases grid cells to any `edgesim serve --agent`
-     * executors that connect; with none connected the grid degrades
-     * to the local fork/exec supervisor. Results are byte-identical
-     * either way. 0 = plain local --isolate.
-     */
-    std::uint16_t agentsPort = 0;
-    bool agents = false;         ///< --agents was given (port may be 0)
+    std::string reproDir;     ///< failing cells' captures; empty = none
     std::chrono::steady_clock::time_point start; ///< harness start
 };
 
-/** Parse argv (fatal on unknown flags); starts the wall clock. */
-BenchArgs benchArgs(int argc, char **argv,
-                    std::uint64_t default_iters = 2000);
+/** One point of a swept axis: its column label and its config tweak. */
+struct Point
+{
+    std::string label;
+    ConfigTweak tweak; ///< nullptr = the mechanism's default machine
+};
 
 /**
- * Run one spec serially. Never fatal: a timeout, divergence, or
- * structured error comes back in the row (check ok()).
+ * The shape of every paper grid: kernels x mechanisms x points of
+ * one swept axis (window size, latency, an ablation tweak...),
+ * kernel-major. A grid without a swept axis has one unlabelled point.
  */
+struct Grid
+{
+    std::vector<std::string> kernels;
+    std::vector<std::string> configs; ///< sim::Configs::allNames() names
+    std::vector<Point> points = {{"", nullptr}};
+
+    /** One spec per cell, in cell() order. */
+    std::vector<RunSpec> specs(std::uint64_t iterations) const;
+
+    /** Index of (kernel k, config c, point p) in specs(). */
+    std::size_t
+    cell(std::size_t k, std::size_t c, std::size_t p = 0) const
+    {
+        return (k * configs.size() + c) * points.size() + p;
+    }
+};
+
+/** Run one spec serially; a failure comes back in the row (ok()). */
 RunRow runOne(const RunSpec &spec);
 
 /**
@@ -140,31 +128,12 @@ RunRow runOne(const RunSpec &spec);
 std::vector<RunRow> runSpecs(const std::vector<RunSpec> &specs,
                              unsigned threads = 0);
 
-/**
- * The args-aware grid entry every bench binary calls: in-process on
- * the thread pool by default, or — under --isolate — each cell in a
- * sandboxed worker process with journal/resume support, keyed by
- * `bench_name`. An interrupted supervised grid prints the partial
- * tally plus a resume hint and exits 128+signal.
- */
-std::vector<RunRow> runSpecs(const std::vector<RunSpec> &specs,
-                             const BenchArgs &args,
-                             const std::string &bench_name);
-
 /** Run the cross product of kernels x configs (kernel-major). */
 std::vector<RunRow> runMatrix(const std::vector<std::string> &kernels,
                               const std::vector<std::string> &configs,
                               std::uint64_t iterations,
                               const ConfigTweak &tweak = nullptr,
                               unsigned threads = 0);
-
-/** Args-aware runMatrix (see the runSpecs overload above). */
-std::vector<RunRow> runMatrix(const std::vector<std::string> &kernels,
-                              const std::vector<std::string> &configs,
-                              std::uint64_t iterations,
-                              const ConfigTweak &tweak,
-                              const BenchArgs &args,
-                              const std::string &bench_name);
 
 /**
  * End-of-bench bookkeeping: capture a .repro.json for every failing
@@ -178,22 +147,6 @@ std::vector<RunRow> runMatrix(const std::vector<std::string> &kernels,
  */
 int finishBench(const std::string &bench_name, const BenchArgs &args,
                 std::vector<RunRow> &rows);
-
-/** Geometric mean (values must be positive). */
-double geomean(const std::vector<double> &values);
-
-/** Print one aligned table row ("name | v0 v1 v2 ..."). */
-void printRow(const std::string &name,
-              const std::vector<std::string> &cells, unsigned width = 12);
-
-/** Print a table header + separator. */
-void printHeader(const std::string &name,
-                 const std::vector<std::string> &cols,
-                 unsigned width = 12);
-
-/** Format helpers. */
-std::string fmtF(double v, int prec = 2);
-std::string fmtU(std::uint64_t v);
 
 } // namespace edge::bench
 

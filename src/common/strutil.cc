@@ -1,5 +1,6 @@
 #include "common/strutil.hh"
 
+#include <charconv>
 #include <cstdio>
 
 namespace edge {
@@ -68,6 +69,18 @@ padRight(const std::string &s, std::size_t width)
     if (s.size() >= width)
         return s;
     return s + std::string(width - s.size(), ' ');
+}
+
+std::optional<std::uint64_t>
+parseCount(std::string_view s, std::uint64_t max)
+{
+    // from_chars takes no '+' and, for an unsigned type, no '-'.
+    std::uint64_t v = 0;
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || ptr != end || v > max)
+        return std::nullopt;
+    return v;
 }
 
 } // namespace edge

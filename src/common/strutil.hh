@@ -9,7 +9,11 @@
 #define EDGE_COMMON_STRUTIL_HH
 
 #include <cstdarg>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace edge {
@@ -33,6 +37,15 @@ std::string padLeft(const std::string &s, std::size_t width);
 
 /** Right-pad (left-align) a string to the given width with spaces. */
 std::string padRight(const std::string &s, std::size_t width);
+
+/**
+ * Parse the whole of `s` as a decimal count no greater than `max`:
+ * digits only, so a sign, a space, a trailing character, an empty
+ * string, overflow or a value above `max` all give nullopt.
+ */
+std::optional<std::uint64_t>
+parseCount(std::string_view s,
+           std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 } // namespace edge
 

@@ -44,6 +44,9 @@ class ThreadPool
     /** hardware_concurrency, never less than 1. */
     static unsigned defaultThreads();
 
+    /** The most workers a command line may ask for (-j, --slots). */
+    static constexpr unsigned kMaxThreads = 256;
+
     unsigned numThreads() const { return _numThreads; }
 
     /**

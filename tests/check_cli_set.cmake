@@ -1,10 +1,11 @@
 # The edgesim `--set` / `--config` contract, driven end to end:
 #   cmake -DEDGESIM=<path to edgesim> -P check_cli_set.cmake
-# A good override runs, an unknown key and an unknown mechanism are
-# usage errors (exit 1) with a message. The cycle-loop engine is a
-# config field like any other: `--set engine=tick` selects the
-# reference loop and must report the same cycle count as the default
-# event engine. Overrides reach every cell of a chaos sweep.
+# A good override runs, an unknown key, an unknown mechanism and a
+# thread count that is not a number are usage errors (exit 1) with a
+# message. The cycle-loop engine is a config field like any other:
+# `--set engine=tick` selects the reference loop and must report the
+# same cycle count as the default event engine. Overrides reach every
+# cell of a chaos sweep.
 
 function(run_edgesim want_rc want_text)
     execute_process(
@@ -36,6 +37,8 @@ run_edgesim(0 "verified against the reference: PASS"
     --config dsre --set core.hop_latency=2 --set rng_seed=5)
 run_edgesim(1 "unknown --set key 'bogus'" --config dsre --set bogus=1)
 run_edgesim(1 "unknown config 'bogus'" --config bogus)
+run_edgesim(1 "-j wants a count from 0 to 256, got 'abc'"
+    --config dsre -j abc)
 
 run_edgesim(0 "verified against the reference: PASS" --config dsre)
 cycles_line(event_line)

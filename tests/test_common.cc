@@ -53,6 +53,24 @@ TEST(Strutil, Padding)
     EXPECT_EQ(padLeft("abcd", 3), "abcd"); // never truncates
 }
 
+TEST(Strutil, ParseCountTakesWholeDecimalCountsOnly)
+{
+    EXPECT_EQ(parseCount("0"), 0u);
+    EXPECT_EQ(parseCount("256", 256), 256u);
+    EXPECT_EQ(parseCount("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    // A sign, trailing text, an empty string, overflow of the type
+    // and a value above the cap are all rejected, never wrapped.
+    EXPECT_EQ(parseCount("-1"), std::nullopt);
+    EXPECT_EQ(parseCount("+1"), std::nullopt);
+    EXPECT_EQ(parseCount("12abc"), std::nullopt);
+    EXPECT_EQ(parseCount(" 12"), std::nullopt);
+    EXPECT_EQ(parseCount(""), std::nullopt);
+    EXPECT_EQ(parseCount("18446744073709551616"), std::nullopt);
+    EXPECT_EQ(parseCount("4294967296", 256), std::nullopt);
+    EXPECT_EQ(parseCount("257", 256), std::nullopt);
+}
+
 TEST(Stats, CounterBasics)
 {
     StatSet set("t");

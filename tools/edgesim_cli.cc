@@ -51,6 +51,7 @@
 #include "common/enum_names.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "common/thread_pool.hh"
 #include "fuzz/diff.hh"
 #include "serve/agent.hh"
 #include "serve/daemon.hh"
@@ -221,6 +222,17 @@ parseName(const char *what, const std::string &name)
     fatal_if(!e, "unknown %s '%s' (try: %s)", what, name.c_str(),
              enumNameList<E>().c_str());
     return *e;
+}
+
+/** A worker count flag's value (0 = hardware threads); exits on junk. */
+unsigned
+threadCount(const std::string &flag, const char *text)
+{
+    std::optional<std::uint64_t> n =
+        parseCount(text, ThreadPool::kMaxThreads);
+    fatal_if(!n, "%s wants a count from 0 to %u, got '%s'", flag.c_str(),
+             ThreadPool::kMaxThreads, text);
+    return static_cast<unsigned>(*n);
 }
 
 /** The documented exit status for one finished run. */
@@ -450,8 +462,7 @@ serveCliMain(int argc, char **argv)
             ao.coordinator = next();
             isAgent = true;
         } else if (arg == "--slots") {
-            ao.slots = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            ao.slots = threadCount(arg, next());
         } else if (arg == "--name") {
             ao.name = next();
         } else if (arg == "--die-after") {
@@ -463,8 +474,7 @@ serveCliMain(int argc, char **argv)
             ao.workerPath = next();
             so.fabric.workerPath = ao.workerPath;
         } else if (arg == "-j" || arg == "--jobs") {
-            so.fabric.localJobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            so.fabric.localJobs = threadCount(arg, next());
         } else if (arg == "--heartbeat-ms") {
             so.fabric.heartbeatMs =
                 std::strtoull(next(), nullptr, 10);
@@ -562,8 +572,7 @@ serveCliMain(int argc, char **argv)
             so.fabric.logOptions.chaos.seed =
                 std::strtoull(next(), nullptr, 10);
         } else if (arg == "--resume-threads") {
-            so.fabric.resumeThreads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            so.fabric.resumeThreads = threadCount(arg, next());
         } else if (arg == "--strict-provenance") {
             so.strictProvenance = true;
         } else if (arg == "--capture-repro") {
@@ -735,8 +744,7 @@ main(int argc, char **argv)
         } else if (arg == "--log-chaos-seed") {
             log_opts.chaos.seed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--resume-threads") {
-            resume_threads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            resume_threads = threadCount(arg, next());
         } else if (arg == "--strict-provenance") {
             strict_provenance = true;
         } else if (arg == "--version") {
@@ -747,11 +755,9 @@ main(int argc, char **argv)
         } else if (arg == "--minimize") {
             minimize = true;
         } else if (arg == "-j") {
-            threads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            threads = threadCount(arg, next());
         } else if (arg.size() > 2 && arg.compare(0, 2, "-j") == 0) {
-            threads = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 2, nullptr, 10));
+            threads = threadCount("-j", arg.c_str() + 2);
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--set") {
