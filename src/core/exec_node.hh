@@ -126,9 +126,9 @@ class ExecNode
 
     /**
      * True if tick(now) would issue anything — i.e. some slot wants
-     * the ALU or a commit-port upgrade. The event-driven engine skips
-     * the node (and lets the cycle loop skip whole cycles) when every
-     * node answers false. O(words of the want-bitmaps).
+     * the ALU or a commit-port upgrade. The cycle loop skips the node
+     * (and whole cycles) when every node answers false. O(words of
+     * the want-bitmaps).
      */
     bool
     hasWork() const

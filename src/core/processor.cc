@@ -689,7 +689,7 @@ Processor::wallDeadlineHit(Result &res)
     if (_cfg.wallDeadlineMs == 0)
         return false;
     // The clock read is amortised over 4096 *loop iterations*, not a
-    // cycle-number mask: the event engine skips cycle numbers, so a
+    // cycle-number mask: the loop skips cycle numbers, so a
     // `(_cycle & 0xfff) == 0` gate could be stepped over forever.
     if ((_wallPoll++ & 0xfff) != 0)
         return false;
@@ -710,38 +710,6 @@ Processor::wallDeadlineHit(Result &res)
     return true;
 }
 
-void
-Processor::runTick(Cycle max_cycles, Result &res)
-{
-    while (!_halted && _cycle < max_cycles) {
-        _mesh->deliver(_cycle, [this](net::Coord, Msg &&m) {
-            deliverMsg(_cycle, m);
-        });
-        _gcn->deliver(_cycle, [this](net::Coord, Msg &&m) {
-            deliverMsg(_cycle, m);
-        });
-        for (unsigned n = 0; n < _nodes.size(); ++n)
-            tickNode(n, _cycle);
-        fetchTick(_cycle);
-        commitTick(_cycle);
-        if (_cycle - _lastCommit > _cfg.core.watchdogCycles) {
-            res.error = watchdogDump(_cycle);
-            break;
-        }
-        if (_livelock.due(_cycle)) {
-            bool active = false;
-            std::uint64_t digest = activityDigest(&active);
-            if (_livelock.sample(_committedBlocks, digest, active)) {
-                res.error = livelockDump(_cycle);
-                break;
-            }
-        }
-        if (wallDeadlineHit(res))
-            break;
-        ++_cycle;
-    }
-}
-
 Cycle
 Processor::nextDeadline(Cycle next) const
 {
@@ -755,7 +723,7 @@ Processor::nextDeadline(Cycle next) const
     consider(_lastCommit + _cfg.core.watchdogCycles + 1);
     if (_fetchBusy)
         consider(_fetchReady);
-    // Every multiple of the interval is a sample the tick loop visits.
+    // Every multiple of the interval is a livelock sample.
     if (_livelock.enabled()) {
         Cycle step = _livelock.interval();
         consider((next + step - 1) / step * step);
@@ -764,18 +732,17 @@ Processor::nextDeadline(Cycle next) const
 }
 
 void
-Processor::runEvent(Cycle max_cycles, Result &res)
+Processor::runCycles(Cycle max_cycles, Result &res)
 {
-    // Cycle-skipping engine. Every cycle that the ticking loop would
-    // have processed *non-inertly* is either (a) a mesh/GCN arrival
-    // cycle, (b) the cycle after an active one (local state changed,
-    // so fetch/commit/nodes may act), or (c) one of three deadlines:
-    // fetch completion, the watchdog fire, the next livelock sample.
-    // Everything else is provably inert — node ticks with no
-    // want-bits, fetch with no state change, commit with unchanged
-    // finality have zero side effects — so skipping those cycles is
-    // observably identical to ticking through them (see DESIGN.md
-    // "Event-driven cycle engine").
+    // Every cycle in which something can happen is either (a) a
+    // mesh/GCN arrival cycle, (b) the cycle after an active one
+    // (local state changed, so fetch/commit/nodes may act), or (c) one
+    // of three deadlines: fetch completion, the watchdog fire, the
+    // next livelock sample. Every other cycle is provably inert —
+    // node ticks with no want-bits, fetch with no state change, commit
+    // with unchanged finality have zero side effects — so jumping
+    // over those cycles is observably identical to visiting each one
+    // (see DESIGN.md "Cycle loop").
     while (!_halted && _cycle < max_cycles) {
         bool active = false;
         _mesh->deliver(_cycle, [this, &active](net::Coord, Msg &&m) {
@@ -838,10 +805,7 @@ Processor::run(Cycle max_cycles)
     // failure stops the run and surfaces as a structured report
     // instead of aborting the process.
     try {
-        if (_cfg.engine == EngineKind::Tick)
-            runTick(max_cycles, res);
-        else
-            runEvent(max_cycles, res);
+        runCycles(max_cycles, res);
     } catch (const chaos::InvariantFailure &f) {
         res.error.reason = chaos::SimError::Reason::InvariantViolation;
         res.error.invariant = f.invariant();

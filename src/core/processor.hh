@@ -20,7 +20,6 @@
 #include "chaos/progress.hh"
 #include "chaos/sim_error.hh"
 #include "chaos/trace_ring.hh"
-#include "common/enum_names.hh"
 #include "common/logging.hh"
 #include "common/frame_ring.hh"
 #include "compiler/placement.hh"
@@ -38,27 +37,6 @@
 #include "predictor/oracle.hh"
 
 namespace edge::core {
-
-/**
- * Which cycle-loop implementation drives the machine. Both produce
- * bit-identical results (same cycle counts, stats, failure reports);
- * the event engine skips cycles in which nothing can happen by
- * jumping to the next message arrival or deadline, and is the
- * default. The tick engine is the
- * original poll-every-cycle loop, kept as a differential reference.
- */
-enum class EngineKind : std::uint8_t
-{
-    Tick,
-    Event,
-};
-
-inline constexpr EnumName<EngineKind> kEngineNames[] = {
-    {EngineKind::Tick, "tick"},
-    {EngineKind::Event, "event"},
-};
-constexpr auto &enumNames(EngineKind) { return kEngineNames; }
-static_assert(enumTableCovers(kEngineNames, EngineKind::Event));
 
 /** Everything configurable about one simulated machine. */
 struct MachineConfig
@@ -92,8 +70,6 @@ struct MachineConfig
      * the one failure kind the grid retry policy treats as transient.
      */
     std::uint64_t wallDeadlineMs = 0;
-    /** Cycle-loop implementation (observably identical either way). */
-    EngineKind engine = EngineKind::Event;
 };
 
 class Processor
@@ -222,19 +198,18 @@ class Processor
     bool commitTick(Cycle now);
 
     /**
-     * The two cycle-loop engines behind run(): the original
-     * poll-every-cycle loop and the event engine that jumps over
-     * cycles in which nothing can happen. Both fill `res` with the
-     * same values for the same machine and program (differentially
-     * tested); exceptions propagate to run()'s handler.
+     * The cycle loop behind run(). It visits every cycle in which
+     * something can happen and jumps over the inert ones to the next
+     * message arrival or deadline; skipped cycles are those in which
+     * visiting would change no state (see DESIGN.md "Cycle loop").
+     * Exceptions propagate to run()'s handler.
      */
-    void runTick(Cycle max_cycles, Result &res);
-    void runEvent(Cycle max_cycles, Result &res);
+    void runCycles(Cycle max_cycles, Result &res);
 
     /**
-     * The earliest of the event engine's three deadlines at or after
-     * `next`: fetch completion, the watchdog fire and the next
-     * livelock sample.
+     * The earliest of the loop's three deadlines at or after `next`:
+     * fetch completion, the watchdog fire and the next livelock
+     * sample.
      */
     Cycle nextDeadline(Cycle next) const;
 
@@ -262,10 +237,10 @@ class Processor
     }
 
     /**
-     * Host wall-clock deadline poll, engine-independent: counts
-     * iterations (not simulated cycles, which the event engine can
-     * skip) and reads the clock every 4096 polls. Fills `res.error`
-     * and returns true when the deadline has passed.
+     * Host wall-clock deadline poll: counts loop iterations (not
+     * simulated cycles, which the loop skips) and reads the clock
+     * every 4096 polls. Fills `res.error` and returns true when the
+     * deadline has passed.
      */
     bool wallDeadlineHit(Result &res);
 
@@ -318,9 +293,9 @@ class Processor
     /**
      * Active-node set, one bit per node. A node's bit is set when an
      * operand is delivered to it or an instruction is mapped onto it,
-     * and cleared by the event engine once the node has no work left,
-     * so every node with work has its bit set. The event engine ticks
-     * only set bits, in index order; the tick engine ignores the set.
+     * and cleared by the loop once the node has no work left, so
+     * every node with work has its bit set. The loop ticks only set
+     * bits, in index order: ticking a node with no work is inert.
      */
     std::vector<std::uint64_t> _activeNodes;
     std::vector<BlockCtx> _ctx; ///< indexed by frame

@@ -129,7 +129,7 @@ class Mesh
 
     /**
      * Arrival cycle of the earliest in-flight message, or ~Cycle{0}
-     * when the network is empty. The event-driven run loop uses this
+     * when the network is empty. The cycle loop uses this
      * to jump straight to the next delivery instead of polling.
      */
     Cycle nextArrival() const { return _queue.nextArrival(); }

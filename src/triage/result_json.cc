@@ -309,8 +309,6 @@ struct Fields<core::MachineConfig>
                             "events kept for failure reports"),
         row<&P::wallDeadlineMs>("wall_deadline_ms",
                                 "per-run wall-clock deadline (0 off)"),
-        row<&P::engine>("engine", "cycle-loop implementation (tick: "
-                                   "the bit-identical reference loop)"),
         row<&P::core>("core", "execution core"),
         row<&P::mem>("mem", "memory hierarchy"),
         row<&P::lsq>("lsq", "load/store queue"),

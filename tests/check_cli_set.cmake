@@ -1,11 +1,9 @@
 # The edgesim `--set` / `--config` contract, driven end to end:
 #   cmake -DEDGESIM=<path to edgesim> -P check_cli_set.cmake
-# A good override runs, an unknown key, an unknown mechanism and a
-# thread count that is not a number are usage errors (exit 1) with a
-# message. The cycle-loop engine is a config field like any other:
-# `--set engine=tick` selects the reference loop and must report the
-# same cycle count as the default event engine. Overrides reach every
-# cell of a chaos sweep.
+# A good override runs; an unknown key (the retired `engine` among
+# them), an unknown mechanism and a count flag whose value is not a
+# whole number in range are usage errors (exit 1) naming the flag.
+# Overrides reach every cell of a chaos sweep.
 
 function(run_edgesim want_rc want_text)
     execute_process(
@@ -24,15 +22,6 @@ function(run_edgesim want_rc want_text)
     set(last_out "${out}" PARENT_SCOPE)
 endfunction()
 
-# The "<kernel> / <config>: N cycles, ..." line of the last run.
-function(cycles_line var)
-    string(REGEX MATCH "[^\n]*: [0-9]+ cycles[^\n]*" line "${last_out}")
-    if(NOT line)
-        message(FATAL_ERROR "no cycles line in:\n${last_out}")
-    endif()
-    set(${var} "${line}" PARENT_SCOPE)
-endfunction()
-
 run_edgesim(0 "verified against the reference: PASS"
     --config dsre --set core.hop_latency=2 --set rng_seed=5)
 run_edgesim(1 "unknown --set key 'bogus'" --config dsre --set bogus=1)
@@ -40,18 +29,26 @@ run_edgesim(1 "unknown config 'bogus'" --config bogus)
 run_edgesim(1 "-j wants a count from 0 to 256, got 'abc'"
     --config dsre -j abc)
 
-run_edgesim(0 "verified against the reference: PASS" --config dsre)
-cycles_line(event_line)
-run_edgesim(0 "verified against the reference: PASS"
-    --config dsre --set engine=tick)
-cycles_line(tick_line)
-if(NOT tick_line STREQUAL event_line)
-    message(FATAL_ERROR
-        "--set engine=tick: '${tick_line}' != default '${event_line}'")
+run_edgesim(1 "unknown --set key 'engine'" --config dsre --set engine=event)
+run_edgesim(1 "--iterations wants a count from 0 to [0-9]+, got '12abc'"
+    --config dsre --iterations 12abc)
+run_edgesim(1 "--iterations wants a count from 0 to [0-9]+, got 'abc'"
+    --config dsre --iterations abc)
+run_edgesim(1 "--chaos-sweep wants a count from 0 to [0-9]+, got '-1'"
+    --config dsre --chaos-sweep -1)
+
+# A port past 65535 is refused before anything listens. Were it
+# accepted, the coordinator would start serving: the timeout ends it.
+execute_process(
+    COMMAND ${EDGESIM} serve --listen 70000 --once
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE out
+    TIMEOUT 10)
+if(NOT rc EQUAL 1 OR
+   NOT out MATCHES "--listen wants a count from 0 to 65535, got '70000'")
+    message(FATAL_ERROR "serve --listen 70000: exit ${rc}, want 1\n${out}")
 endif()
-run_edgesim(1 "unknown name 'bogus' \\(expected one of: tick event\\)"
-    --config dsre --set engine=bogus)
-run_edgesim(1 "unknown argument '--engine'" --config dsre --engine tick)
 
 # A chaos sweep runs every cell under the --set overrides too: a
 # 16-frame window changes the sweep's totals.

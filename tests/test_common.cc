@@ -234,7 +234,6 @@ TEST(EnumNames, EveryTableIsOneToOne)
     expectOneToOne<chaos::TraceEvent::Kind>();
     expectOneToOne<lsq::Recovery>();
     expectOneToOne<pred::DepPolicy>();
-    expectOneToOne<core::EngineKind>();
     expectOneToOne<log::LogCrashPoint>();
     expectOneToOne<serve::simnet::SimProfile>();
     expectOneToOne<serve::simnet::EvKind>();
@@ -257,7 +256,7 @@ TEST(EnumNames, CoverageRejectsMissingMisorderedAndExtraRows)
 TEST(EnumNames, NameListIsTableOrder)
 {
     EXPECT_EQ(enumNameList<chaos::Profile>(), "none light heavy net mem lsq");
-    EXPECT_STREQ(enumName(static_cast<core::EngineKind>(9)), "?");
+    EXPECT_STREQ(enumName(static_cast<lsq::Recovery>(9)), "?");
 }
 
 } // namespace

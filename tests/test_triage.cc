@@ -241,7 +241,6 @@ TEST(ConfigWire, EveryFieldRoundTripsUnderItsOwnKey)
     c.checkInvariants = true;
     c.traceDepth = next();
     c.wallDeadlineMs = next();
-    c.engine = core::EngineKind::Tick;
     c.core.rows = next();
     c.core.cols = next();
     c.core.slotsPerNode = next();
@@ -320,7 +319,6 @@ TEST(ConfigWire, EveryFieldRoundTripsUnderItsOwnKey)
     EXPECT_EQ(doc.getString("policy"), "oracle");
     EXPECT_FALSE(doc.getBool("check_committed_path", true));
     EXPECT_TRUE(doc.getBool("check_invariants"));
-    EXPECT_EQ(doc.getString("engine"), "tick");
     EXPECT_TRUE(core_o->getBool("commit_wave_uses_alu"));
     EXPECT_FALSE(core_o->getBool("squash_identical_values", true));
     EXPECT_EQ(lsq_o->getString("recovery"), "flush");
@@ -355,8 +353,6 @@ TEST(ConfigWire, UnknownNamesAreErrorsNotFatal)
     EXPECT_NE(
         configError(R"({"lsq":{"recovery":"bogus"}})").find("lsq.recovery"),
         std::string::npos);
-    EXPECT_NE(configError(R"({"engine":"bogus"})").find("engine"),
-              std::string::npos);
     EXPECT_NE(configError(R"({"core":{"rows":"4"}})").find("core.rows"),
               std::string::npos);
     EXPECT_NE(configError(R"({"core":{"rows":4294967296}})")
@@ -375,6 +371,31 @@ TEST(ConfigWire, UnknownNamesAreErrorsNotFatal)
     EXPECT_FALSE(triage::resultFromJson(result, &r, &err));
     EXPECT_NE(err.find("reason: unknown name 'bogus'"), std::string::npos)
         << err;
+}
+
+TEST(ConfigWire, RetiredEngineKeyIsIgnored)
+{
+    // Builds that had a second cycle loop wrote "engine" into every
+    // config; the decoder skips keys it does not know, so such a
+    // config still loads and runs to the same result.
+    triage::JsonValue doc = triage::configToJson(sim::Configs::dsre());
+    triage::JsonValue old = doc;
+    old.set("engine", triage::JsonValue::str("tick"));
+    core::MachineConfig a, b;
+    std::string err;
+    ASSERT_TRUE(triage::configFromJson(doc, &a, &err)) << err;
+    ASSERT_TRUE(triage::configFromJson(old, &b, &err)) << err;
+    EXPECT_EQ(triage::configToJson(b).dumpCompact(), doc.dumpCompact());
+
+    wl::KernelParams kp;
+    kp.iterations = 60;
+    const isa::Program prog = wl::build("parserish", kp);
+    std::vector<sim::RunResult> r =
+        sim::RunPool(2).runAll({{&prog, a}, {&prog, b}});
+    ASSERT_EQ(r.size(), 2u);
+    EXPECT_TRUE(r[0].halted && r[0].archMatch);
+    EXPECT_EQ(triage::resultToJson(r[0]).dumpCompact(),
+              triage::resultToJson(r[1]).dumpCompact());
 }
 
 TEST(ConfigWire, ReproWithUnknownNameFailsToLoad)

@@ -44,6 +44,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -193,13 +195,11 @@ usage()
     std::printf("configs: %s\n"
                 "chaos profiles: %s\n"
                 "mutations: %s\n"
-                "engines: %s\n"
                 "log crash points: %s\n"
                 "sim profiles: %s\n",
                 join(sim::Configs::allNames(), " ").c_str(),
                 enumNameList<chaos::Profile>().c_str(),
                 enumNameList<chaos::Mutation>().c_str(),
-                enumNameList<core::EngineKind>().c_str(),
                 enumNameList<log::LogCrashPoint>().c_str(),
                 enumNameList<serve::simnet::SimProfile>().c_str());
     std::printf("\nset keys (--set <key>=<value>; default in "
@@ -224,15 +224,31 @@ parseName(const char *what, const std::string &name)
     return *e;
 }
 
+/**
+ * A count, seed, port or millisecond flag's value: the whole of `text`
+ * as a decimal no greater than `max` (by default, the most `T` holds).
+ * Junk, a sign or an out-of-range value is a usage error naming the
+ * flag.
+ */
+template <typename T = std::uint64_t>
+T
+countArg(const std::string &flag, const char *text,
+         std::uint64_t max = std::numeric_limits<T>::max())
+{
+    std::optional<std::uint64_t> n = parseCount(text, max);
+    fatal_if(!n, "%s wants a count from 0 to %llu, got '%s'", flag.c_str(),
+             static_cast<unsigned long long>(max), text);
+    return static_cast<T>(*n);
+}
+
+/** The largest --log-segment-mb whose byte count fits 64 bits. */
+constexpr std::uint64_t kMaxSegmentMb = ~std::uint64_t{0} >> 20;
+
 /** A worker count flag's value (0 = hardware threads); exits on junk. */
 unsigned
 threadCount(const std::string &flag, const char *text)
 {
-    std::optional<std::uint64_t> n =
-        parseCount(text, ThreadPool::kMaxThreads);
-    fatal_if(!n, "%s wants a count from 0 to %u, got '%s'", flag.c_str(),
-             ThreadPool::kMaxThreads, text);
-    return static_cast<unsigned>(*n);
+    return countArg<unsigned>(flag, text, ThreadPool::kMaxThreads);
 }
 
 /** The documented exit status for one finished run. */
@@ -455,8 +471,7 @@ serveCliMain(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--listen") {
-            so.fabric.listenPort = static_cast<std::uint16_t>(
-                std::strtoul(next(), nullptr, 10));
+            so.fabric.listenPort = countArg<std::uint16_t>(arg, next());
             haveListen = true;
         } else if (arg == "--agent") {
             ao.coordinator = next();
@@ -466,33 +481,27 @@ serveCliMain(int argc, char **argv)
         } else if (arg == "--name") {
             ao.name = next();
         } else if (arg == "--die-after") {
-            ao.dieAfterResults = std::strtoull(next(), nullptr, 10);
+            ao.dieAfterResults = countArg(arg, next());
         } else if (arg == "--reconnect-max") {
-            ao.reconnectMax = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            ao.reconnectMax = countArg<unsigned>(arg, next());
         } else if (arg == "--worker-path") {
             ao.workerPath = next();
             so.fabric.workerPath = ao.workerPath;
         } else if (arg == "-j" || arg == "--jobs") {
             so.fabric.localJobs = threadCount(arg, next());
         } else if (arg == "--heartbeat-ms") {
-            so.fabric.heartbeatMs =
-                std::strtoull(next(), nullptr, 10);
+            so.fabric.heartbeatMs = countArg(arg, next());
         } else if (arg == "--heartbeat-timeout-ms") {
-            so.fabric.heartbeatTimeoutMs =
-                std::strtoull(next(), nullptr, 10);
+            so.fabric.heartbeatTimeoutMs = countArg(arg, next());
         } else if (arg == "--lease-ms") {
-            so.fabric.leaseMs = std::strtoull(next(), nullptr, 10);
+            so.fabric.leaseMs = countArg(arg, next());
         } else if (arg == "--max-reassign") {
-            so.fabric.maxReassign = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            so.fabric.maxReassign = countArg<unsigned>(arg, next());
         } else if (arg == "--hedge-after-ms") {
-            so.fabric.hedgeAfterMs =
-                std::strtoull(next(), nullptr, 10);
+            so.fabric.hedgeAfterMs = countArg(arg, next());
             xo.hedgeAfterMs = so.fabric.hedgeAfterMs;
         } else if (arg == "--hedge-max") {
-            so.fabric.hedgeMax = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            so.fabric.hedgeMax = countArg<unsigned>(arg, next());
         } else if (arg == "--audit-frac") {
             so.fabric.auditFrac = std::strtod(next(), nullptr);
             fatal_if(so.fabric.auditFrac < 0 ||
@@ -500,8 +509,7 @@ serveCliMain(int argc, char **argv)
                      "--audit-frac expects a fraction in [0,1]");
             xo.auditFrac = so.fabric.auditFrac;
         } else if (arg == "--max-queued") {
-            so.fabric.maxQueued = static_cast<std::size_t>(
-                std::strtoull(next(), nullptr, 10));
+            so.fabric.maxQueued = countArg<std::size_t>(arg, next());
             xo.maxQueued = so.fabric.maxQueued;
         } else if (arg == "--simulate") {
             simulate = true;
@@ -510,16 +518,13 @@ serveCliMain(int argc, char **argv)
             auto dots = spec.find("..");
             if (dots == std::string::npos) {
                 // "--seeds N" = the first N seeds.
-                std::uint64_t n =
-                    std::strtoull(spec.c_str(), nullptr, 10);
+                std::uint64_t n = countArg(arg, spec.c_str());
                 fatal_if(n == 0, "--seeds expects N or A..B");
                 xo.seedLo = 0;
                 xo.seedHi = n - 1;
             } else {
-                xo.seedLo =
-                    std::strtoull(spec.c_str(), nullptr, 10);
-                xo.seedHi = std::strtoull(
-                    spec.c_str() + dots + 2, nullptr, 10);
+                xo.seedLo = countArg(arg, spec.substr(0, dots).c_str());
+                xo.seedHi = countArg(arg, spec.c_str() + dots + 2);
                 fatal_if(xo.seedHi < xo.seedLo,
                          "--seeds range is backwards");
             }
@@ -527,14 +532,11 @@ serveCliMain(int argc, char **argv)
             xo.profile =
                 parseName<serve::simnet::SimProfile>("sim profile", next());
         } else if (arg == "--sim-agents") {
-            xo.agents = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            xo.agents = countArg<unsigned>(arg, next());
         } else if (arg == "--sim-cells") {
-            xo.cells = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            xo.cells = countArg<unsigned>(arg, next());
         } else if (arg == "--sim-clients") {
-            xo.clients = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            xo.clients = countArg<unsigned>(arg, next());
         } else if (arg == "--fabsim-dir") {
             xo.fabsimDir = next();
         } else if (arg == "--replay") {
@@ -547,30 +549,26 @@ serveCliMain(int argc, char **argv)
                      "unknown fabric mutation '%s'", m.c_str());
             xo.mutateNoHedgeRevoke = true;
         } else if (arg == "--cell-timeout-ms") {
-            so.fabric.cellTimeoutMs =
-                std::strtoull(next(), nullptr, 10);
+            so.fabric.cellTimeoutMs = countArg(arg, next());
         } else if (arg == "--rlimit-as-mb") {
-            so.fabric.rlimitAsMb = std::strtoull(next(), nullptr, 10);
+            so.fabric.rlimitAsMb = countArg(arg, next());
         } else if (arg == "--rlimit-cpu-sec") {
-            so.fabric.rlimitCpuSec =
-                std::strtoull(next(), nullptr, 10);
+            so.fabric.rlimitCpuSec = countArg(arg, next());
         } else if (arg == "--journal") {
             so.fabric.journalPath = next();
         } else if (arg == "--resume") {
             so.fabric.journalPath = next();
             so.fabric.resume = true;
         } else if (arg == "--log-group-ms") {
-            so.fabric.logOptions.groupCommitMs =
-                std::strtoull(next(), nullptr, 10);
+            so.fabric.logOptions.groupCommitMs = countArg(arg, next());
         } else if (arg == "--log-segment-mb") {
             so.fabric.logOptions.segmentBytes =
-                std::strtoull(next(), nullptr, 10) * 1024 * 1024;
+                countArg(arg, next(), kMaxSegmentMb) << 20;
         } else if (arg == "--log-chaos") {
             so.fabric.logOptions.chaos.point =
                 parseName<log::LogCrashPoint>("log crash point", next());
         } else if (arg == "--log-chaos-seed") {
-            so.fabric.logOptions.chaos.seed =
-                std::strtoull(next(), nullptr, 10);
+            so.fabric.logOptions.chaos.seed = countArg(arg, next());
         } else if (arg == "--resume-threads") {
             so.fabric.resumeThreads = threadCount(arg, next());
         } else if (arg == "--strict-provenance") {
@@ -674,9 +672,9 @@ main(int argc, char **argv)
         } else if (arg == "--kernel") {
             kernel = next();
         } else if (arg == "--fuzz") {
-            fuzz_count = std::strtoull(next(), nullptr, 10);
+            fuzz_count = countArg(arg, next());
         } else if (arg == "--fuzz-seed") {
-            fuzz_seed = std::strtoull(next(), nullptr, 10);
+            fuzz_seed = countArg(arg, next());
         } else if (arg == "--fuzz-chaos") {
             chaos_profile =
                 parseName<chaos::Profile>("chaos profile", next());
@@ -685,22 +683,22 @@ main(int argc, char **argv)
         } else if (arg == "--config") {
             config = next();
         } else if (arg == "--iterations") {
-            kp.iterations = std::strtoull(next(), nullptr, 10);
+            kp.iterations = countArg(arg, next());
         } else if (arg == "--seed") {
             // One run-level seed: the workload generator and (unless
             // --chaos-seed overrides) the fault schedule derive from
             // it.
-            run_seed = std::strtoull(next(), nullptr, 10);
+            run_seed = countArg(arg, next());
             kp.seed = run_seed;
         } else if (arg == "--chaos-seed") {
-            chaos_seed = std::strtoull(next(), nullptr, 10);
+            chaos_seed = countArg(arg, next());
         } else if (arg == "--chaos-profile") {
             chaos_profile =
                 parseName<chaos::Profile>("chaos profile", next());
         } else if (arg == "--check-invariants") {
             check_invariants = true;
         } else if (arg == "--chaos-sweep") {
-            sweep_seeds = std::strtoull(next(), nullptr, 10);
+            sweep_seeds = countArg(arg, next());
         } else if (arg == "--mutate") {
             mutation = parseName<chaos::Mutation>("mutation", next());
 #ifndef EDGE_MUTATIONS
@@ -708,8 +706,7 @@ main(int argc, char **argv)
                      "--mutate requires a build with EDGE_MUTATIONS=ON");
 #endif
         } else if (arg == "--mutate-node") {
-            mutation_node = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            mutation_node = countArg<unsigned>(arg, next());
         } else if (arg == "--capture-repro") {
             repro_dir = next();
         } else if (arg == "--isolate") {
@@ -717,10 +714,9 @@ main(int argc, char **argv)
         } else if (arg == "--submit") {
             submit_to = next();
         } else if (arg == "--submit-timeout-ms") {
-            submit_timeout_ms = std::strtoull(next(), nullptr, 10);
+            submit_timeout_ms = countArg(arg, next());
         } else if (arg == "--submit-retries") {
-            submit_retries = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            submit_retries = countArg<unsigned>(arg, next());
         } else if (arg == "--journal-dir") {
             journal_dir = next();
             isolate = true;
@@ -728,21 +724,21 @@ main(int argc, char **argv)
             resume_path = next();
             isolate = true;
         } else if (arg == "--cell-timeout-ms") {
-            cell_timeout_ms = std::strtoull(next(), nullptr, 10);
+            cell_timeout_ms = countArg(arg, next());
         } else if (arg == "--rlimit-as-mb") {
-            rlimit_as_mb = std::strtoull(next(), nullptr, 10);
+            rlimit_as_mb = countArg(arg, next());
         } else if (arg == "--rlimit-cpu-sec") {
-            rlimit_cpu_sec = std::strtoull(next(), nullptr, 10);
+            rlimit_cpu_sec = countArg(arg, next());
         } else if (arg == "--log-group-ms") {
-            log_opts.groupCommitMs = std::strtoull(next(), nullptr, 10);
+            log_opts.groupCommitMs = countArg(arg, next());
         } else if (arg == "--log-segment-mb") {
-            log_opts.segmentBytes =
-                std::strtoull(next(), nullptr, 10) * 1024 * 1024;
+            log_opts.segmentBytes = countArg(arg, next(), kMaxSegmentMb)
+                                    << 20;
         } else if (arg == "--log-chaos") {
             log_opts.chaos.point =
                 parseName<log::LogCrashPoint>("log crash point", next());
         } else if (arg == "--log-chaos-seed") {
-            log_opts.chaos.seed = std::strtoull(next(), nullptr, 10);
+            log_opts.chaos.seed = countArg(arg, next());
         } else if (arg == "--resume-threads") {
             resume_threads = threadCount(arg, next());
         } else if (arg == "--strict-provenance") {
