@@ -62,7 +62,7 @@ runOne(const RunSpec &spec)
     if (spec.tweak)
         spec.tweak(cfg);
     sim::Simulator s(wl::build(spec.kernel, kp), cfg);
-    return {spec, s.run(spec.maxCycles)};
+    return {spec, s.run(spec.maxCycles), {}};
 }
 
 std::vector<RunRow>
@@ -100,7 +100,7 @@ runSpecs(const std::vector<RunSpec> &specs, unsigned threads)
     std::vector<RunRow> rows;
     rows.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i)
-        rows.push_back({specs[i], std::move(results[i])});
+        rows.push_back({specs[i], std::move(results[i]), {}});
     return rows;
 }
 

@@ -56,7 +56,7 @@ struct RunRow
 
     /**
      * A failing cell is either QUARANTINED — a deterministic failure
-     * (invariant violation, watchdog, livelock, panic, divergence)
+     * (invariant violation, watchdog, panic, divergence)
      * that replays from its repro file and must be triaged, not
      * retried — or FATAL: a host-level transient (wall-clock
      * deadline) that still failed after every retry the policy

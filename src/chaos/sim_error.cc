@@ -12,7 +12,6 @@ exitCodeFor(SimError::Reason reason)
       case SimError::Reason::Watchdog: return 10;
       case SimError::Reason::InvariantViolation: return 11;
       case SimError::Reason::ProtocolPanic: return 12;
-      case SimError::Reason::Livelock: return 13;
       case SimError::Reason::HostDeadline: return 14;
       case SimError::Reason::WorkerCrash: return 15;
       case SimError::Reason::WorkerKilled: return 16;

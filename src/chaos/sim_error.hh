@@ -30,7 +30,6 @@ struct SimError
         Watchdog,           ///< no commit for watchdogCycles
         InvariantViolation, ///< the runtime invariant checker fired
         ProtocolPanic,      ///< a panic() in the timing machinery
-        Livelock,           ///< activity repeats with no commit
         HostDeadline,       ///< per-run wall-clock deadline exceeded
 
         // --- supervised-campaign (process isolation) kinds ---------
@@ -90,7 +89,6 @@ inline constexpr EnumName<SimError::Reason> kReasonNames[] = {
     {SimError::Reason::Watchdog, "watchdog"},
     {SimError::Reason::InvariantViolation, "invariant-violation"},
     {SimError::Reason::ProtocolPanic, "protocol-panic"},
-    {SimError::Reason::Livelock, "livelock"},
     {SimError::Reason::HostDeadline, "host-deadline"},
     {SimError::Reason::WorkerCrash, "worker-crash"},
     {SimError::Reason::WorkerKilled, "worker-killed"},
@@ -109,14 +107,16 @@ static_assert(enumTableCovers(kReasonNames,
  * The documented process exit status for each failure kind (see
  * docs/PROTOCOL.md, "Failure triage"): 0 for a clean run, then one
  * distinct code per SimError::Reason so scripts and CI can branch on
- * WHY a run failed without parsing stderr.
+ * WHY a run failed without parsing stderr. Code 13 is retired (it
+ * named a second hang detector that the watchdog covers) and is not
+ * reused: the codes after it keep their numbers.
  */
 int exitCodeFor(SimError::Reason reason);
 
 /**
  * Host-level failures (wall-clock deadline, supervised-cell timeout)
  * are transient: the same cell may pass on a retry. Everything else —
- * watchdog, invariant violation, protocol panic, livelock, a worker
+ * watchdog, invariant violation, protocol panic, a worker
  * segfault — is a deterministic property of (program, config, seed)
  * and must never be retried in-session. (A SIGKILLed worker is not
  * retried either: the supervisor quarantines it with a repro and the

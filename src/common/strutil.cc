@@ -83,4 +83,19 @@ parseCount(std::string_view s, std::uint64_t max)
     return v;
 }
 
+std::optional<double>
+parseFraction(std::string_view s)
+{
+    // from_chars takes no '+' and no space, but would read "-0"; nan
+    // fails the range test.
+    if (s.empty() || s.front() == '-')
+        return std::nullopt;
+    double v = 0;
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || ptr != end || !(v >= 0 && v <= 1))
+        return std::nullopt;
+    return v;
+}
+
 } // namespace edge

@@ -47,6 +47,13 @@ std::optional<std::uint64_t>
 parseCount(std::string_view s,
            std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
+/**
+ * Parse the whole of `s` as a decimal fraction in [0, 1] ("0.25",
+ * "1", "5e-1"): a sign, a space, a trailing character, an empty
+ * string, nan or a value outside [0, 1] all give nullopt.
+ */
+std::optional<double> parseFraction(std::string_view s);
+
 } // namespace edge
 
 #endif // EDGE_COMMON_STRUTIL_HH

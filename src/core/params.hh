@@ -44,20 +44,12 @@ struct CoreParams
     unsigned latCtrl = 1;
     unsigned latMemAddr = 1; ///< address generation for loads/stores
 
-    /** Abort if no block commits for this many cycles. */
-    Cycle watchdogCycles = 200000;
-
     /**
-     * Livelock detector: cycles between activity-digest samples (0
-     * disables). With the defaults a commit-free machine whose
-     * per-interval activity repeats exactly is reported as Livelock
-     * after interval * repeats cycles — well inside the watchdog
-     * budget — while a fully drained machine (no activity) is left to
-     * the watchdog and reported as a deadlock.
+     * Abort if no block commits for this many cycles. This one check
+     * ends every hung run: a drained machine (deadlock) and one still
+     * busy re-sending waves (livelock) alike.
      */
-    Cycle livelockInterval = 25000;
-    /** Identical commit-free activity digests before firing. */
-    unsigned livelockRepeats = 4;
+    Cycle watchdogCycles = 200000;
 
     unsigned numNodes() const { return rows * cols; }
 

@@ -18,8 +18,6 @@ Processor::Processor(const MachineConfig &config,
       _stats(stats),
       _trace(config.traceDepth),
       _inflight(config.core.numFrames),
-      _livelock(config.core.livelockInterval,
-                config.core.livelockRepeats),
       _statCommittedBlocks(stats.counter("core.committed_blocks",
                                          "blocks committed")),
       _statCommittedInsts(stats.counter("core.committed_insts",
@@ -638,51 +636,6 @@ Processor::watchdogDump(Cycle now)
     return err;
 }
 
-chaos::SimError
-Processor::livelockDump(Cycle now)
-{
-    chaos::SimError err;
-    err.reason = chaos::SimError::Reason::Livelock;
-    err.invariant = "forward-progress";
-    err.message = strfmt(
-        "livelock detected: the per-interval activity digest repeated "
-        "%u times (sample interval %llu cycles) without a commit — "
-        "the machine is exchanging waves but making no architectural "
-        "progress:\n",
-        _livelock.streak() + 1,
-        static_cast<unsigned long long>(_livelock.interval()));
-    err.message += machineDump(now);
-    err.cycle = now;
-    if (!_inflight.empty())
-        err.seq = _ctx[_inflight.front()].seq;
-    err.trace = _trace.snapshot();
-    return err;
-}
-
-std::uint64_t
-Processor::activityDigest(bool *active)
-{
-    const std::uint64_t cur[4] = {
-        _stats.counterValue("net.delivered"),
-        _stats.counterValue("gcn.delivered"),
-        _stats.counterValue("core.alu_issues"),
-        _stats.counterValue("lsq.resends"),
-    };
-    std::uint64_t digest = 0;
-    std::uint64_t total = 0;
-    for (unsigned i = 0; i < 4; ++i) {
-        std::uint64_t delta = cur[i] - _llPrev[i];
-        _llPrev[i] = cur[i];
-        total += delta;
-        digest = chaos::digestMix(digest, delta);
-    }
-    digest = chaos::digestMix(digest, _mesh->inFlight());
-    digest = chaos::digestMix(digest, _gcn->inFlight());
-    total += _mesh->inFlight() + _gcn->inFlight();
-    *active = total != 0;
-    return digest;
-}
-
 bool
 Processor::wallDeadlineHit(Result &res)
 {
@@ -723,11 +676,6 @@ Processor::nextDeadline(Cycle next) const
     consider(_lastCommit + _cfg.core.watchdogCycles + 1);
     if (_fetchBusy)
         consider(_fetchReady);
-    // Every multiple of the interval is a livelock sample.
-    if (_livelock.enabled()) {
-        Cycle step = _livelock.interval();
-        consider((next + step - 1) / step * step);
-    }
     return wake;
 }
 
@@ -737,8 +685,8 @@ Processor::runCycles(Cycle max_cycles, Result &res)
     // Every cycle in which something can happen is either (a) a
     // mesh/GCN arrival cycle, (b) the cycle after an active one
     // (local state changed, so fetch/commit/nodes may act), or (c) one
-    // of three deadlines: fetch completion, the watchdog fire, the
-    // next livelock sample. Every other cycle is provably inert —
+    // of two deadlines: fetch completion or the watchdog fire. Every
+    // other cycle is provably inert —
     // node ticks with no want-bits, fetch with no state change, commit
     // with unchanged finality have zero side effects — so jumping
     // over those cycles is observably identical to visiting each one
@@ -772,14 +720,6 @@ Processor::runCycles(Cycle max_cycles, Result &res)
             res.error = watchdogDump(_cycle);
             break;
         }
-        if (_livelock.due(_cycle)) {
-            bool ll_active = false;
-            std::uint64_t digest = activityDigest(&ll_active);
-            if (_livelock.sample(_committedBlocks, digest, ll_active)) {
-                res.error = livelockDump(_cycle);
-                break;
-            }
-        }
         if (wallDeadlineHit(res))
             break;
 
@@ -800,7 +740,7 @@ Processor::run(Cycle max_cycles)
     Result res;
     _wallStart = std::chrono::steady_clock::now();
     _wallPoll = 0;
-    // Graceful degradation: a watchdog timeout, a livelock, a missed
+    // Graceful degradation: a watchdog timeout, a missed
     // wall-clock deadline, a protocol panic or an invariant-checker
     // failure stops the run and surfaces as a structured report
     // instead of aborting the process.

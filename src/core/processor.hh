@@ -17,7 +17,6 @@
 
 #include "chaos/chaos.hh"
 #include "chaos/invariants.hh"
-#include "chaos/progress.hh"
 #include "chaos/sim_error.hh"
 #include "chaos/trace_ring.hh"
 #include "common/logging.hh"
@@ -207,9 +206,8 @@ class Processor
     void runCycles(Cycle max_cycles, Result &res);
 
     /**
-     * The earliest of the loop's three deadlines at or after `next`:
-     * fetch completion, the watchdog fire and the next livelock
-     * sample.
+     * The earlier of the loop's two deadlines at or after `next`:
+     * fetch completion and the watchdog fire.
      */
     Cycle nextDeadline(Cycle next) const;
 
@@ -244,17 +242,14 @@ class Processor
      */
     bool wallDeadlineHit(Result &res);
 
-    /** Render the stuck-machine state (watchdog/livelock reports). */
+    /** Render the stuck-machine state (watchdog reports). */
     std::string machineDump(Cycle now);
 
-    /** Build the graceful deadlock report (no commit for too long). */
+    /**
+     * Build the graceful hang report: no commit for too long, whether
+     * the machine drained (deadlock) or is still busy (livelock).
+     */
     chaos::SimError watchdogDump(Cycle now);
-
-    /** Build the livelock report (repeating commit-free activity). */
-    chaos::SimError livelockDump(Cycle now);
-
-    /** Digest of activity since the last livelock sample. */
-    std::uint64_t activityDigest(bool *active);
 
     // --- configuration & substrate ----------------------------------------
     MachineConfig _cfg;
@@ -314,9 +309,6 @@ class Processor
     /** Wall-deadline poll state (see wallDeadlineHit). */
     std::chrono::steady_clock::time_point _wallStart{};
     unsigned _wallPoll = 0;
-    chaos::LivelockDetector _livelock;
-    /** Counter snapshot backing the livelock activity deltas. */
-    std::uint64_t _llPrev[4] = {0, 0, 0, 0};
     std::uint64_t _committedBlocks = 0;
     std::uint64_t _committedInsts = 0;
 

@@ -24,7 +24,6 @@ classify(const sim::RunResult &result)
     using Reason = chaos::SimError::Reason;
     switch (result.error.reason) {
       case Reason::Watchdog:
-      case Reason::Livelock:
         return Outcome::Hang;
       case Reason::InvariantViolation:
       case Reason::ProtocolPanic:
@@ -34,8 +33,14 @@ classify(const sim::RunResult &result)
       case Reason::WorkerKilled:
       case Reason::WorkerTimeout:
       case Reason::WorkerProtocol:
-        // Supervised-campaign cells whose worker process died: the
-        // crash bucket, with the Worker* reason carrying the detail.
+      case Reason::AgentLost:
+      case Reason::AgentCorrupt:
+      case Reason::ProvenanceMismatch:
+      case Reason::FabricSimViolation:
+        // Cells lost to the host rather than the simulated machine (a
+        // dead worker process, dead or corrupt fabric agents, a
+        // refused journal, a fabric-simulation violation): the crash
+        // bucket, with the reason carrying the detail.
         return Outcome::Crash;
       case Reason::None:
         break;

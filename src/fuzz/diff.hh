@@ -35,8 +35,9 @@ enum class Outcome : std::uint8_t
     Pass,       ///< halted, architectural state matches the reference
     Divergence, ///< clean run, but final state differs from the oracle
     Crash,      ///< SimError: invariant violation / protocol panic /
-                ///  host deadline (after retries)
-    Hang,       ///< watchdog, livelock, or the cycle budget expired
+                ///  host deadline (after retries) / a cell lost to
+                ///  its worker process or fabric agents
+    Hang,       ///< watchdog, or the cycle budget expired
     RefHang,    ///< the *reference* did not halt (a generator bug)
 };
 

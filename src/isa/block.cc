@@ -43,8 +43,9 @@ Block::validateInto(std::vector<ValidationIssue> &out,
     const std::size_t before = out.size();
     auto issue = [&](std::string at, std::string what) {
         std::string w = where;
-        if (!at.empty())
-            w += (w.empty() ? "" : " ") + std::move(at);
+        if (!at.empty() && !w.empty())
+            w += ' ';
+        w += at;
         out.push_back({std::move(w), std::move(what)});
     };
 

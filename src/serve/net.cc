@@ -131,10 +131,10 @@ connectTo(const std::string &host_port, std::string *err,
     hints.ai_family = AF_INET;
     hints.ai_socktype = SOCK_STREAM;
     addrinfo *res = nullptr;
-    int rc = getaddrinfo(host.c_str(), port.c_str(), &hints, &res);
-    if (rc != 0 || !res) {
+    const int gai = getaddrinfo(host.c_str(), port.c_str(), &hints, &res);
+    if (gai != 0 || !res) {
         if (err)
-            *err = "resolve '" + host + "': " + gai_strerror(rc);
+            *err = "resolve '" + host + "': " + gai_strerror(gai);
         if (res)
             freeaddrinfo(res);
         return -1;

@@ -354,7 +354,7 @@ SimNet::crashPlan(unsigned nAgents, std::uint64_t horizonMs)
         t += 2000;
     }
     for (unsigned a = 0; a < nAgents; ++a) {
-        std::string edge = "a" + std::to_string(a);
+        const std::string edge = 'a' + std::to_string(a);
         if (draw("ac", edge, 0) % 100 >= 40)
             continue;
         std::uint64_t atMs = 500 + draw("acat", edge, 0) % 8000;

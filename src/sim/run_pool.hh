@@ -40,7 +40,7 @@ struct RunJob
  * Bounded retry with backoff for *transient* (host-level) failures —
  * today that is exactly SimError::Reason::HostDeadline, the
  * wall-clock guard. Deterministic failures (watchdog, invariant
- * violation, protocol panic, livelock, divergence) are properties of
+ * violation, protocol panic, divergence) are properties of
  * (program, config, seed) and are NEVER retried: rerunning them
  * would burn time to reproduce the same bits. A cell that fails
  * deterministically is quarantined — reported as a structured row

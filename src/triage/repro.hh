@@ -39,7 +39,7 @@ struct ProgramRef
     /** When set, `embedded` IS the program; `kernel` is just a label
      *  (and `params.seed` records the fuzz generator seed). */
     bool hasEmbedded = false;
-    isa::Program embedded;
+    isa::Program embedded{};
 };
 
 /** A ProgramRef carrying the program itself. */

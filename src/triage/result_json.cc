@@ -196,10 +196,6 @@ struct Fields<core::CoreParams>
                             "load/store address generation latency"),
         row<&P::watchdogCycles>("watchdog_cycles",
                                 "abort after this many commit-free cycles"),
-        row<&P::livelockInterval>("livelock_interval",
-                                  "cycles between livelock samples (0 off)"),
-        row<&P::livelockRepeats>("livelock_repeats",
-                                 "identical samples before livelock"),
     };
 };
 

@@ -88,7 +88,7 @@ TEST(ChaosConvergence, SweepGridCommitsIdenticalState)
     sp.profile = chaos::Profile::Heavy;
     sp.checkInvariants = true;
 
-    for (const std::string &kernel :
+    for (const char *kernel :
          {"parserish", "mcfish", "twolfish", "gzipish"}) {
         sim::ChaosSweepReport rep =
             sim::chaosSweep(kernelProgram(kernel, 80), sp);

@@ -69,6 +69,16 @@ TEST(Strutil, ParseCountTakesWholeDecimalCountsOnly)
     EXPECT_EQ(parseCount("18446744073709551616"), std::nullopt);
     EXPECT_EQ(parseCount("4294967296", 256), std::nullopt);
     EXPECT_EQ(parseCount("257", 256), std::nullopt);
+
+    // parseFraction holds fractions to the same whole-string rule,
+    // and to the range [0, 1].
+    EXPECT_EQ(parseFraction("0"), 0.0);
+    EXPECT_EQ(parseFraction("0.25"), 0.25);
+    EXPECT_EQ(parseFraction("1"), 1.0);
+    EXPECT_EQ(parseFraction("5e-1"), 0.5);
+    for (const char *junk : {"abc", "0.5x", "-0.1", "1.5", "nan", "",
+                             "+0.5", " 0.5", "inf", "-0"})
+        EXPECT_EQ(parseFraction(junk), std::nullopt) << "'" << junk << "'";
 }
 
 TEST(Stats, CounterBasics)

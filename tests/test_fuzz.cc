@@ -105,6 +105,19 @@ TEST(FuzzClassify, MapsResultsToOutcomes)
 
     r.error.reason = chaos::SimError::Reason::ProtocolPanic;
     EXPECT_EQ(fuzz::classify(r), fuzz::Outcome::Crash);
+
+    // A cell lost to the fabric never halted, yet it is a host-side
+    // loss beside the Worker* reasons, not a hang of the machine.
+    r.halted = false;
+    for (chaos::SimError::Reason lost :
+         {chaos::SimError::Reason::AgentLost,
+          chaos::SimError::Reason::AgentCorrupt,
+          chaos::SimError::Reason::ProvenanceMismatch,
+          chaos::SimError::Reason::FabricSimViolation}) {
+        r.error.reason = lost;
+        EXPECT_EQ(fuzz::classify(r), fuzz::Outcome::Crash)
+            << enumName(lost);
+    }
 }
 
 // ---------------------------------------------------------------------

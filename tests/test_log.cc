@@ -250,9 +250,11 @@ crashMatrixCase(log::LogCrashPoint point, Damage damage)
     opts.segmentBytes = segBytes;
     ASSERT_TRUE(lg.open(dir, "test-build", opts, 1, &err)) << err;
     std::map<std::uint64_t, std::string> have = recordMap(lg.loaded());
-    for (std::uint64_t i = 0; i < kCells; ++i)
-        if (have.find(cellId(i)) == have.end())
+    for (std::uint64_t i = 0; i < kCells; ++i) {
+        if (have.find(cellId(i)) == have.end()) {
             ASSERT_NE(lg.append(cellId(i), payloadFor(i)), 0u);
+        }
+    }
     ASSERT_TRUE(lg.flush());
     lg.close();
 
@@ -335,9 +337,11 @@ TEST(LogCrashMatrix, FailedFsyncIsStickyAndResumable)
         recordMap(lg2.loaded());
     EXPECT_GE(have.size(), 1u); // record 0 was acknowledged durable
     EXPECT_EQ(have[cellId(0)], payloadFor(0));
-    for (std::uint64_t i = 0; i < kCells; ++i)
-        if (have.find(cellId(i)) == have.end())
+    for (std::uint64_t i = 0; i < kCells; ++i) {
+        if (have.find(cellId(i)) == have.end()) {
             ASSERT_NE(lg2.append(cellId(i), payloadFor(i)), 0u);
+        }
+    }
     ASSERT_TRUE(lg2.flush());
     lg2.close();
 
@@ -428,8 +432,9 @@ TEST(ResultLog, RotationMergesSegmentsAtAnyWorkerCount)
             // Seal a block every few records; rotation happens at
             // block boundaries, so one giant batch would pack all 40
             // records into a single block.
-            if (i % 4 == 3)
+            if (i % 4 == 3) {
                 ASSERT_TRUE(lg.flush());
+            }
         }
         ASSERT_TRUE(lg.flush());
         lg.close();

@@ -698,9 +698,10 @@ class LsqRandom
                     << "seq " << window[b].seq << " lsid " << l;
                 // With a resend budget a correction may wait for the
                 // commit wave; without one every reply is current.
-                if (budget == 0 || fin)
+                if (budget == 0 || fin) {
                     EXPECT_EQ(op.lastValue, expectValue(b, l))
                         << "seq " << window[b].seq << " lsid " << l;
+                }
             }
             EXPECT_EQ(lsq->blockMemFinal(window[b].frame),
                       expectBlockFinal(window[b]))

@@ -126,10 +126,10 @@ INSTANTIATE_TEST_SUITE_P(
     Fuzz, RandomPrograms,
     ::testing::Combine(::testing::Range<std::uint64_t>(1, 13),
                        ::testing::ValuesIn(sim::Configs::allNames())),
-    [](const auto &info) {
+    [](const auto &p) {
         std::string n = "seed" +
-                        std::to_string(std::get<0>(info.param)) + "_" +
-                        std::get<1>(info.param);
+                        std::to_string(std::get<0>(p.param)) + "_" +
+                        std::get<1>(p.param);
         for (char &c : n)
             if (c == '-')
                 c = '_';

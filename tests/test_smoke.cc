@@ -102,8 +102,8 @@ TEST_P(SmokeAllConfigs, RmwLoopMatchesReference)
 INSTANTIATE_TEST_SUITE_P(
     Mechanisms, SmokeAllConfigs,
     ::testing::ValuesIn(sim::Configs::allNames()),
-    [](const auto &info) {
-        std::string n = info.param;
+    [](const auto &p) {
+        std::string n = p.param;
         for (char &c : n)
             if (c == '-')
                 c = '_';

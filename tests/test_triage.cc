@@ -261,8 +261,6 @@ TEST(ConfigWire, EveryFieldRoundTripsUnderItsOwnKey)
     c.core.latCtrl = next();
     c.core.latMemAddr = next();
     c.core.watchdogCycles = next();
-    c.core.livelockInterval = next();
-    c.core.livelockRepeats = next();
     c.mem.numDBanks = next();
     c.mem.l1dSizeBytes = next();
     c.mem.l1dAssoc = next();
@@ -376,11 +374,16 @@ TEST(ConfigWire, UnknownNamesAreErrorsNotFatal)
 TEST(ConfigWire, RetiredEngineKeyIsIgnored)
 {
     // Builds that had a second cycle loop wrote "engine" into every
-    // config; the decoder skips keys it does not know, so such a
-    // config still loads and runs to the same result.
+    // config, and builds that had a second hang detector wrote its
+    // two core.livelock_* knobs; the decoder skips keys it does not
+    // know, so such a config still loads and runs to the same result.
     triage::JsonValue doc = triage::configToJson(sim::Configs::dsre());
     triage::JsonValue old = doc;
     old.set("engine", triage::JsonValue::str("tick"));
+    triage::JsonValue core = *old.get("core");
+    core.set("livelock_interval", triage::JsonValue::u64(25000));
+    core.set("livelock_repeats", triage::JsonValue::u64(4));
+    old.set("core", std::move(core));
     core::MachineConfig a, b;
     std::string err;
     ASSERT_TRUE(triage::configFromJson(doc, &a, &err)) << err;
@@ -489,22 +492,20 @@ TEST(TriageExitCodes, DistinctPerReasonAndDocumented)
     EXPECT_EQ(chaos::exitCodeFor(Reason::Watchdog), 10);
     EXPECT_EQ(chaos::exitCodeFor(Reason::InvariantViolation), 11);
     EXPECT_EQ(chaos::exitCodeFor(Reason::ProtocolPanic), 12);
-    EXPECT_EQ(chaos::exitCodeFor(Reason::Livelock), 13);
     EXPECT_EQ(chaos::exitCodeFor(Reason::HostDeadline), 14);
 
     std::set<int> codes;
     for (Reason r : {Reason::None, Reason::Watchdog,
                      Reason::InvariantViolation, Reason::ProtocolPanic,
-                     Reason::Livelock, Reason::HostDeadline}) {
+                     Reason::HostDeadline}) {
         codes.insert(chaos::exitCodeFor(r));
         EXPECT_EQ(enumLookup<Reason>(enumName(r)), r);
     }
-    EXPECT_EQ(codes.size(), 6u);
+    EXPECT_EQ(codes.size(), 5u);
 
     EXPECT_TRUE(chaos::isTransient(Reason::HostDeadline));
     for (Reason r : {Reason::None, Reason::Watchdog,
-                     Reason::InvariantViolation, Reason::ProtocolPanic,
-                     Reason::Livelock})
+                     Reason::InvariantViolation, Reason::ProtocolPanic})
         EXPECT_FALSE(chaos::isTransient(r)) << enumName(r);
 }
 

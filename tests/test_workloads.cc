@@ -53,9 +53,9 @@ allCombos()
 
 INSTANTIATE_TEST_SUITE_P(
     Suite, WorkloadXMechanism, ::testing::ValuesIn(allCombos()),
-    [](const auto &info) {
-        std::string n = std::get<0>(info.param) + "_" +
-                        std::get<1>(info.param);
+    [](const auto &p) {
+        std::string n = std::get<0>(p.param) + "_" +
+                        std::get<1>(p.param);
         for (char &c : n)
             if (c == '-')
                 c = '_';

@@ -14,31 +14,17 @@
  *   edgesim --kernel mcfish --chaos-profile light --chaos-sweep 20
  *   edgesim --replay failures/parserish-...-seed5.repro.json
  *
- * --set takes a config field by its repro-JSON path; `edgesim
- * --help` lists every key, generated from the config field table.
- *
- * Exit codes (see docs/PROTOCOL.md, "Failure triage"):
- *    0  clean run / convergent sweep / replay reproduced
- *    1  usage or configuration error
- *    2  architectural divergence (state differs from the reference)
- *    3  one or more sweep cells failed
- *    4  replay did NOT reproduce the recorded failure signature
- *   10  deadlock watchdog        11  invariant violation
- *   12  protocol panic           13  livelock
- *   14  host wall-clock deadline
- *   15  worker crash             16  worker killed
- *   17  worker timeout           18  worker protocol
- *   19  agent lost (campaign fabric)
- *   20  journal provenance mismatch (--strict-provenance)
- *   21  agent corrupt (result audit caught divergent bytes)
- *   128+N  supervised campaign interrupted by signal N
- *
  * Campaign fabric (docs/PROTOCOL.md, "Campaign fabric"):
  *   edgesim serve --listen 7733            # coordinator
  *   edgesim serve --agent host:7733        # executor agent
  *   edgesim --fuzz 200 --submit host:7733  # client submission
+ *
+ * Every flag is one row of a table below, read by both the parse loop
+ * and `--help`. `--help` also lists the exit codes, from the failure
+ * reasons, and every `--set` key, from the config field table.
  */
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -47,6 +33,8 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/build_info.hh"
@@ -71,200 +59,564 @@ using namespace edge;
 
 namespace {
 
-void
-usage()
-{
-    std::printf(
-        "usage: edgesim [--list] --kernel <name> [--config <name>]\n"
-        "               [--iterations N] [--seed N] [--stats]\n"
-        "               [--chaos-profile <name>] [--chaos-seed N]\n"
-        "               [--check-invariants] [--chaos-sweep N]\n"
-        "               [--mutate <name>] [--mutate-node N]\n"
-        "               [--capture-repro <dir>] [--minimize]\n"
-        "               [-j N] [--set key=value ...]\n"
-        "       edgesim --replay <file.repro.json> [--minimize] [-j N]\n"
-        "       edgesim --fuzz N [--fuzz-seed S] [--fuzz-chaos <name>]\n"
-        "               [--corpus-dir <dir>] [--minimize] [-j N]\n"
-        "       edgesim serve --listen <port> [fabric options]\n"
-        "       edgesim serve --agent <host:port> [--slots N] [--name S]\n"
-        "       edgesim --fuzz N --submit <host:port>\n"
-        "       edgesim --kernel K --chaos-sweep N --submit <host:port>\n"
-        "       edgesim serve --simulate [--seeds A..B|N]\n"
-        "               [--sim-profile <name>] [--fabsim-dir <dir>]\n"
-        "       edgesim serve --replay <file.fabsim.json> [--minimize]\n"
-        "\n"
-        "  --fuzz N  differential fuzzing: N random hyperblock\n"
-        "         programs, each run under every mechanism and\n"
-        "         cross-checked against the reference executor\n"
-        "  --fuzz-seed S  base generator seed (program i uses S+i)\n"
-        "  --fuzz-chaos <name>  layer a chaos profile onto every run\n"
-        "  --corpus-dir <dir>  one .repro.json per unique failure\n"
-        "         signature, program embedded (with --minimize, also\n"
-        "         a ddmin-shrunk .min.repro.json)\n"
-        "  --list-kernels  print the kernel names, one per line\n"
-        "\n"
-        "  -j N   run grids / minimization on N worker threads\n"
-        "         (default: hardware concurrency; results are\n"
-        "         bit-identical to -j 1)\n"
-        "\n"
-        "supervised campaigns (sweeps and fuzzing):\n"
-        "  --isolate  run every grid cell in a sandboxed child\n"
-        "         process; a segfaulting/OOM-killed/hung cell becomes\n"
-        "         a structured failure row, never a dead campaign\n"
-        "  --journal-dir <dir>  durable group-commit result log of\n"
-        "         completed cells (implies --isolate)\n"
-        "  --resume <journal>  skip cells the journal marks final,\n"
-        "         re-execute the rest, merge (implies --isolate)\n"
-        "  --resume-threads N  redo workers for the recovery scan\n"
-        "         (default: hardware threads; merge is identical at\n"
-        "         any count)\n"
-        "  --strict-provenance  refuse to resume a journal written\n"
-        "         by a different build (exit 20) instead of warning\n"
-        "  --log-group-ms N  group-commit window: max ms a record\n"
-        "         waits for its batch fsync (default 5)\n"
-        "  --log-segment-mb N  segment rotation size (default 64)\n"
-        "  --log-chaos <point> / --log-chaos-seed N  deterministic\n"
-        "         crash/IO-fault injection into the result log\n"
-        "  --cell-timeout-ms N  SIGKILL a cell past this deadline\n"
-        "  --rlimit-as-mb N / --rlimit-cpu-sec N  child sandbox caps\n"
-        "\n"
-        "campaign fabric (multi-host; docs/PROTOCOL.md):\n"
-        "  serve --listen <port>  coordinator: accepts agents and\n"
-        "         campaign submissions, leases cells out, reassigns\n"
-        "         on agent death, falls back to local workers\n"
-        "  serve --agent <host:port>  executor agent: runs leased\n"
-        "         cells via the --worker-cell isolation path\n"
-        "  --submit <host:port>  run this --fuzz / --chaos-sweep\n"
-        "         campaign on a coordinator instead of locally\n"
-        "  --submit-timeout-ms N  client inactivity deadline: fail\n"
-        "         the submit if the coordinator sends nothing for N\n"
-        "         ms (must exceed the campaign duration; 0 = wait\n"
-        "         forever)\n"
-        "  coordinator knobs: --heartbeat-ms N, --heartbeat-timeout-ms\n"
-        "         N, --lease-ms N, --max-reassign N, --once,\n"
-        "         --no-local-fallback, --journal <file>, --resume\n"
-        "         <file>\n"
-        "  self-defence knobs: --hedge-after-ms N (straggler hedge\n"
-        "         threshold; 0 = auto from fleet p95), --hedge-max N\n"
-        "         (speculative leases per cell, 0 = off),\n"
-        "         --audit-frac F (re-execute fraction F of clean\n"
-        "         remote results on a second agent and byte-compare;\n"
-        "         divergence quarantines the corrupt agent),\n"
-        "         --max-queued N (shed submissions past N queued,\n"
-        "         structured retry-after error; 0 = unbounded)\n"
-        "  --submit-retries N  resubmissions after an admission-\n"
-        "         control shed (honoring its retry_after_ms hint;\n"
-        "         default 3)\n"
-        "  agent knobs: --slots N, --name S, --die-after N,\n"
-        "         --reconnect-max N (re-dial attempts after a dropped\n"
-        "         coordinator connection, capped+jittered backoff;\n"
-        "         in-flight cells keep running and finished results\n"
-        "         are re-offered after re-registration; default 5)\n"
-        "\n"
-        "deterministic fabric simulation (docs/PROTOCOL.md):\n"
-        "  serve --simulate  run whole simulated fabrics (coordinator,\n"
-        "         agents, clients) on virtual time, one world per\n"
-        "         seed, checking fabric invariants; failing seeds are\n"
-        "         captured as self-contained .fabsim.json files\n"
-        "  --seeds A..B | N  seed range (inclusive) or first-N\n"
-        "  --sim-profile <name>  world fault mix\n"
-        "  --sim-agents/--sim-cells/--sim-clients N  fix the world\n"
-        "         shape (default: derived per seed)\n"
-        "  --fabsim-dir <dir>  capture directory (default fabsim/)\n"
-        "  --mutate no-hedge-revoke  arm the planted regression\n"
-        "         (EDGE_MUTATIONS builds)\n"
-        "  serve --replay <file.fabsim.json>  re-run a captured world\n"
-        "         from its recorded event schedule; exits 0 iff the\n"
-        "         violation reproduces (--minimize: ddmin the schedule\n"
-        "         first, writing <file>.min.json)\n"
-        "  --version  print the build provenance line\n"
-        "  --capture-repro <dir>  write a .repro.json for every\n"
-        "         failing run / sweep cell into <dir>\n"
-        "  --replay <file>  re-run a captured failure; exits 0 iff\n"
-        "         the failure signature reproduces exactly\n"
-        "  --minimize  delta-debug the fault schedule of the failure\n"
-        "         down to a locally minimal event set\n"
-        "\n"
-        "exit codes: 0 ok, 1 usage/config, 2 divergence, 3 sweep\n"
-        "  failures, 4 replay mismatch, 10 watchdog, 11 invariant\n"
-        "  violation, 12 protocol panic, 13 livelock, 14 host\n"
-        "  deadline, 15-18 worker crash/kill/timeout/protocol,\n"
-        "  19 agent lost, 20 provenance mismatch, 21 agent corrupt,\n"
-        "  22 fabric-sim violation, 128+N interrupted by signal N\n"
-        "\n");
-    std::printf("configs: %s\n"
-                "chaos profiles: %s\n"
-                "mutations: %s\n"
-                "log crash points: %s\n"
-                "sim profiles: %s\n",
-                join(sim::Configs::allNames(), " ").c_str(),
-                enumNameList<chaos::Profile>().c_str(),
-                enumNameList<chaos::Mutation>().c_str(),
-                enumNameList<log::LogCrashPoint>().c_str(),
-                enumNameList<serve::simnet::SimProfile>().c_str());
-    std::printf("\nset keys (--set <key>=<value>; default in "
-                "brackets):\n");
-    for (const triage::ConfigKey &k : triage::configKeys()) {
-        if (k.value.empty())
-            std::printf("  %s.*  %s\n", k.path.c_str(), k.doc);
-        else
-            std::printf("  %-32s %s [%s]\n", k.path.c_str(), k.doc,
-                        k.value.c_str());
-    }
-}
+// ---------------------------------------------------------------------
+// The flag tables. A row holds a flag's spellings, its value's
+// placeholder, its help section and text, and a setter. Main mode
+// reads Flags<MainCli>, `edgesim serve` reads Flags<ServeCli>, and
+// both read CampaignFlags<O>, so each flag is spelled once per mode.
+// ---------------------------------------------------------------------
 
-/** The enumerator a flag names; exits listing the valid names. */
-template <typename E>
-E
-parseName(const char *what, const std::string &name)
+/** A 64-bit count as printf's %llu wants it. */
+constexpr unsigned long long
+ull(std::uint64_t v)
 {
-    std::optional<E> e = enumLookup<E>(name);
-    fatal_if(!e, "unknown %s '%s' (try: %s)", what, name.c_str(),
-             enumNameList<E>().c_str());
-    return *e;
+    return v;
 }
 
 /**
- * A count, seed, port or millisecond flag's value: the whole of `text`
- * as a decimal no greater than `max` (by default, the most `T` holds).
- * Junk, a sign or an out-of-range value is a usage error naming the
- * flag.
+ * A flag as typed and its value's text (null for a switch). Each
+ * reader takes the whole text as one kind of value; junk is a usage
+ * error (exit 1) that names the flag.
  */
-template <typename T = std::uint64_t>
-T
-countArg(const std::string &flag, const char *text,
-         std::uint64_t max = std::numeric_limits<T>::max())
+struct Arg
 {
-    std::optional<std::uint64_t> n = parseCount(text, max);
-    fatal_if(!n, "%s wants a count from 0 to %llu, got '%s'", flag.c_str(),
-             static_cast<unsigned long long>(max), text);
-    return static_cast<T>(*n);
+    std::string flag;
+    const char *text;
+
+    /** A decimal no greater than `max`. */
+    template <typename T = std::uint64_t>
+    T
+    count(std::uint64_t max = std::numeric_limits<T>::max()) const
+    {
+        std::optional<std::uint64_t> n = parseCount(text, max);
+        fatal_if(!n, "%s wants a count from 0 to %llu, got '%s'",
+                 flag.c_str(), ull(max), text);
+        return static_cast<T>(*n);
+    }
+
+    /** A worker count (0 = all hardware threads). */
+    unsigned
+    threads() const
+    {
+        return count<unsigned>(ThreadPool::kMaxThreads);
+    }
+
+    double
+    fraction() const
+    {
+        std::optional<double> f = parseFraction(text);
+        fatal_if(!f, "%s wants a fraction from 0 to 1, got '%s'",
+                 flag.c_str(), text);
+        return *f;
+    }
+
+    template <typename E>
+    E
+    name() const
+    {
+        std::optional<E> e = enumLookup<E>(text);
+        fatal_if(!e, "%s wants one of: %s; got '%s'", flag.c_str(),
+                 enumNameList<E>().c_str(), text);
+        return *e;
+    }
+};
+
+template <typename O>
+struct Flag
+{
+    const char *names;   ///< spellings, '|'-separated ("-j|--jobs")
+    const char *metavar; ///< the value's placeholder; null for a switch
+    const char *section; ///< help heading ("" = under the synopsis)
+    const char *doc;     ///< help text; '\n' breaks its line
+    void (*set)(O &, const Arg &);
+    /** The value may also follow the first spelling directly (-j4). */
+    bool glued = false;
+    /** Set for a flag that ends the run (--help): its exit status. */
+    int (*act)() = nullptr;
+};
+
+/** The row of a flag that ends the run with `act()`'s status. */
+template <typename O>
+constexpr Flag<O>
+action(const char *names, const char *doc, int (*act)())
+{
+    return {names, nullptr, "", doc, nullptr, false, act};
 }
 
-/** The largest --log-segment-mb whose byte count fits 64 bits. */
-constexpr std::uint64_t kMaxSegmentMb = ~std::uint64_t{0} >> 20;
-
-/** A worker count flag's value (0 = hardware threads); exits on junk. */
-unsigned
-threadCount(const std::string &flag, const char *text)
+/**
+ * The row of a flag that sets the member of O at the path P... (&O::kp,
+ * &wl::KernelParams::iterations). The member's type picks the value
+ * kind: a bool is a switch (metavar null), an enum takes a name, an
+ * integer a count no greater than it holds, a string the text itself.
+ * A row that sets two members, or reads a value of another shape
+ * (a fraction, a seed range), writes its setter out.
+ */
+template <typename O, auto... P>
+constexpr Flag<O>
+field(const char *names, const char *metavar, const char *section,
+      const char *doc)
 {
-    return countArg<unsigned>(flag, text, ThreadPool::kMaxThreads);
+    return {names, metavar, section, doc, [](O &o, const Arg &a) {
+                auto &m = (o .* ... .* P);
+                using T = std::remove_reference_t<decltype(m)>;
+                if constexpr (std::is_same_v<T, bool>)
+                    m = true;
+                else if constexpr (std::is_enum_v<T>)
+                    m = a.name<T>();
+                else if constexpr (std::is_integral_v<T>)
+                    m = a.count<T>();
+                else
+                    m = a.text;
+            }};
 }
 
-/** The documented exit status for one finished run. */
-int
-runExitCode(const sim::RunResult &r)
-{
-    if (!r.error.ok()) {
-        std::fprintf(stderr, "edgesim: %s\n",
-                     enumName(r.error.reason));
-        return chaos::exitCodeFor(r.error.reason);
-    }
-    if (!(r.archMatch && r.halted)) {
-        std::fprintf(stderr, "edgesim: divergence\n");
-        return 2;
-    }
+/** Specialised per mode with `static constexpr Flag<O> rows[]`. */
+template <typename O>
+struct Flags;
+
+template <typename O>
+void usage();
+
+/** -h|--help, first in each mode's table. */
+template <typename O>
+constexpr Flag<O> kHelpRow = action<O>("-h|--help", "print this help", [] {
+    usage<O>();
     return 0;
+});
+
+constexpr char kCampaign[] = "supervised campaigns: sandbox and result log";
+
+/**
+ * The campaign flags of both modes. They set the same-named fields of
+ * the options at O::kCampaignOptions: the super::SupervisorOptions of
+ * an --isolate run in main mode, the serve::FabricOptions of a
+ * coordinator in serve mode.
+ */
+template <typename O>
+struct CampaignFlags
+{
+    static constexpr auto C = O::kCampaignOptions;
+    using S = std::remove_reference_t<decltype(std::declval<O &>().*C)>;
+    using L = log::LogOptions;
+    using LC = log::LogChaosOptions;
+    static constexpr Flag<O> rows[] = {
+        field<O, C, &S::cellTimeoutMs>("--cell-timeout-ms", "N", kCampaign,
+                                       "SIGKILL a cell past this (0 = never)"),
+        field<O, C, &S::rlimitAsMb>("--rlimit-as-mb", "N", kCampaign,
+                                    "address-space cap of a cell (0 = none)"),
+        field<O, C, &S::rlimitCpuSec>("--rlimit-cpu-sec", "N", kCampaign,
+                                      "CPU-time cap of a cell (0 = none)"),
+        {"--resume", "<journal>", kCampaign, "re-run what the journal lacks",
+         [](O &o, const Arg &a) {
+             (o.*C).journalPath = a.text;
+             (o.*C).resume = true;
+         }},
+        {"--resume-threads", "N", kCampaign, "workers of the recovery scan",
+         [](O &o, const Arg &a) { (o.*C).resumeThreads = a.threads(); }},
+        field<O, &O::strictProvenance>(
+            "--strict-provenance", nullptr, kCampaign,
+            "refuse a journal from another build (exit 20)"),
+        field<O, C, &S::logOptions, &L::groupCommitMs>(
+            "--log-group-ms", "N", kCampaign, "group-commit ms (default 5)"),
+        {"--log-segment-mb", "N", kCampaign, "log segment size (default 64)",
+         [](O &o, const Arg &a) {
+             // The most MiB whose byte count fits 64 bits.
+             (o.*C).logOptions.segmentBytes = a.count(~0ull >> 20) << 20;
+         }},
+        field<O, C, &S::logOptions, &L::chaos, &LC::point>(
+            "--log-chaos", "<point>", kCampaign, "inject a log fault (below)"),
+        field<O, C, &S::logOptions, &L::chaos, &LC::seed>(
+            "--log-chaos-seed", "N", kCampaign, "seed of the log faults"),
+    };
+};
+
+// --- main mode -------------------------------------------------------
+
+struct MainCli
+{
+    std::string kernel;
+    std::string config = "dsre";
+    wl::KernelParams kp;
+    std::uint64_t seed = 1;
+    bool stats = false;
+    std::vector<std::pair<std::string, std::string>> overrides;
+    chaos::Profile chaosProfile = chaos::Profile::None;
+    std::uint64_t chaosSeed = 0;
+    bool checkInvariants = false;
+    std::uint64_t sweepSeeds = 0;
+    chaos::Mutation mutation = chaos::Mutation::None;
+    unsigned mutationNode = 0;
+    std::string reproDir;
+    std::string replay;
+    bool minimize = false;
+    std::uint64_t fuzzCount = 0;
+    std::uint64_t fuzzSeed = 1;
+    std::string corpusDir;
+    std::string submitTo;
+    std::uint64_t submitTimeoutMs = 0;
+    unsigned submitRetries = 3;
+    bool isolate = false;
+    std::string journalDir;
+    bool strictProvenance = false;
+    /** The --isolate supervisor's options, set by the flags. Its
+     *  `jobs` is -j, which sizes every local grid too. */
+    super::SupervisorOptions sup;
+
+    static constexpr auto kCampaignOptions = &MainCli::sup;
+    static constexpr char kUsage[] =
+        "usage: edgesim --kernel <name> [options]  one run or chaos sweep\n"
+        "       edgesim --fuzz N [options]         differential fuzzing\n"
+        "       edgesim --replay <file> [--minimize] [-j N]\n"
+        "       edgesim serve ...    the campaign fabric (serve --help)\n";
+
+    static void
+    printNames()
+    {
+        std::printf("configs: %s\nchaos profiles: %s\nmutations: %s\n",
+                    join(sim::Configs::allNames(), " ").c_str(),
+                    enumNameList<chaos::Profile>().c_str(),
+                    enumNameList<chaos::Mutation>().c_str());
+        std::printf("\nset keys (--set <key>=<value>; default in "
+                    "brackets):\n");
+        for (const triage::ConfigKey &k : triage::configKeys()) {
+            if (k.value.empty())
+                std::printf("  %s.*  %s\n", k.path.c_str(), k.doc);
+            else
+                std::printf("  %-32s %s [%s]\n", k.path.c_str(), k.doc,
+                            k.value.c_str());
+        }
+    }
+};
+
+constexpr char kChaos[] = "chaos and failure triage";
+constexpr char kFuzz[] = "differential fuzzing";
+constexpr char kSubmit[] = "campaign fabric client";
+
+template <>
+struct Flags<MainCli>
+{
+    using O = MainCli;
+    static constexpr Flag<O> rows[] = {
+        kHelpRow<O>,
+        field<O, &O::kernel>("--kernel", "<name>", "", "kernel (see --list)"),
+        field<O, &O::config>("--config", "<name>", "",
+                             "mechanism (configs below; default dsre)"),
+        field<O, &O::kp, &wl::KernelParams::iterations>(
+            "--iterations", "N", "", "workload trip count (default 2000)"),
+        {"--seed", "N", "", "workload seed, and fault seed if no --chaos-seed",
+         [](O &o, const Arg &a) { o.kp.seed = o.seed = a.count(); }},
+        {"--set", "key=value", "", "set a config field (keys below), last",
+         [](O &o, const Arg &a) {
+             const std::string kv = a.text;
+             const std::size_t eq = kv.find('=');
+             fatal_if(eq == std::string::npos, "%s expects key=value",
+                      a.flag.c_str());
+             o.overrides.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
+         }},
+        field<O, &O::stats>("--stats", nullptr, "", "dump every statistic"),
+        action<O>("--list", "print the kernels and what they model", [] {
+            std::printf("%-12s %-12s %s\n", "kernel", "models", "behaviour");
+            for (const auto &info : wl::kernels())
+                std::printf("%-12s %-12s %s\n", info.name.c_str(),
+                            info.specAnalog.c_str(), info.description.c_str());
+            return 0;
+        }),
+        action<O>("--list-kernels", "print the kernel names, one a line", [] {
+            for (const auto &name : wl::kernelNames())
+                std::printf("%s\n", name.c_str());
+            return 0;
+        }),
+        action<O>("--version", "print the build provenance line", [] {
+            std::printf("edgesim %s\n", buildInfoLine().c_str());
+            return 0;
+        }),
+
+        field<O, &O::chaosProfile>("--chaos-profile", "<name>", kChaos,
+                                   "fault mix (chaos profiles below)"),
+        field<O, &O::chaosSeed>("--chaos-seed", "N", kChaos,
+                                "fault-schedule seed"),
+        field<O, &O::checkInvariants>("--check-invariants", nullptr, kChaos,
+                                      "run the invariant checker"),
+        field<O, &O::sweepSeeds>("--chaos-sweep", "N", kChaos,
+                                 "run N seeds from --seed on (light faults)"),
+        {"--mutate", "<name>", kChaos, "plant a mutation (mutations below)",
+         [](O &o, const Arg &a) {
+             o.mutation = a.name<chaos::Mutation>();
+#ifndef EDGE_MUTATIONS
+             fatal_if(o.mutation != chaos::Mutation::None,
+                      "%s requires a build with EDGE_MUTATIONS=ON",
+                      a.flag.c_str());
+#endif
+         }},
+        field<O, &O::mutationNode>("--mutate-node", "N", kChaos,
+                                   "the grid node the mutation sits on"),
+        field<O, &O::reproDir>("--capture-repro", "<dir>", kChaos,
+                               "write a .repro.json per failing run or cell"),
+        field<O, &O::replay>("--replay", "<file>", kChaos,
+                             "re-run a .repro.json; exit 0 iff it reproduces"),
+        field<O, &O::minimize>("--minimize", nullptr, kChaos,
+                               "ddmin a failure's program and fault schedule"),
+        {"-j", "N", kChaos, "threads, also -jN (0 = all; same results)",
+         [](O &o, const Arg &a) { o.sup.jobs = a.threads(); }, true},
+
+        field<O, &O::fuzzCount>("--fuzz", "N", kFuzz,
+                                "N random programs checked on every mechanism"),
+        field<O, &O::fuzzSeed>("--fuzz-seed", "N", kFuzz,
+                               "generator seed (program i uses N+i)"),
+        field<O, &O::chaosProfile>("--fuzz-chaos", "<name>", kFuzz,
+                                   "layer a chaos profile onto each run"),
+        field<O, &O::corpusDir>("--corpus-dir", "<dir>", kFuzz,
+                                "a .repro.json per unique failure"),
+
+        field<O, &O::submitTo>("--submit", "<host:port>", kSubmit,
+                               "run the campaign on a coordinator"),
+        field<O, &O::submitTimeoutMs>("--submit-timeout-ms", "N", kSubmit,
+                                      "give up after N silent ms (0 = never)"),
+        field<O, &O::submitRetries>("--submit-retries", "N", kSubmit,
+                                    "resubmits after a shed (default 3)"),
+
+        field<O, &O::isolate>("--isolate", nullptr, kCampaign,
+                              "run each cell in a sandboxed child process"),
+        field<O, &O::journalDir>("--journal-dir", "<dir>", kCampaign,
+                                 "log finished cells (implies --isolate, as\n"
+                                 "--resume does)"),
+    };
+};
+
+// --- serve mode ------------------------------------------------------
+
+struct ServeCli : serve::ServeOptions
+{
+    serve::AgentOptions agent;
+    serve::simnet::ExplorerOptions explorer;
+    bool listen = false; ///< --listen given (port 0 is ephemeral)
+    bool isAgent = false;
+    bool simulate = false;
+    std::string replay; ///< a .fabsim.json capture
+    bool minimize = false;
+
+    static constexpr auto kCampaignOptions = &ServeCli::fabric;
+    static constexpr char kUsage[] =
+        "usage: edgesim serve --listen N [options]           coordinator\n"
+        "       edgesim serve --agent <host:port> [options]  executor agent\n"
+        "       edgesim serve --simulate [--seeds A..B|N] [options]\n"
+        "       edgesim serve --replay <file> [--minimize]\n";
+
+    static void
+    printNames()
+    {
+        std::printf("sim profiles: %s\n",
+                    enumNameList<serve::simnet::SimProfile>().c_str());
+    }
+};
+
+constexpr char kCoordinator[] = "coordinator (serve --listen)";
+constexpr char kAgent[] = "executor agent (serve --agent)";
+constexpr char kSimulate[] = "fabric simulation (serve --simulate, --replay)";
+
+template <>
+struct Flags<ServeCli>
+{
+    using O = ServeCli;
+    using F = serve::FabricOptions;
+    using A = serve::AgentOptions;
+    using X = serve::simnet::ExplorerOptions;
+    static constexpr Flag<O> rows[] = {
+        kHelpRow<O>,
+
+        {"--listen", "N", kCoordinator, "serve on TCP port N (0 = ephemeral)",
+         [](O &o, const Arg &a) {
+             o.fabric.listenPort = a.count<std::uint16_t>();
+             o.listen = true;
+         }},
+        {"-j|--jobs", "N", kCoordinator, "local workers while no agent is live",
+         [](O &o, const Arg &a) { o.fabric.localJobs = a.threads(); }},
+        {"--no-local-fallback", nullptr, kCoordinator, "run no cell locally",
+         [](O &o, const Arg &) { o.fabric.localFallback = false; }},
+        {"--worker-path", "<path>", kCoordinator, "worker image of the cells",
+         [](O &o, const Arg &a) {
+             o.agent.workerPath = o.fabric.workerPath = a.text;
+         }},
+        field<O, &O::fabric, &F::heartbeatMs>(
+            "--heartbeat-ms", "N", kCoordinator, "agent heartbeat interval"),
+        field<O, &O::fabric, &F::heartbeatTimeoutMs>(
+            "--heartbeat-timeout-ms", "N", kCoordinator,
+            "silence that marks an agent dead"),
+        field<O, &O::fabric, &F::leaseMs>("--lease-ms", "N", kCoordinator,
+                                          "lease deadline before reassignment"),
+        field<O, &O::fabric, &F::maxReassign>(
+            "--max-reassign", "N", kCoordinator, "lost leases a cell may take"),
+        {"--hedge-after-ms", "N", kCoordinator,
+         "straggler hedge threshold (0 = fleet p95)", [](O &o, const Arg &a) {
+             o.explorer.hedgeAfterMs = o.fabric.hedgeAfterMs = a.count();
+         }},
+        field<O, &O::fabric, &F::hedgeMax>("--hedge-max", "N", kCoordinator,
+                                           "speculative leases per cell"),
+        {"--audit-frac", "F", kCoordinator,
+         "re-run fraction F of remote results", [](O &o, const Arg &a) {
+             o.explorer.auditFrac = o.fabric.auditFrac = a.fraction();
+         }},
+        {"--max-queued", "N", kCoordinator, "shed past N queued (0 = never)",
+         [](O &o, const Arg &a) {
+             o.explorer.maxQueued = o.fabric.maxQueued = a.count<std::size_t>();
+         }},
+        field<O, &O::fabric, &F::journalPath>(
+            "--journal", "<file>", kCoordinator, "durable log of the results"),
+        field<O, &O::fabric, &F::reproDir>("--capture-repro", "<dir>",
+                                           kCoordinator,
+                                           "a .repro.json per failing cell"),
+        field<O, &O::once>("--once", nullptr, kCoordinator,
+                           "exit after serving one campaign"),
+
+        {"--agent", "<host:port>", kAgent, "run a coordinator's leased cells",
+         [](O &o, const Arg &a) {
+             o.agent.coordinator = a.text;
+             o.isAgent = true;
+         }},
+        {"--slots", "N", kAgent, "cells run at once (0 = all threads)",
+         [](O &o, const Arg &a) { o.agent.slots = a.threads(); }},
+        field<O, &O::agent, &A::name>("--name", "<name>", kAgent,
+                                      "name given to the coordinator"),
+        field<O, &O::agent, &A::reconnectMax>(
+            "--reconnect-max", "N", kAgent, "re-dials after a lost connection"),
+        field<O, &O::agent, &A::dieAfterResults>(
+            "--die-after", "N", kAgent, "test hook: SIGKILL after N results"),
+
+        field<O, &O::simulate>("--simulate", nullptr, kSimulate,
+                               "run a simulated fabric a seed, capturing\n"
+                               "seeds that break an invariant"),
+        {"--seeds", "A..B|N", kSimulate, "seed range, or the first N seeds",
+         [](O &o, const Arg &a) {
+             X &x = o.explorer;
+             const std::string spec = a.text;
+             const std::size_t dots = spec.find("..");
+             if (dots == std::string::npos) {
+                 const std::uint64_t n = a.count();
+                 fatal_if(n == 0, "%s expects N or A..B", a.flag.c_str());
+                 x.seedLo = 0;
+                 x.seedHi = n - 1;
+                 return;
+             }
+             x.seedLo = Arg{a.flag, spec.substr(0, dots).c_str()}.count();
+             x.seedHi = Arg{a.flag, spec.c_str() + dots + 2}.count();
+             fatal_if(x.seedHi < x.seedLo, "%s range is backwards",
+                      a.flag.c_str());
+         }},
+        field<O, &O::explorer, &X::profile>("--sim-profile", "<name>",
+                                            kSimulate, "world fault mix"),
+        field<O, &O::explorer, &X::agents>("--sim-agents", "N", kSimulate,
+                                           "agents a world (0 = per seed)"),
+        field<O, &O::explorer, &X::cells>("--sim-cells", "N", kSimulate,
+                                          "cells a world (0 = per seed)"),
+        field<O, &O::explorer, &X::clients>("--sim-clients", "N", kSimulate,
+                                            "clients a world (0 = per seed)"),
+        field<O, &O::explorer, &X::fabsimDir>(
+            "--fabsim-dir", "<dir>", kSimulate, "captures (default fabsim)"),
+        {"--mutate", "no-hedge-revoke", kSimulate,
+         "arm the planted hedge-revoke regression", [](O &o, const Arg &a) {
+             fatal_if(std::strcmp(a.text, "no-hedge-revoke") != 0,
+                      "unknown fabric mutation '%s'", a.text);
+             o.explorer.mutateNoHedgeRevoke = true;
+         }},
+        field<O, &O::replay>("--replay", "<file>", kSimulate,
+                             "re-run a capture; exit 0 iff it reproduces"),
+        field<O, &O::minimize>("--minimize", nullptr, kSimulate,
+                               "with --replay, ddmin the schedule first"),
+    };
+};
+
+// --- reading the tables ----------------------------------------------
+
+/** Every row of mode O: its own table, then the campaign rows. */
+template <typename O>
+std::vector<const Flag<O> *>
+allFlags()
+{
+    std::vector<const Flag<O> *> all;
+    for (const Flag<O> &f : Flags<O>::rows)
+        all.push_back(&f);
+    for (const Flag<O> &f : CampaignFlags<O>::rows)
+        all.push_back(&f);
+    return all;
+}
+
+/**
+ * Apply argv[from..] to `o` through mode O's rows. Returns the exit
+ * status of a flag that ends the run (--help, --list, ...), or
+ * nullopt once every argument is applied.
+ */
+template <typename O>
+std::optional<int>
+parseFlags(int argc, char **argv, int from, O &o)
+{
+    const std::vector<const Flag<O> *> flags = allFlags<O>();
+    for (int i = from; i < argc; ++i) {
+        Arg a{argv[i], nullptr};
+        const Flag<O> *row = nullptr;
+        for (auto f = flags.begin(); !row && f != flags.end(); ++f) {
+            const std::vector<std::string> names = split((*f)->names, '|');
+            const std::string &lead = names[0];
+            if (std::find(names.begin(), names.end(), a.flag) != names.end())
+                row = *f;
+            // -jN: the first spelling with the value glued on.
+            if (!row && (*f)->glued && a.flag.size() > lead.size() &&
+                a.flag.compare(0, lead.size(), lead) == 0) {
+                row = *f;
+                a = {lead, argv[i] + lead.size()};
+            }
+        }
+        fatal_if(!row, "unknown argument '%s' (see --help)", argv[i]);
+        if (row->act)
+            return row->act();
+        if (row->metavar && !a.text) {
+            fatal_if(i + 1 >= argc, "%s needs an argument", argv[i]);
+            a.text = argv[++i];
+        }
+        row->set(o, a);
+    }
+    return std::nullopt;
+}
+
+template <typename O>
+void
+usage()
+{
+    std::printf("%s", O::kUsage);
+    const char *section = "";
+    for (const Flag<O> *f : allFlags<O>()) {
+        if (std::strcmp(f->section, section) != 0) {
+            section = f->section;
+            std::printf("\n%s:\n", section);
+        }
+        std::string head = join(split(f->names, '|'), ", ");
+        if (f->metavar)
+            head += std::string(" ") + f->metavar;
+        // The text starts in column 26, below a longer head.
+        const std::string indent = "\n" + std::string(26, ' ');
+        std::printf("  %-22s%s%s\n", head.c_str(),
+                    head.size() > 22 ? indent.c_str() : "  ",
+                    join(split(f->doc, '\n'), indent).c_str());
+    }
+
+    // The CLI's own statuses, then one per failure reason.
+    std::vector<std::pair<int, const char *>> exits = {
+        {0, "clean run, convergent sweep, or replay reproduced"},
+        {1, "usage or configuration error"},
+        {2, "architectural divergence from the reference"},
+        {3, "one or more sweep cells failed"},
+        {4, "replay did not reproduce the recorded failure"},
+    };
+    for (const EnumName<chaos::SimError::Reason> &r : chaos::kReasonNames)
+        if (r.value != chaos::SimError::Reason::None)
+            exits.emplace_back(chaos::exitCodeFor(r.value), r.name);
+    std::sort(exits.begin(), exits.end());
+    std::printf("\nexit codes (docs/PROTOCOL.md, \"Failure triage\"):\n");
+    for (const auto &[code, what] : exits)
+        std::printf("  %-6d %s\n", code, what);
+    std::printf("  128+N  campaign interrupted by signal N\n");
+    std::printf("\nlog crash points: %s\n",
+                enumNameList<log::LogCrashPoint>().c_str());
+    O::printNames();
 }
 
 void
@@ -275,26 +627,24 @@ printMinimized(const triage::MinimizeResult &m)
                 m.schedule.size(), m.testsRun, m.rounds,
                 m.converged ? "" : ", round cap hit");
     for (const chaos::FaultEvent &e : m.schedule)
-        std::printf("  #%llu %s magnitude=%llu\n",
-                    static_cast<unsigned long long>(e.ordinal),
-                    enumName(e.site),
-                    static_cast<unsigned long long>(e.magnitude));
+        std::printf("  #%llu %s magnitude=%llu\n", ull(e.ordinal),
+                    enumName(e.site), ull(e.magnitude));
 }
 
 /**
- * Full minimization of one captured failure: program-level ddmin
- * first (for embedded programs), then the chaos-schedule ddmin on
- * the shrunk spec. Returns the minimized spec.
+ * Minimize one captured failure (program-level ddmin first for an
+ * embedded program, then the chaos-schedule ddmin on the shrunk spec)
+ * and save it beside `path`: foo.repro.json -> foo.min.repro.json.
  */
-triage::ReproSpec
-minimizeSpec(const triage::ReproSpec &spec, unsigned threads)
+void
+minimizeToFile(triage::ReproSpec cur, const std::string &path,
+               unsigned threads, const char *indent)
 {
     triage::MinimizeOptions mo;
     mo.threads = threads;
-    triage::ReproSpec cur = spec;
-    if (spec.program.hasEmbedded) {
+    if (cur.program.hasEmbedded) {
         triage::ProgramMinimizeResult pm =
-            triage::minimizeProgram(spec, mo);
+            triage::minimizeProgram(cur, mo);
         std::printf("minimized program: %zu block(s) (from %zu), "
                     "%zu effect(s) (from %zu); %zu tests, %u "
                     "rounds%s\n",
@@ -308,20 +658,16 @@ minimizeSpec(const triage::ReproSpec &spec, unsigned threads)
         printMinimized(sm);
         cur = triage::applySchedule(cur, sm);
     }
-    return cur;
-}
-
-/** `foo.repro.json` -> `foo.min.repro.json` (or append `.min`). */
-std::string
-minimizedPath(const std::string &path)
-{
     const std::string suffix = ".repro.json";
-    if (path.size() > suffix.size() &&
-        path.compare(path.size() - suffix.size(), suffix.size(),
-                     suffix) == 0)
-        return path.substr(0, path.size() - suffix.size()) +
-               ".min.repro.json";
-    return path + ".min";
+    const std::string out =
+        path.ends_with(suffix)
+            ? path.substr(0, path.size() - suffix.size()) + ".min" + suffix
+            : path + ".min";
+    std::string err;
+    if (triage::save(cur, out, &err))
+        std::printf("%sminimized repro: %s\n", indent, out.c_str());
+    else
+        warn("could not save minimized repro: %s", err.c_str());
 }
 
 int
@@ -344,14 +690,8 @@ replayMain(const std::string &path, bool minimize, unsigned threads)
     bool match = triage::sameSignature(spec, r);
     std::printf("replay %s the recorded failure\n",
                 match ? "reproduced" : "DID NOT reproduce");
-    if (match && minimize) {
-        triage::ReproSpec min_spec = minimizeSpec(spec, threads);
-        std::string out = minimizedPath(path);
-        if (triage::save(min_spec, out, &err))
-            std::printf("minimized repro: %s\n", out.c_str());
-        else
-            warn("could not save minimized repro: %s", err.c_str());
-    }
+    if (match && minimize)
+        minimizeToFile(spec, path, threads, "");
     return match ? 0 : 4;
 }
 
@@ -373,23 +713,6 @@ interruptedExit(const super::CellRunner &sup)
     return 128 + sig;
 }
 
-/** The fuzz banner, shared by the local and --submit paths so a
- *  remote campaign's stdout is byte-identical to a local one. */
-void
-fuzzHeader(const fuzz::FuzzOptions &opts)
-{
-    const std::vector<std::string> &configs =
-        opts.configs.empty() ? fuzz::defaultConfigs() : opts.configs;
-    std::printf("fuzz: %llu program(s) x %zu mechanism(s), base seed "
-                "%llu%s\n",
-                static_cast<unsigned long long>(opts.count),
-                configs.size(),
-                static_cast<unsigned long long>(opts.seed),
-                opts.chaosProfile != chaos::Profile::None
-                    ? ", chaos layered on"
-                    : "");
-}
-
 /** Print a fuzz report (wherever it ran) and map it to an exit
  *  status. */
 int
@@ -398,38 +721,27 @@ fuzzReportExit(const fuzz::FuzzReport &rep, bool minimize,
 {
     std::printf("fuzz: %llu run(s), %llu pass(es), %zu failure(s) "
                 "(%llu duplicate(s)), %llu ref-hang(s)\n",
-                static_cast<unsigned long long>(rep.runs),
-                static_cast<unsigned long long>(rep.passes),
-                rep.failures.size(),
-                static_cast<unsigned long long>(rep.duplicates),
-                static_cast<unsigned long long>(rep.refHangs));
+                ull(rep.runs), ull(rep.passes), rep.failures.size(),
+                ull(rep.duplicates), ull(rep.refHangs));
     for (const fuzz::FuzzFailure &f : rep.failures) {
         if (!f.unique)
             continue;
-        std::printf("  seed %llu / %s: %s [%s]\n",
-                    static_cast<unsigned long long>(f.seed),
+        std::printf("  seed %llu / %s: %s [%s]\n", ull(f.seed),
                     f.config.c_str(), enumName(f.outcome),
                     f.signature.c_str());
         if (f.reproPath.empty())
             continue;
         std::printf("  to reproduce: edgesim --replay %s\n",
                     f.reproPath.c_str());
-        if (minimize && f.outcome != fuzz::Outcome::RefHang) {
-            triage::ReproSpec spec;
-            std::string err;
-            if (!triage::load(f.reproPath, &spec, &err)) {
-                warn("cannot minimize %s: %s", f.reproPath.c_str(),
-                     err.c_str());
-                continue;
-            }
-            triage::ReproSpec min_spec = minimizeSpec(spec, threads);
-            std::string out = minimizedPath(f.reproPath);
-            if (triage::save(min_spec, out, &err))
-                std::printf("  minimized repro: %s\n", out.c_str());
-            else
-                warn("could not save minimized repro: %s",
-                     err.c_str());
-        }
+        if (!minimize || f.outcome == fuzz::Outcome::RefHang)
+            continue;
+        triage::ReproSpec spec;
+        std::string err;
+        if (triage::load(f.reproPath, &spec, &err))
+            minimizeToFile(spec, f.reproPath, threads, "  ");
+        else
+            warn("cannot minimize %s: %s", f.reproPath.c_str(),
+                 err.c_str());
     }
     if (rep.interrupted && sup)
         return interruptedExit(*sup);
@@ -438,168 +750,28 @@ fuzzReportExit(const fuzz::FuzzReport &rep, bool minimize,
     return rep.clean() ? 0 : 2;
 }
 
-int
-fuzzMain(const fuzz::FuzzOptions &opts, bool minimize,
-         unsigned threads, const super::CellRunner *sup = nullptr)
-{
-    fatal_if(minimize && opts.corpusDir.empty(),
-             "--fuzz --minimize needs --corpus-dir (minimization "
-             "starts from the captured .repro.json)");
-    fuzzHeader(opts);
-    fuzz::FuzzReport rep = fuzz::runCampaign(opts);
-    return fuzzReportExit(rep, minimize, threads, sup);
-}
-
-/** `edgesim serve ...`: the coordinator daemon or an agent. */
+/** `edgesim serve ...`: the coordinator daemon, an agent, or the
+ *  fabric simulation. */
 int
 serveCliMain(int argc, char **argv)
 {
-    serve::ServeOptions so;
-    serve::AgentOptions ao;
-    serve::simnet::ExplorerOptions xo;
-    bool isAgent = false;
-    bool haveListen = false;
-    bool simulate = false;
-    bool simMinimize = false;
-    std::string simReplay;
+    ServeCli o;
+    if (std::optional<int> rc = parseFlags(argc, argv, 2, o))
+        return *rc;
 
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            fatal_if(i + 1 >= argc, "%s needs an argument",
-                     arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--listen") {
-            so.fabric.listenPort = countArg<std::uint16_t>(arg, next());
-            haveListen = true;
-        } else if (arg == "--agent") {
-            ao.coordinator = next();
-            isAgent = true;
-        } else if (arg == "--slots") {
-            ao.slots = threadCount(arg, next());
-        } else if (arg == "--name") {
-            ao.name = next();
-        } else if (arg == "--die-after") {
-            ao.dieAfterResults = countArg(arg, next());
-        } else if (arg == "--reconnect-max") {
-            ao.reconnectMax = countArg<unsigned>(arg, next());
-        } else if (arg == "--worker-path") {
-            ao.workerPath = next();
-            so.fabric.workerPath = ao.workerPath;
-        } else if (arg == "-j" || arg == "--jobs") {
-            so.fabric.localJobs = threadCount(arg, next());
-        } else if (arg == "--heartbeat-ms") {
-            so.fabric.heartbeatMs = countArg(arg, next());
-        } else if (arg == "--heartbeat-timeout-ms") {
-            so.fabric.heartbeatTimeoutMs = countArg(arg, next());
-        } else if (arg == "--lease-ms") {
-            so.fabric.leaseMs = countArg(arg, next());
-        } else if (arg == "--max-reassign") {
-            so.fabric.maxReassign = countArg<unsigned>(arg, next());
-        } else if (arg == "--hedge-after-ms") {
-            so.fabric.hedgeAfterMs = countArg(arg, next());
-            xo.hedgeAfterMs = so.fabric.hedgeAfterMs;
-        } else if (arg == "--hedge-max") {
-            so.fabric.hedgeMax = countArg<unsigned>(arg, next());
-        } else if (arg == "--audit-frac") {
-            so.fabric.auditFrac = std::strtod(next(), nullptr);
-            fatal_if(so.fabric.auditFrac < 0 ||
-                         so.fabric.auditFrac > 1,
-                     "--audit-frac expects a fraction in [0,1]");
-            xo.auditFrac = so.fabric.auditFrac;
-        } else if (arg == "--max-queued") {
-            so.fabric.maxQueued = countArg<std::size_t>(arg, next());
-            xo.maxQueued = so.fabric.maxQueued;
-        } else if (arg == "--simulate") {
-            simulate = true;
-        } else if (arg == "--seeds") {
-            std::string spec = next();
-            auto dots = spec.find("..");
-            if (dots == std::string::npos) {
-                // "--seeds N" = the first N seeds.
-                std::uint64_t n = countArg(arg, spec.c_str());
-                fatal_if(n == 0, "--seeds expects N or A..B");
-                xo.seedLo = 0;
-                xo.seedHi = n - 1;
-            } else {
-                xo.seedLo = countArg(arg, spec.substr(0, dots).c_str());
-                xo.seedHi = countArg(arg, spec.c_str() + dots + 2);
-                fatal_if(xo.seedHi < xo.seedLo,
-                         "--seeds range is backwards");
-            }
-        } else if (arg == "--sim-profile") {
-            xo.profile =
-                parseName<serve::simnet::SimProfile>("sim profile", next());
-        } else if (arg == "--sim-agents") {
-            xo.agents = countArg<unsigned>(arg, next());
-        } else if (arg == "--sim-cells") {
-            xo.cells = countArg<unsigned>(arg, next());
-        } else if (arg == "--sim-clients") {
-            xo.clients = countArg<unsigned>(arg, next());
-        } else if (arg == "--fabsim-dir") {
-            xo.fabsimDir = next();
-        } else if (arg == "--replay") {
-            simReplay = next();
-        } else if (arg == "--minimize") {
-            simMinimize = true;
-        } else if (arg == "--mutate") {
-            std::string m = next();
-            fatal_if(m != "no-hedge-revoke",
-                     "unknown fabric mutation '%s'", m.c_str());
-            xo.mutateNoHedgeRevoke = true;
-        } else if (arg == "--cell-timeout-ms") {
-            so.fabric.cellTimeoutMs = countArg(arg, next());
-        } else if (arg == "--rlimit-as-mb") {
-            so.fabric.rlimitAsMb = countArg(arg, next());
-        } else if (arg == "--rlimit-cpu-sec") {
-            so.fabric.rlimitCpuSec = countArg(arg, next());
-        } else if (arg == "--journal") {
-            so.fabric.journalPath = next();
-        } else if (arg == "--resume") {
-            so.fabric.journalPath = next();
-            so.fabric.resume = true;
-        } else if (arg == "--log-group-ms") {
-            so.fabric.logOptions.groupCommitMs = countArg(arg, next());
-        } else if (arg == "--log-segment-mb") {
-            so.fabric.logOptions.segmentBytes =
-                countArg(arg, next(), kMaxSegmentMb) << 20;
-        } else if (arg == "--log-chaos") {
-            so.fabric.logOptions.chaos.point =
-                parseName<log::LogCrashPoint>("log crash point", next());
-        } else if (arg == "--log-chaos-seed") {
-            so.fabric.logOptions.chaos.seed = countArg(arg, next());
-        } else if (arg == "--resume-threads") {
-            so.fabric.resumeThreads = threadCount(arg, next());
-        } else if (arg == "--strict-provenance") {
-            so.strictProvenance = true;
-        } else if (arg == "--capture-repro") {
-            so.fabric.reproDir = next();
-        } else if (arg == "--no-local-fallback") {
-            so.fabric.localFallback = false;
-        } else if (arg == "--once") {
-            so.once = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            fatal("serve: unknown argument '%s'", arg.c_str());
-        }
-    }
-
-    if (!simReplay.empty())
-        return serve::simnet::replayMain(simReplay, simMinimize,
-                                         xo.fabsimDir);
-    if (simulate)
-        return serve::simnet::exploreMain(xo);
-    fatal_if(isAgent && haveListen,
+    if (!o.replay.empty())
+        return serve::simnet::replayMain(o.replay, o.minimize,
+                                         o.explorer.fabsimDir);
+    if (o.simulate)
+        return serve::simnet::exploreMain(o.explorer);
+    fatal_if(o.isAgent && o.listen,
              "serve: --agent and --listen are mutually exclusive");
-    fatal_if(!isAgent && !haveListen,
+    fatal_if(!o.isAgent && !o.listen,
              "serve: need --listen <port> (coordinator) or --agent "
              "<host:port>");
-    if (isAgent)
-        return serve::agentMain(ao);
-    return serve::serveMain(so);
+    if (o.isAgent)
+        return serve::agentMain(o.agent);
+    return serve::serveMain(o);
 }
 
 } // namespace
@@ -618,374 +790,194 @@ main(int argc, char **argv)
     if (argc >= 2 && std::strcmp(argv[1], "serve") == 0)
         return serveCliMain(argc, argv);
 
-    std::string kernel;
-    std::string config = "dsre";
-    wl::KernelParams kp;
-    bool dump_stats = false;
-    std::uint64_t run_seed = 1;
-    std::uint64_t chaos_seed = 0;
-    chaos::Profile chaos_profile = chaos::Profile::None;
-    bool check_invariants = false;
-    std::uint64_t sweep_seeds = 0;
-    unsigned threads = 0;
-    chaos::Mutation mutation = chaos::Mutation::None;
-    unsigned mutation_node = 0;
-    std::string repro_dir;
-    std::string replay_path;
-    bool minimize = false;
-    std::uint64_t fuzz_count = 0;
-    std::uint64_t fuzz_seed = 1;
-    std::string corpus_dir;
-    bool isolate = false;
-    std::string submit_to;
-    std::uint64_t submit_timeout_ms = 0;
-    unsigned submit_retries = 3;
-    std::string journal_dir;
-    std::string resume_path;
-    std::uint64_t cell_timeout_ms = 0;
-    std::uint64_t rlimit_as_mb = 0;
-    std::uint64_t rlimit_cpu_sec = 0;
-    log::LogOptions log_opts;
-    unsigned resume_threads = 0;
-    bool strict_provenance = false;
-    std::vector<std::pair<std::string, std::string>> overrides;
+    MainCli o;
+    if (std::optional<int> rc = parseFlags(argc, argv, 1, o))
+        return *rc;
+    const unsigned threads = o.sup.jobs;
+    const bool isolate = o.isolate || o.sup.resume || !o.journalDir.empty();
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            fatal_if(i + 1 >= argc, "%s needs an argument",
-                     arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--list") {
-            std::printf("%-12s %-12s %s\n", "kernel", "models",
-                        "behaviour");
-            for (const auto &info : wl::kernels())
-                std::printf("%-12s %-12s %s\n", info.name.c_str(),
-                            info.specAnalog.c_str(),
-                            info.description.c_str());
-            return 0;
-        } else if (arg == "--list-kernels") {
-            for (const auto &name : wl::kernelNames())
-                std::printf("%s\n", name.c_str());
-            return 0;
-        } else if (arg == "--kernel") {
-            kernel = next();
-        } else if (arg == "--fuzz") {
-            fuzz_count = countArg(arg, next());
-        } else if (arg == "--fuzz-seed") {
-            fuzz_seed = countArg(arg, next());
-        } else if (arg == "--fuzz-chaos") {
-            chaos_profile =
-                parseName<chaos::Profile>("chaos profile", next());
-        } else if (arg == "--corpus-dir") {
-            corpus_dir = next();
-        } else if (arg == "--config") {
-            config = next();
-        } else if (arg == "--iterations") {
-            kp.iterations = countArg(arg, next());
-        } else if (arg == "--seed") {
-            // One run-level seed: the workload generator and (unless
-            // --chaos-seed overrides) the fault schedule derive from
-            // it.
-            run_seed = countArg(arg, next());
-            kp.seed = run_seed;
-        } else if (arg == "--chaos-seed") {
-            chaos_seed = countArg(arg, next());
-        } else if (arg == "--chaos-profile") {
-            chaos_profile =
-                parseName<chaos::Profile>("chaos profile", next());
-        } else if (arg == "--check-invariants") {
-            check_invariants = true;
-        } else if (arg == "--chaos-sweep") {
-            sweep_seeds = countArg(arg, next());
-        } else if (arg == "--mutate") {
-            mutation = parseName<chaos::Mutation>("mutation", next());
-#ifndef EDGE_MUTATIONS
-            fatal_if(mutation != chaos::Mutation::None,
-                     "--mutate requires a build with EDGE_MUTATIONS=ON");
-#endif
-        } else if (arg == "--mutate-node") {
-            mutation_node = countArg<unsigned>(arg, next());
-        } else if (arg == "--capture-repro") {
-            repro_dir = next();
-        } else if (arg == "--isolate") {
-            isolate = true;
-        } else if (arg == "--submit") {
-            submit_to = next();
-        } else if (arg == "--submit-timeout-ms") {
-            submit_timeout_ms = countArg(arg, next());
-        } else if (arg == "--submit-retries") {
-            submit_retries = countArg<unsigned>(arg, next());
-        } else if (arg == "--journal-dir") {
-            journal_dir = next();
-            isolate = true;
-        } else if (arg == "--resume") {
-            resume_path = next();
-            isolate = true;
-        } else if (arg == "--cell-timeout-ms") {
-            cell_timeout_ms = countArg(arg, next());
-        } else if (arg == "--rlimit-as-mb") {
-            rlimit_as_mb = countArg(arg, next());
-        } else if (arg == "--rlimit-cpu-sec") {
-            rlimit_cpu_sec = countArg(arg, next());
-        } else if (arg == "--log-group-ms") {
-            log_opts.groupCommitMs = countArg(arg, next());
-        } else if (arg == "--log-segment-mb") {
-            log_opts.segmentBytes = countArg(arg, next(), kMaxSegmentMb)
-                                    << 20;
-        } else if (arg == "--log-chaos") {
-            log_opts.chaos.point =
-                parseName<log::LogCrashPoint>("log crash point", next());
-        } else if (arg == "--log-chaos-seed") {
-            log_opts.chaos.seed = countArg(arg, next());
-        } else if (arg == "--resume-threads") {
-            resume_threads = threadCount(arg, next());
-        } else if (arg == "--strict-provenance") {
-            strict_provenance = true;
-        } else if (arg == "--version") {
-            std::printf("edgesim %s\n", buildInfoLine().c_str());
-            return 0;
-        } else if (arg == "--replay") {
-            replay_path = next();
-        } else if (arg == "--minimize") {
-            minimize = true;
-        } else if (arg == "-j") {
-            threads = threadCount(arg, next());
-        } else if (arg.size() > 2 && arg.compare(0, 2, "-j") == 0) {
-            threads = threadCount("-j", arg.c_str() + 2);
-        } else if (arg == "--stats") {
-            dump_stats = true;
-        } else if (arg == "--set") {
-            std::string kv = next();
-            auto eq = kv.find('=');
-            fatal_if(eq == std::string::npos,
-                     "--set expects key=value");
-            overrides.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            usage();
-            fatal("unknown argument '%s'", arg.c_str());
-        }
-    }
-
-    if (!replay_path.empty())
-        return replayMain(replay_path, minimize, threads);
+    if (!o.replay.empty())
+        return replayMain(o.replay, o.minimize, threads);
 
     // --strict-provenance turns the resume build-mismatch warning
     // into a refusal, before any cell runs.
-    if (strict_provenance && !resume_path.empty()) {
+    if (o.strictProvenance && o.sup.resume) {
         std::string desc;
-        if (super::Journal::provenanceMismatch(resume_path, &desc)) {
+        if (super::Journal::provenanceMismatch(o.sup.journalPath, &desc)) {
             std::fprintf(
                 stderr,
                 "edgesim: journal %s: %s; refusing to resume "
                 "under --strict-provenance\n",
-                resume_path.c_str(), desc.c_str());
+                o.sup.journalPath.c_str(), desc.c_str());
             return chaos::exitCodeFor(
                 chaos::SimError::Reason::ProvenanceMismatch);
         }
     }
 
-    // Shared supervisor setup for the --isolate campaign paths.
-    auto supervisorOptions =
-        [&](const std::string &campaign) -> super::SupervisorOptions {
-        super::SupervisorOptions so;
-        so.jobs = threads;
-        so.cellTimeoutMs = cell_timeout_ms;
-        so.rlimitAsMb = rlimit_as_mb;
-        so.rlimitCpuSec = rlimit_cpu_sec;
-        if (!resume_path.empty())
-            so.journalPath = resume_path;
-        else if (!journal_dir.empty())
-            so.journalPath =
-                journal_dir + "/" + campaign + ".journal";
-        so.resume = !resume_path.empty();
-        so.logOptions = log_opts;
-        so.resumeThreads = resume_threads;
-        return so;
+    // An --isolate campaign journals into --journal-dir under its own
+    // name, unless --resume named the journal.
+    auto supervisorOptions = [&o](const std::string &campaign) {
+        if (!o.sup.resume && !o.journalDir.empty())
+            o.sup.journalPath = o.journalDir + "/" + campaign + ".journal";
+        return o.sup;
     };
 
-    if (fuzz_count > 0) {
+    if (o.fuzzCount > 0) {
         fuzz::FuzzOptions fo;
-        fo.count = fuzz_count;
-        fo.seed = fuzz_seed;
-        fo.chaosProfile = chaos_profile;
-        fo.mutation = mutation;
-        fo.mutationNode = mutation_node;
-        fo.checkInvariants = check_invariants;
+        fo.count = o.fuzzCount;
+        fo.seed = o.fuzzSeed;
+        fo.chaosProfile = o.chaosProfile;
+        fo.mutation = o.mutation;
+        fo.mutationNode = o.mutationNode;
+        fo.checkInvariants = o.checkInvariants;
         fo.threads = threads;
-        fo.corpusDir = corpus_dir;
-        if (!submit_to.empty()) {
-            // Remote campaign: same banner, same report printer —
-            // stdout is byte-identical to the local run. Corpus
-            // capture and minimization are local-only features.
-            fatal_if(!corpus_dir.empty() || minimize,
-                     "--submit campaigns cannot use --corpus-dir or "
-                     "--minimize (they need local repro files)");
-            fuzzHeader(fo);
-            fuzz::FuzzReport rep;
+        fo.corpusDir = o.corpusDir;
+        // Corpus capture and minimization need local repro files.
+        fatal_if(!o.submitTo.empty() && (!o.corpusDir.empty() || o.minimize),
+                 "--submit campaigns cannot use --corpus-dir or "
+                 "--minimize (they need local repro files)");
+        fatal_if(o.minimize && o.corpusDir.empty(),
+                 "--fuzz --minimize needs --corpus-dir (minimization "
+                 "starts from the captured .repro.json)");
+        // One banner and one report printer: a remote or --isolate
+        // campaign's stdout is byte-identical to the in-process one.
+        std::printf("fuzz: %llu program(s) x %zu mechanism(s), base seed "
+                    "%llu%s\n",
+                    ull(fo.count), fuzz::defaultConfigs().size(),
+                    ull(fo.seed),
+                    fo.chaosProfile != chaos::Profile::None
+                        ? ", chaos layered on"
+                        : "");
+        fuzz::FuzzReport rep;
+        std::optional<super::Supervisor> sup;
+        if (!o.submitTo.empty()) {
             std::string err;
-            if (!serve::submitFuzz(submit_to, fo, &rep, &err,
-                                   submit_timeout_ms,
-                                   submit_retries))
+            if (!serve::submitFuzz(o.submitTo, fo, &rep, &err,
+                                   o.submitTimeoutMs, o.submitRetries))
                 fatal("--submit: %s", err.c_str());
             if (rep.interrupted)
                 warn("campaign was interrupted on the coordinator; "
                      "the report is partial");
-            return fuzzReportExit(rep, false, threads, nullptr);
+        } else {
+            if (isolate) {
+                super::installStopHandlers();
+                sup.emplace(supervisorOptions(
+                    strfmt("fuzz-seed%llu-n%llu", ull(o.fuzzSeed),
+                           ull(o.fuzzCount))));
+                fo.batchRunner = super::fuzzBatchRunner(*sup);
+            }
+            rep = fuzz::runCampaign(fo);
         }
-        if (isolate) {
-            super::installStopHandlers();
-            super::Supervisor sup(supervisorOptions(strfmt(
-                "fuzz-seed%llu-n%llu",
-                static_cast<unsigned long long>(fuzz_seed),
-                static_cast<unsigned long long>(fuzz_count))));
-            fo.batchRunner = super::fuzzBatchRunner(sup);
-            return fuzzMain(fo, minimize, threads, &sup);
-        }
-        return fuzzMain(fo, minimize, threads);
+        return fuzzReportExit(rep, o.minimize, threads,
+                              sup ? &*sup : nullptr);
     }
 
-    if (kernel.empty()) {
-        usage();
+    if (o.kernel.empty()) {
+        usage<MainCli>();
         return 1;
     }
-    if (!wl::exists(kernel)) {
+    if (!wl::exists(o.kernel)) {
         std::fprintf(stderr,
                      "edgesim: unknown kernel '%s'; valid kernels:\n",
-                     kernel.c_str());
+                     o.kernel.c_str());
         for (const auto &name : wl::kernelNames())
             std::fprintf(stderr, "  %s\n", name.c_str());
         return 2;
     }
 
-    std::optional<core::MachineConfig> base = sim::Configs::lookup(config);
-    fatal_if(!base, "unknown config '%s' (try: %s)", config.c_str(),
+    const auto base = sim::Configs::lookup(o.config);
+    fatal_if(!base, "unknown config '%s' (try: %s)", o.config.c_str(),
              join(sim::Configs::allNames(), " ").c_str());
     core::MachineConfig cfg = *base;
-    cfg.rngSeed = run_seed;
-    cfg.chaos = chaos::ChaosParams::byProfile(chaos_profile, chaos_seed);
-    cfg.chaos.mutation = mutation;
-    cfg.chaos.mutationNode = mutation_node;
-    cfg.checkInvariants = check_invariants;
+    cfg.rngSeed = o.seed;
+    cfg.chaos = chaos::ChaosParams::byProfile(o.chaosProfile, o.chaosSeed);
+    cfg.chaos.mutation = o.mutation;
+    cfg.chaos.mutationNode = o.mutationNode;
+    cfg.checkInvariants = o.checkInvariants;
     // --set goes last so it overrides the flags above.
-    for (const auto &[k, v] : overrides) {
+    for (const auto &[k, v] : o.overrides) {
         std::string err;
         fatal_if(!triage::applyConfigOverride(&cfg, k, v, &err), "%s",
                  err.c_str());
     }
 
-    triage::ProgramRef prog_ref{kernel, kp};
+    const triage::ProgramRef prog_ref{o.kernel, o.kp};
 
-    if (sweep_seeds > 0) {
+    if (o.sweepSeeds > 0) {
         sim::ChaosSweepParams sp;
-        for (std::uint64_t s = 0; s < sweep_seeds; ++s)
-            sp.seeds.push_back(run_seed + s);
-        sp.configs = {config};
-        sp.profile = chaos_profile == chaos::Profile::None
+        for (std::uint64_t s = 0; s < o.sweepSeeds; ++s)
+            sp.seeds.push_back(o.seed + s);
+        sp.configs = {o.config};
+        sp.profile = o.chaosProfile == chaos::Profile::None
                          ? chaos::Profile::Light
-                         : chaos_profile;
+                         : o.chaosProfile;
         sp.threads = threads;
-        sp.mutation = mutation;
-        sp.mutationNode = mutation_node;
-        if (!overrides.empty()) {
-            fatal_if(!submit_to.empty(),
+        sp.mutation = o.mutation;
+        sp.mutationNode = o.mutationNode;
+        if (!o.overrides.empty()) {
+            fatal_if(!o.submitTo.empty(),
                      "--set cannot be combined with --submit");
             // Checked against cfg above, so every override applies.
-            sp.tweak = [&overrides](core::MachineConfig &m) {
-                for (const auto &[k, v] : overrides)
+            sp.tweak = [&o](core::MachineConfig &m) {
+                for (const auto &[k, v] : o.overrides)
                     triage::applyConfigOverride(&m, k, v, nullptr);
             };
         }
-        if (!submit_to.empty()) {
-            sim::ChaosSweepReport rep;
-            bool interrupted = false;
+        sim::ChaosSweepReport rep;
+        bool interrupted = false;
+        std::optional<super::Supervisor> sup;
+        if (!o.submitTo.empty()) {
             std::string err;
-            if (!serve::submitSweep(submit_to, sp, prog_ref, &rep,
-                                    &interrupted, &err,
-                                    submit_timeout_ms,
-                                    submit_retries))
+            if (!serve::submitSweep(o.submitTo, sp, prog_ref, &rep,
+                                    &interrupted, &err, o.submitTimeoutMs,
+                                    o.submitRetries))
                 fatal("--submit: %s", err.c_str());
-            if (!repro_dir.empty())
-                triage::captureSweepFailures(rep, prog_ref,
-                                             sp.maxCycles, repro_dir);
-            std::printf("%s / %s chaos sweep (%s):\n%s",
-                        kernel.c_str(), config.c_str(),
-                        enumName(sp.profile),
-                        rep.summary().c_str());
-            if (interrupted) {
-                warn("campaign was interrupted on the coordinator; "
-                     "the report is partial");
-                return 130;
-            }
-            return rep.allConverged() ? 0 : 3;
-        }
-        if (isolate) {
+        } else if (isolate) {
             super::installStopHandlers();
-            super::Supervisor sup(supervisorOptions(
-                strfmt("sweep-%s-%s", kernel.c_str(),
-                       config.c_str())));
-            bool interrupted = false;
-            sim::ChaosSweepReport rep = super::chaosSweepIsolated(
-                sp, prog_ref, sup, &interrupted);
-            if (!repro_dir.empty())
-                triage::captureSweepFailures(rep, prog_ref,
-                                             sp.maxCycles, repro_dir);
-            // Same banner as the in-process path on purpose: an
-            // uninterrupted --isolate sweep's stdout is byte-
-            // identical to the default one.
-            std::printf("%s / %s chaos sweep (%s):\n%s",
-                        kernel.c_str(), config.c_str(),
-                        enumName(sp.profile),
-                        rep.summary().c_str());
-            if (interrupted)
-                return interruptedExit(sup);
-            return rep.allConverged() ? 0 : 3;
+            sup.emplace(supervisorOptions(strfmt(
+                "sweep-%s-%s", o.kernel.c_str(), o.config.c_str())));
+            rep = super::chaosSweepIsolated(sp, prog_ref, *sup,
+                                            &interrupted);
+        } else {
+            rep = sim::chaosSweep(wl::build(o.kernel, o.kp), sp);
         }
-        isa::Program prog = wl::build(kernel, kp);
-        sim::ChaosSweepReport rep = sim::chaosSweep(prog, sp);
-        if (!repro_dir.empty())
+        if (!o.reproDir.empty())
             triage::captureSweepFailures(rep, prog_ref, sp.maxCycles,
-                                         repro_dir);
-        std::printf("%s / %s chaos sweep (%s):\n%s", kernel.c_str(),
-                    config.c_str(), enumName(sp.profile),
+                                         o.reproDir);
+        // One banner on purpose: an uninterrupted remote or --isolate
+        // sweep's stdout is byte-identical to the in-process one.
+        std::printf("%s / %s chaos sweep (%s):\n%s", o.kernel.c_str(),
+                    o.config.c_str(), enumName(sp.profile),
                     rep.summary().c_str());
+        if (interrupted && sup)
+            return interruptedExit(*sup);
+        if (interrupted) {
+            warn("campaign was interrupted on the coordinator; "
+                 "the report is partial");
+            return 130;
+        }
         return rep.allConverged() ? 0 : 3;
     }
 
-    sim::Simulator sim(wl::build(kernel, kp), cfg);
+    sim::Simulator sim(wl::build(o.kernel, o.kp), cfg);
     sim::RunResult r = sim.run();
 
     std::printf("%s / %s: %llu cycles, %llu insts, IPC %.3f\n",
-                kernel.c_str(), config.c_str(),
-                static_cast<unsigned long long>(r.cycles),
-                static_cast<unsigned long long>(r.committedInsts),
-                r.ipc());
+                o.kernel.c_str(), o.config.c_str(), ull(r.cycles),
+                ull(r.committedInsts), r.ipc());
     std::printf("violations %llu, flushes %llu (+%llu ctrl), "
                 "resends %llu, upgrades %llu, holds %llu\n",
-                static_cast<unsigned long long>(r.violations),
-                static_cast<unsigned long long>(r.violFlushes),
-                static_cast<unsigned long long>(r.ctrlFlushes),
-                static_cast<unsigned long long>(r.resends),
-                static_cast<unsigned long long>(r.upgrades),
-                static_cast<unsigned long long>(r.policyHolds));
+                ull(r.violations), ull(r.violFlushes), ull(r.ctrlFlushes),
+                ull(r.resends), ull(r.upgrades), ull(r.policyHolds));
     if (r.chaosSeed || r.injections.total() || r.invariantChecks) {
         std::printf(
             "chaos seed %llu: %llu injections (%llu hop, %llu dup, "
             "%llu mem, %llu store, %llu spurious); %llu invariant "
             "checks\n",
-            static_cast<unsigned long long>(r.chaosSeed),
-            static_cast<unsigned long long>(r.injections.total()),
-            static_cast<unsigned long long>(r.injections.hopDelays),
-            static_cast<unsigned long long>(r.injections.duplicates),
-            static_cast<unsigned long long>(r.injections.memJitters),
-            static_cast<unsigned long long>(r.injections.storeDelays),
-            static_cast<unsigned long long>(
-                r.injections.spuriousWaves),
-            static_cast<unsigned long long>(r.invariantChecks));
+            ull(r.chaosSeed), ull(r.injections.total()),
+            ull(r.injections.hopDelays), ull(r.injections.duplicates),
+            ull(r.injections.memJitters), ull(r.injections.storeDelays),
+            ull(r.injections.spuriousWaves), ull(r.invariantChecks));
     }
     std::printf("architectural state verified against the reference: "
                 "%s\n",
@@ -993,23 +985,30 @@ main(int argc, char **argv)
     if (!r.error.ok())
         std::printf("run failed gracefully:\n%s\n",
                     r.error.format().c_str());
-    if (dump_stats)
+    if (o.stats)
         std::printf("\n%s", sim.stats().dump().c_str());
 
-    bool failed = !r.error.ok() || !(r.archMatch && r.halted);
-    if (failed && !repro_dir.empty()) {
+    const bool diverged = !(r.archMatch && r.halted);
+    if ((!r.error.ok() || diverged) && !o.reproDir.empty()) {
         triage::ReproSpec spec =
             triage::captureFromResult(prog_ref, cfg, 500'000'000, r);
-        std::string path = triage::captureToFile(spec, repro_dir);
+        std::string path = triage::captureToFile(spec, o.reproDir);
         if (!path.empty()) {
             std::printf("to reproduce: edgesim --replay %s\n",
                         path.c_str());
-            if (minimize) {
+            if (o.minimize) {
                 triage::MinimizeOptions mo;
                 mo.threads = threads;
                 printMinimized(triage::minimizeRepro(spec, mo));
             }
         }
     }
-    return runExitCode(r);
+    // The documented exit status of one finished run.
+    if (!r.error.ok()) {
+        std::fprintf(stderr, "edgesim: %s\n", enumName(r.error.reason));
+        return chaos::exitCodeFor(r.error.reason);
+    }
+    if (diverged)
+        std::fprintf(stderr, "edgesim: divergence\n");
+    return diverged ? 2 : 0;
 }
