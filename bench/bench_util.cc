@@ -135,11 +135,14 @@ writeJson(const std::string &path, const std::string &bench_name,
         cell.set("blocks", JsonValue::u64(r.committedBlocks));
         cell.set("ipc", JsonValue::number(r.ipc()));
         cell.set("ok", JsonValue::boolean(row.ok()));
-        cell.set("violations", JsonValue::u64(r.violations));
-        cell.set("resends", JsonValue::u64(r.resends));
-        cell.set("reexecs", JsonValue::u64(r.reexecs));
-        cell.set("upgrades", JsonValue::u64(r.upgrades));
-        cell.set("flushes", JsonValue::u64(r.ctrlFlushes + r.violFlushes));
+        cell.set("violations",
+                 JsonValue::u64(r.counter("lsq.violations")));
+        cell.set("resends", JsonValue::u64(r.counter("lsq.resends")));
+        cell.set("reexecs", JsonValue::u64(r.counter("core.alu_reexecs")));
+        cell.set("upgrades", JsonValue::u64(r.counter("core.upgrades")));
+        cell.set("flushes",
+                 JsonValue::u64(r.counter("core.ctrl_flushes") +
+                                r.counter("core.viol_flushes")));
         cell.set("error",
                  JsonValue::str(r.error.ok() ? "" : r.error.format()));
         cell.set("retries", JsonValue::u64(r.retries));

@@ -246,9 +246,14 @@ runTable2(std::uint64_t iterations, unsigned threads)
                 fmtU(s.refDynBlocks()), fmtU(s.refDynInsts()),
                 fmtF(static_cast<double>(s.refDynInsts()) /
                      static_cast<double>(s.refDynBlocks()), 1),
-                fmtF(static_cast<double>(r.loads + r.stores) / blocks, 1),
+                fmtF(static_cast<double>(r.counter("lsq.loads") +
+                                         r.counter("lsq.stores")) /
+                         blocks,
+                     1),
                 fmtF(aliasPotential(s.oracleDb(), 8) * 100.0, 1),
-                fmtF(1000.0 * static_cast<double>(r.violations) / blocks,
+                fmtF(1000.0 *
+                         static_cast<double>(r.counter("lsq.violations")) /
+                         blocks,
                      1),
                 fmtF(100.0 * correct / (correct + wrong), 1)};
         });
@@ -394,23 +399,22 @@ printFig7(const Results &r)
 {
     std::printf("Figure 7: violations / violation flushes / resends / "
                 "policy holds, per 1000 committed blocks\n\n");
-    using sim::RunResult;
-    const std::pair<const char *, std::uint64_t RunResult::*> metrics[] = {
-        {"violations", &RunResult::violations},
-        {"violation flushes", &RunResult::violFlushes},
-        {"DSRE resends", &RunResult::resends},
-        {"policy holds", &RunResult::policyHolds},
+    const std::pair<const char *, const char *> metrics[] = {
+        {"violations", "lsq.violations"},
+        {"violation flushes", "core.viol_flushes"},
+        {"DSRE resends", "lsq.resends"},
+        {"policy holds", "lsq.policy_holds"},
     };
     const Grid &g = r.grid;
-    for (const auto &[name, field] : metrics) {
+    for (const auto &[name, counter] : metrics) {
         std::printf("[%s]\n", name);
         printHeader("benchmark", g.configs, 12);
         for (std::size_t k = 0; k < g.kernels.size(); ++k) {
             std::vector<std::string> cells;
             for (std::size_t c = 0; c < g.configs.size(); ++c) {
-                const RunResult &res = r.at(k, c);
+                const sim::RunResult &res = r.at(k, c);
                 cells.push_back(
-                    fmtF(1000.0 * static_cast<double>(res.*field) /
+                    fmtF(1000.0 * static_cast<double>(res.counter(counter)) /
                              static_cast<double>(res.committedBlocks),
                          1));
             }
@@ -436,13 +440,15 @@ printFig8(const Results &r)
         const Histogram &wave = res.histogram("core.wave_depth");
         double per_1k_insts =
             1000.0 / static_cast<double>(res.committedInsts);
-        auto per1k = [&](std::uint64_t n) {
-            return fmtF(static_cast<double>(n) * per_1k_insts, 1);
+        auto per1k = [&](const char *counter) {
+            return fmtF(static_cast<double>(res.counter(counter)) *
+                            per_1k_insts,
+                        1);
         };
         printRow(r.grid.kernels[k],
-                 {fmtF(res.reexecFraction() * 100.0), per1k(res.resends),
-                  per1k(res.upgrades), per1k(res.squashes),
-                  per1k(res.deferrals), fmtU(wave.approxPercentile(0.5)),
+                 {fmtF(res.reexecFraction() * 100.0), per1k("lsq.resends"),
+                  per1k("core.upgrades"), per1k("core.squashes"),
+                  per1k("lsq.deferrals"), fmtU(wave.approxPercentile(0.5)),
                   fmtU(wave.approxPercentile(0.9)),
                   fmtU(wave.maxValue())},
                  10);
@@ -499,8 +505,8 @@ printFig10(const Results &r)
         for (std::size_t k = 0; k < g.kernels.size(); ++k) {
             const sim::RunResult &res = r.at(k, 0, p);
             ipcs.push_back(res.ipc());
-            resends += res.resends;
-            upgrades += res.upgrades;
+            resends += res.counter("lsq.resends");
+            upgrades += res.counter("core.upgrades");
             insts += res.committedInsts;
         }
         double gm = geomean(ipcs);

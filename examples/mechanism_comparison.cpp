@@ -50,13 +50,14 @@ main(int argc, char **argv)
         }
         if (base_cycles == 0.0)
             base_cycles = static_cast<double>(r.cycles);
+        auto n = [&r](const char *counter) {
+            return static_cast<unsigned long long>(r.counter(counter));
+        };
         std::printf("%-16s %8llu %8.2f %10llu %9llu %9llu %8llu\n",
                     name.c_str(),
                     static_cast<unsigned long long>(r.cycles), r.ipc(),
-                    static_cast<unsigned long long>(r.violations),
-                    static_cast<unsigned long long>(r.violFlushes),
-                    static_cast<unsigned long long>(r.resends),
-                    static_cast<unsigned long long>(r.policyHolds));
+                    n("lsq.violations"), n("core.viol_flushes"),
+                    n("lsq.resends"), n("lsq.policy_holds"));
     }
 
     std::printf(

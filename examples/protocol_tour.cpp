@@ -67,12 +67,13 @@ main(int argc, char **argv)
             std::fprintf(stderr, "%s failed!\n", v.name.c_str());
             return 1;
         }
+        auto n = [&r](const char *counter) {
+            return static_cast<unsigned long long>(r.counter(counter));
+        };
         std::printf("%-20s %8.2f %9llu %9llu %9llu %9llu\n",
                     v.name.c_str(), r.ipc(),
-                    static_cast<unsigned long long>(r.resends),
-                    static_cast<unsigned long long>(r.upgrades),
-                    static_cast<unsigned long long>(r.squashes),
-                    static_cast<unsigned long long>(r.deferrals));
+                    n("lsq.resends"), n("core.upgrades"),
+                    n("core.squashes"), n("lsq.deferrals"));
     }
 
     std::printf(

@@ -90,11 +90,13 @@ main()
                 static_cast<unsigned long long>(r.cycles), r.ipc());
     std::printf("architectural state matches the reference: %s\n",
                 r.archMatch ? "yes" : "NO (bug!)");
+    auto n = [&r](const char *counter) {
+        return static_cast<unsigned long long>(r.counter(counter));
+    };
     std::printf("dependence violations: %llu, DSRE resends: %llu, "
                 "re-executions: %llu\n",
-                static_cast<unsigned long long>(r.violations),
-                static_cast<unsigned long long>(r.resends),
-                static_cast<unsigned long long>(r.reexecs));
+                n("lsq.violations"), n("lsq.resends"),
+                n("core.alu_reexecs"));
 
     // ------------------------------------------------------------------
     // 3. Every counter the machine keeps is in the stat set.

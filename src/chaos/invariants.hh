@@ -27,7 +27,7 @@
  *    equals the independent byte-accurate recompute (youngest older
  *    writer of each byte wins, memory below).
  *  - `commit-progress`: some block commits within watchdogCycles;
- *    the deadlock watchdog reports under this name.
+ *    the commit watchdog reports under this name.
  */
 
 #ifndef EDGE_CHAOS_INVARIANTS_HH

@@ -2,7 +2,7 @@
  * @file
  * Structured failure reporting for the simulator. A SimError is the
  * graceful-degradation counterpart of the old hard-abort paths: when
- * the deadlock watchdog fires, a protocol panic trips, or the runtime
+ * the commit watchdog fires, a protocol panic trips, or the runtime
  * invariant checker finds a violation, the run loop stops and the
  * report — reason, cycle, offending block, the last-N events from the
  * trace ring — surfaces in Processor::Result / sim::RunResult instead

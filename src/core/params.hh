@@ -25,7 +25,6 @@ struct CoreParams
     unsigned hopLatency = 1;    ///< operand network, cycles per hop
     unsigned fetchWidth = 16;   ///< instructions mapped per cycle
     unsigned regReadLatency = 1;
-    unsigned regPortsPerBank = 2; ///< RF forwards per bank per cycle
 
     /** State-upgrade (commit wave) sends per node per cycle. */
     unsigned commitPortsPerNode = 2;

@@ -628,7 +628,7 @@ Processor::watchdogDump(Cycle now)
     chaos::SimError err;
     err.reason = chaos::SimError::Reason::Watchdog;
     err.invariant = "commit-progress";
-    err.message = "deadlock watchdog fired:\n" + machineDump(now);
+    err.message = "commit watchdog fired:\n" + machineDump(now);
     err.cycle = now;
     if (!_inflight.empty())
         err.seq = _ctx[_inflight.front()].seq;

@@ -127,7 +127,8 @@ class RegUnit
     };
     static_assert(isa::kNumArchRegs <= 64, "writeMask too narrow");
 
-    /** Charge a register-bank port; returns the start cycle. */
+    /** Charge a register-bank port (one forward per bank per cycle);
+     *  returns the start cycle. */
     Cycle bankPort(Cycle now, unsigned reg);
 
     void forwardTo(Cycle now, Subscription &sub, Word value,

@@ -86,9 +86,9 @@ synthResult(const CellSpec &c)
     r.archMatch = true;
     r.rngSeed = c.config.rngSeed;
     r.chaosSeed = c.config.chaos.seed;
-    r.aluIssues = h % 1009;
-    r.loads = h % 97;
-    r.stores = h % 89;
+    r.counters = {{"core.alu_issues", h % 1009},
+                  {"lsq.loads", h % 97},
+                  {"lsq.stores", h % 89}};
     return r;
 }
 

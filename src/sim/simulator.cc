@@ -236,19 +236,6 @@ Simulator::runWith(const core::MachineConfig &config, Cycle max_cycles,
     if (proc.checker())
         out.invariantChecks = proc.checker()->checksRun();
 
-    out.violations = stats.counterValue("lsq.violations");
-    out.resends = stats.counterValue("lsq.resends");
-    out.reexecs = stats.counterValue("core.alu_reexecs");
-    out.upgrades = stats.counterValue("core.upgrades");
-    out.ctrlFlushes = stats.counterValue("core.ctrl_flushes");
-    out.violFlushes = stats.counterValue("core.viol_flushes");
-    out.aluIssues = stats.counterValue("core.alu_issues");
-    out.loads = stats.counterValue("lsq.loads");
-    out.stores = stats.counterValue("lsq.stores");
-    out.forwards = stats.counterValue("lsq.forwards");
-    out.policyHolds = stats.counterValue("lsq.policy_holds");
-    out.deferrals = stats.counterValue("lsq.deferrals");
-    out.squashes = stats.counterValue("core.squashes");
     for (const std::string &name : stats.counterNames())
         out.counters.emplace_back(name, stats.counterValue(name));
     for (const std::string &name : stats.histogramNames())

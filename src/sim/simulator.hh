@@ -69,9 +69,11 @@ struct RunResult
 
     /**
      * Snapshot of every counter of the run's StatSet, sorted by
-     * name. Lets parallel runs (sim::RunPool), whose per-run StatSet
-     * dies with the job, still report arbitrary counters — and lets
-     * tests compare two runs bit for bit.
+     * name: the one copy of each counter a report reads
+     * (counter("lsq.violations"), ...). Lets parallel runs
+     * (sim::RunPool), whose per-run StatSet dies with the job, still
+     * report arbitrary counters — and lets tests compare two runs bit
+     * for bit.
      */
     std::vector<std::pair<std::string, std::uint64_t>> counters;
 
@@ -99,20 +101,6 @@ struct RunResult
         return kEmpty;
     }
 
-    std::uint64_t violations = 0;
-    std::uint64_t resends = 0;
-    std::uint64_t reexecs = 0;
-    std::uint64_t upgrades = 0;
-    std::uint64_t ctrlFlushes = 0;
-    std::uint64_t violFlushes = 0;
-    std::uint64_t aluIssues = 0;
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t forwards = 0;
-    std::uint64_t policyHolds = 0;
-    std::uint64_t deferrals = 0;
-    std::uint64_t squashes = 0;
-
     double
     ipc() const
     {
@@ -126,10 +114,11 @@ struct RunResult
     double
     reexecFraction() const
     {
-        return aluIssues == 0
+        const std::uint64_t issues = counter("core.alu_issues");
+        return issues == 0
                    ? 0.0
-                   : static_cast<double>(reexecs) /
-                         static_cast<double>(aluIssues);
+                   : static_cast<double>(counter("core.alu_reexecs")) /
+                         static_cast<double>(issues);
     }
 };
 

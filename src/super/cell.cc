@@ -1,7 +1,6 @@
 #include "super/cell.hh"
 
 #include "common/hash.hh"
-#include "triage/program_json.hh"
 #include "triage/result_json.hh"
 
 namespace edge::super {
@@ -13,7 +12,7 @@ cellHash(const CellSpec &cell)
 {
     std::uint64_t phash = cell.programHash;
     if (phash == 0) {
-        // An unknown kernel leaves 0: the cell fails when it runs.
+        // An unknown kernel leaves 0: the cell's worker refuses it.
         if (std::optional<isa::Program> prog =
                 triage::buildProgram(cell.program))
             phash = triage::programHash(*prog);
@@ -36,16 +35,7 @@ cellToJson(const CellSpec &cell)
     JsonValue root = JsonValue::object();
     root.set("format", JsonValue::str("edgesim-cell"));
     root.set("version", JsonValue::u64(1));
-
-    JsonValue prog = JsonValue::object();
-    prog.set("kernel", JsonValue::str(cell.program.kernel));
-    prog.set("iterations",
-             JsonValue::u64(cell.program.params.iterations));
-    prog.set("seed", JsonValue::u64(cell.program.params.seed));
-    if (cell.program.hasEmbedded)
-        prog.set("embedded", triage::programToJson(cell.program.embedded));
-    root.set("program", std::move(prog));
-
+    root.set("program", triage::programRefToJson(cell.program));
     root.set("config", triage::configToJson(cell.config));
     root.set("max_cycles", JsonValue::u64(cell.maxCycles));
     if (!cell.testCrash.empty())
@@ -58,40 +48,19 @@ cellFromJson(const JsonValue &root, CellSpec *cell, std::string *err)
 {
     if (!root.isObject() ||
         root.getString("format") != "edgesim-cell") {
-        if (err)
-            *err = "not an edgesim-cell document";
+        *err = "not an edgesim-cell document";
         return false;
     }
-    const JsonValue *prog = root.get("program");
-    if (!prog || !prog->isObject()) {
-        if (err)
-            *err = "missing program";
+    if (!triage::programRefFromJson(root.get("program"), &cell->program,
+                                    err))
         return false;
-    }
-    cell->program.kernel = prog->getString("kernel");
-    cell->program.params.iterations =
-        prog->getU64("iterations", cell->program.params.iterations);
-    cell->program.params.seed =
-        prog->getU64("seed", cell->program.params.seed);
-    cell->program.hasEmbedded = false;
-    if (const JsonValue *embedded = prog->get("embedded")) {
-        if (!triage::programFromJson(*embedded,
-                                     &cell->program.embedded, err))
-            return false;
-        cell->program.hasEmbedded = true;
-    }
-    if (!cell->program.hasEmbedded && cell->program.kernel.empty()) {
-        if (err)
-            *err = "program has neither kernel nor embedded body";
-        return false;
-    }
-
     if (const JsonValue *cfg = root.get("config"))
         if (!triage::configFromJson(*cfg, &cell->config, err))
             return false;
-    cell->maxCycles = root.getU64("max_cycles", cell->maxCycles);
-    cell->testCrash = root.getString("test_crash");
-    return true;
+    return triage::memberFromJson(root, "max_cycles", &cell->maxCycles,
+                                  err) &&
+           triage::memberFromJson(root, "test_crash", &cell->testCrash,
+                                  err);
 }
 
 } // namespace edge::super

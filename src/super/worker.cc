@@ -100,21 +100,12 @@ workerCellMain(std::istream &in, std::ostream &out)
                 err.c_str());
         return 2;
     }
-    isa::Program prog = std::move(*built);
-    if (cell.program.hasEmbedded) {
-        std::vector<isa::ValidationIssue> issues = prog.validateAll();
-        if (!issues.empty()) {
-            fprintf(stderr,
-                    "edgesim: worker-cell: embedded program is "
-                    "invalid: %s\n",
-                    issues.front().str().c_str());
-            return 2;
-        }
-    }
 
     // The run itself. Failures are structured data in the result;
-    // only the protocol can make this path return nonzero.
-    sim::Simulator sim(std::move(prog), cell.config);
+    // only the protocol can make this path return nonzero. (The
+    // decoder already checked the program: the kernel exists or the
+    // embedded body passes Program::validateAll.)
+    sim::Simulator sim(std::move(*built), cell.config);
     sim::RunResult r = sim.run(cell.config, cell.maxCycles);
 
     out << triage::resultToJson(r).dumpCompact() << "\n";

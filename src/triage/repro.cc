@@ -82,6 +82,54 @@ embeddedRef(std::string label, isa::Program program,
     return ref;
 }
 
+JsonValue
+programRefToJson(const ProgramRef &ref)
+{
+    JsonValue o = JsonValue::object();
+    o.set("kernel", JsonValue::str(ref.kernel));
+    o.set("iterations", JsonValue::u64(ref.params.iterations));
+    o.set("seed", JsonValue::u64(ref.params.seed));
+    if (ref.hasEmbedded)
+        o.set("embedded", programToJson(ref.embedded));
+    return o;
+}
+
+bool
+programRefFromJson(const JsonValue *o, ProgramRef *ref, std::string *err)
+{
+    if (!o || !o->isObject()) {
+        *err = "program: expected an object";
+        return false;
+    }
+    ref->hasEmbedded = false;
+    if (!memberFromJson(*o, "kernel", &ref->kernel, err) ||
+        !memberFromJson(*o, "iterations", &ref->params.iterations, err) ||
+        !memberFromJson(*o, "seed", &ref->params.seed, err)) {
+        prefixError("program", true, err);
+        return false;
+    }
+    if (const JsonValue *e = o->get("embedded")) {
+        if (!programFromJson(*e, &ref->embedded, err)) {
+            *err = "program.embedded: " + *err;
+            return false;
+        }
+        std::vector<isa::ValidationIssue> issues =
+            ref->embedded.validateAll();
+        if (!issues.empty()) {
+            *err = "program.embedded: invalid program: " +
+                   issues.front().str();
+            return false;
+        }
+        ref->hasEmbedded = true;
+    } else if (!wl::exists(ref->kernel)) {
+        *err = ref->kernel.empty()
+                   ? "program: neither a kernel nor an embedded body"
+                   : "program: unknown kernel '" + ref->kernel + "'";
+        return false;
+    }
+    return true;
+}
+
 std::optional<isa::Program>
 buildProgram(const ProgramRef &ref, std::string *err)
 {
@@ -100,13 +148,8 @@ toJson(const ReproSpec &spec)
     root.set("format", JsonValue::str("edgesim-repro"));
     root.set("version", JsonValue::u64(1));
 
-    JsonValue prog = JsonValue::object();
-    prog.set("kernel", JsonValue::str(spec.program.kernel));
-    prog.set("iterations", JsonValue::u64(spec.program.params.iterations));
-    prog.set("seed", JsonValue::u64(spec.program.params.seed));
+    JsonValue prog = programRefToJson(spec.program);
     prog.set("hash", JsonValue::u64(spec.programHash));
-    if (spec.program.hasEmbedded)
-        prog.set("embedded", programToJson(spec.program.embedded));
     root.set("program", std::move(prog));
 
     root.set("config", configToJson(spec.config));
@@ -115,13 +158,13 @@ toJson(const ReproSpec &spec)
         root.set("build", JsonValue::str(spec.build));
 
     JsonValue failure = JsonValue::object();
-    failure.set("error", errorToJson(spec.error));
+    failure.set("error", encode(spec.error));
     failure.set("halted", JsonValue::boolean(spec.halted));
     failure.set("arch_match", JsonValue::boolean(spec.archMatch));
     failure.set("retries", JsonValue::u64(spec.retries));
     root.set("failure", std::move(failure));
 
-    root.set("schedule", eventsToJson(spec.schedule));
+    root.set("schedule", encode(spec.schedule));
     return root;
 }
 
@@ -135,55 +178,31 @@ fromJson(const JsonValue &root, ReproSpec *spec, std::string *err)
         return false;
     }
     const JsonValue *prog = root.get("program");
-    if (!prog || !prog->isObject() ||
-        prog->getString("kernel").empty()) {
-        if (err)
-            *err = "missing program.kernel";
+    if (!programRefFromJson(prog, &spec->program, err))
+        return false;
+    if (!memberFromJson(*prog, "hash", &spec->programHash, err)) {
+        prefixError("program", true, err);
         return false;
     }
-    spec->program.kernel = prog->getString("kernel");
-    spec->program.params.iterations =
-        prog->getU64("iterations", spec->program.params.iterations);
-    spec->program.params.seed =
-        prog->getU64("seed", spec->program.params.seed);
-    spec->programHash = prog->getU64("hash");
-    spec->program.hasEmbedded = false;
-    if (const JsonValue *embedded = prog->get("embedded")) {
-        if (!programFromJson(*embedded, &spec->program.embedded, err))
-            return false;
-        // Checked here so an invalid program on disk is a load error,
-        // not the Simulator constructor's fatal.
-        std::vector<isa::ValidationIssue> issues =
-            spec->program.embedded.validateAll();
-        if (!issues.empty()) {
-            if (err)
-                *err = "embedded program is invalid: " +
-                       issues.front().str();
-            return false;
-        }
-        spec->program.hasEmbedded = true;
-    } else if (!wl::exists(spec->program.kernel)) {
-        if (err)
-            *err = "unknown kernel '" + spec->program.kernel + "'";
-        return false;
-    }
-
     if (const JsonValue *cfg = root.get("config"))
         if (!configFromJson(*cfg, &spec->config, err))
             return false;
-    spec->maxCycles = root.getU64("max_cycles", spec->maxCycles);
-    spec->build = root.getString("build");
+    if (!memberFromJson(root, "max_cycles", &spec->maxCycles, err) ||
+        !memberFromJson(root, "build", &spec->build, err))
+        return false;
 
     if (const JsonValue *failure = root.get("failure")) {
-        if (const JsonValue *e = failure->get("error"))
-            if (!errorFromJson(*e, &spec->error, err))
-                return false;
-        spec->halted = failure->getBool("halted");
-        spec->archMatch = failure->getBool("arch_match");
-        spec->retries = static_cast<unsigned>(failure->getU64("retries"));
+        if (!memberFromJson(*failure, "error", &spec->error, err) ||
+            !memberFromJson(*failure, "halted", &spec->halted, err) ||
+            !memberFromJson(*failure, "arch_match", &spec->archMatch,
+                            err) ||
+            !memberFromJson(*failure, "retries", &spec->retries, err)) {
+            prefixError("failure", true, err);
+            return false;
+        }
     }
 
-    return eventsFromJson(root.get("schedule"), &spec->schedule, err);
+    return memberFromJson(root, "schedule", &spec->schedule, err);
 }
 
 bool

@@ -46,6 +46,18 @@ struct ProgramRef
 ProgramRef embeddedRef(std::string label, isa::Program program,
                        std::uint64_t generator_seed = 0);
 
+/** The `program` object of cells, repros and campaign submissions. */
+JsonValue programRefToJson(const ProgramRef &ref);
+
+/**
+ * Decode a `program` object. False (with *err set) unless the kernel
+ * exists or the embedded program passes Program::validateAll, so a
+ * decoded ref always builds and an invalid program is refused where
+ * it enters: a cell, a repro file or a campaign submission.
+ */
+bool programRefFromJson(const JsonValue *o, ProgramRef *ref,
+                        std::string *err);
+
 /** Everything needed to replay one failing run. */
 struct ReproSpec
 {

@@ -4,8 +4,16 @@
  * MachineConfig, SimError, and the complete RunResult. Shared by
  * `.repro.json` capture (triage/repro), the supervised-campaign
  * worker protocol (a child process returns its RunResult over a pipe
- * as one JSON document), and the campaign journal (every completed
- * cell's result is a JSONL record).
+ * as one JSON document), the fabric's result messages and campaign
+ * reports, and the campaign journal (every completed cell's result is
+ * a JSONL record).
+ *
+ * Each struct is a `Fields<>` table (triage/fields.hh) kept in
+ * result_json.cc; these functions and the instantiations declared
+ * below are its only entry points. RunResult's `counters` is the one
+ * copy of each counter. Decoding is strict: a wrongly typed field is
+ * an error that names its path, and keys this build does not know
+ * are skipped.
  *
  * The RunResult round-trip is *lossless*: every counter, histogram
  * bucket, chaos event and metric reconstructs bit-identically, so a
@@ -20,7 +28,7 @@
 #include <vector>
 
 #include "sim/simulator.hh"
-#include "triage/jsonio.hh"
+#include "triage/fields.hh"
 
 namespace edge::triage {
 
@@ -35,15 +43,6 @@ JsonValue configToJson(const core::MachineConfig &cfg);
 bool configFromJson(const JsonValue &o, core::MachineConfig *cfg,
                     std::string *err);
 
-/** One settable config field, addressed by its JSON path. */
-struct ConfigKey
-{
-    std::string path;  ///< e.g. "core.num_frames"
-    const char *doc;
-    /** Default value as compact JSON; empty for a nested struct. */
-    std::string value;
-};
-
 /** Every config field and nested struct, in JSON emission order. */
 std::vector<ConfigKey> configKeys();
 
@@ -52,26 +51,36 @@ std::vector<ConfigKey> configKeys();
 bool applyConfigOverride(core::MachineConfig *cfg, const std::string &key,
                          const std::string &value, std::string *err);
 
-/** A chaos-event schedule (RunResult and repro files share it). */
-JsonValue eventsToJson(const std::vector<chaos::FaultEvent> &events);
-/** `sched` may be null (no schedule); false on an unknown site. */
-bool eventsFromJson(const JsonValue *sched,
-                    std::vector<chaos::FaultEvent> *events,
-                    std::string *err);
-
-JsonValue errorToJson(const chaos::SimError &e);
-/** False (with *err set) on an unknown reason name. */
-bool errorFromJson(const JsonValue &o, chaos::SimError *e,
-                   std::string *err);
-
 /** Serialize a complete RunResult (all metrics, counters,
  *  histograms, and the chaos-event schedule). */
 JsonValue resultToJson(const sim::RunResult &r);
 
-/** Rebuild a RunResult; false (with *err set) on a malformed
- *  document. */
+/** Rebuild a RunResult; false (with *err naming the field) on a
+ *  malformed document. */
 bool resultFromJson(const JsonValue &o, sim::RunResult *r,
                     std::string *err);
+
+// The tables kept in result_json.cc, for code in other files that
+// nests them: a repro's error and schedule, a campaign report's
+// `machine` and `result` rows.
+extern template JsonValue structToJson(const chaos::SimError &, JsonValue);
+extern template bool structFromJson(const JsonValue &, chaos::SimError *,
+                                    std::string *);
+extern template JsonValue structToJson(const chaos::FaultEvent &,
+                                       JsonValue);
+extern template bool structFromJson(const JsonValue &, chaos::FaultEvent *,
+                                    std::string *);
+extern template JsonValue structToJson(const core::MachineConfig &,
+                                       JsonValue);
+extern template bool structFromJson(const JsonValue &,
+                                    core::MachineConfig *, std::string *);
+extern template void
+listKeys<core::MachineConfig>(const std::string &, std::vector<ConfigKey> *);
+extern template JsonValue structToJson(const sim::RunResult &, JsonValue);
+extern template bool structFromJson(const JsonValue &, sim::RunResult *,
+                                    std::string *);
+extern template void
+listKeys<sim::RunResult>(const std::string &, std::vector<ConfigKey> *);
 
 } // namespace edge::triage
 

@@ -5,6 +5,7 @@
 # fails if any of these files calls fatal()/panic() (or the _if forms).
 
 set(files
+    triage/fields.hh
     triage/result_json.cc
     triage/repro.cc
     triage/program_json.cc

@@ -173,7 +173,7 @@ TEST(ChaosMutation, SkipSquashCaughtByValueIdentityInvariant)
 TEST(ChaosMutation, DropUpgradeCaughtByCommitProgress)
 {
     // Finality never reaches one node's consumers, so the commit
-    // wave stalls; the deadlock watchdog surfaces that as the
+    // wave stalls; the commit watchdog surfaces that as the
     // commit-progress invariant rather than killing the process.
     core::MachineConfig cfg = sim::Configs::dsre();
     cfg.core.watchdogCycles = 20000;

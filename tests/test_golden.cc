@@ -107,6 +107,9 @@ timingTable()
             const sim::RunResult &r = results[i++];
             EXPECT_TRUE(r.halted && r.archMatch && r.error.ok())
                 << k << " / " << c << ": " << r.error.message;
+            auto n = [&r](const char *counter) {
+                return static_cast<unsigned long long>(r.counter(counter));
+            };
             char line[256];
             std::snprintf(
                 line, sizeof line,
@@ -114,12 +117,9 @@ timingTable()
                 k.c_str(), c.c_str(),
                 static_cast<unsigned long long>(r.cycles),
                 static_cast<unsigned long long>(r.committedInsts),
-                static_cast<unsigned long long>(r.violations),
-                static_cast<unsigned long long>(r.resends),
-                static_cast<unsigned long long>(r.reexecs),
-                static_cast<unsigned long long>(r.upgrades),
-                static_cast<unsigned long long>(r.ctrlFlushes +
-                                                r.violFlushes));
+                n("lsq.violations"), n("lsq.resends"),
+                n("core.alu_reexecs"), n("core.upgrades"),
+                n("core.ctrl_flushes") + n("core.viol_flushes"));
             out += line;
         }
     }

@@ -158,8 +158,8 @@ TEST(Regressions, StoreSetsActuallySerialiseAfterTraining)
     ASSERT_TRUE(r.halted && r.archMatch);
     // Blind speculation violates on ~every block here; a working
     // store-set predictor eliminates nearly all of them.
-    EXPECT_LT(r.violations, r.committedBlocks / 20);
-    EXPECT_GT(r.policyHolds, r.committedBlocks / 2);
+    EXPECT_LT(r.counter("lsq.violations"), r.committedBlocks / 20);
+    EXPECT_GT(r.counter("lsq.policy_holds"), r.committedBlocks / 2);
 }
 
 /**

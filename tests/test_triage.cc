@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "bench/bench_util.hh"
+#include "serve/campaign_json.hh"
 #include "sim/run_pool.hh"
 #include "sim/sweep.hh"
 #include "super/cell.hh"
@@ -248,7 +249,6 @@ TEST(ConfigWire, EveryFieldRoundTripsUnderItsOwnKey)
     c.core.hopLatency = next();
     c.core.fetchWidth = next();
     c.core.regReadLatency = next();
-    c.core.regPortsPerBank = next();
     c.core.commitPortsPerNode = next();
     c.core.commitWaveUsesAlu = true;
     c.core.squashIdenticalValues = false;
@@ -369,13 +369,94 @@ TEST(ConfigWire, UnknownNamesAreErrorsNotFatal)
     EXPECT_FALSE(triage::resultFromJson(result, &r, &err));
     EXPECT_NE(err.find("reason: unknown name 'bogus'"), std::string::npos)
         << err;
+
+    // A wrongly typed or signed RunResult field is an error naming its
+    // path, not a zero or a wrapped value.
+    const std::pair<const char *, const char *> badResults[] = {
+        {R"({"cycles":"abc","error":{"reason":"none"},"halted":"yes",)"
+         R"("counters":"x"})",
+         "cycles: expected an integer in [0, "},
+        {R"({"cycles":-1,"error":{"reason":"none"}})",
+         "cycles: expected an integer in [0, "},
+        {R"({"cycles":1,"error":{"reason":"none","cycle":"x"}})",
+         "error.cycle: expected an integer in [0, "},
+        {R"({"cycles":1,"error":{},"halted":"yes"})",
+         "halted: expected true or false"},
+        {R"({"cycles":1,"error":{},"counters":[["lsq.loads","3"]]})",
+         "counters[0][1]: expected an integer in [0, "},
+        {R"({"cycles":1,"error":{},"histograms":[{"name":7}]})",
+         "histograms[0].name: expected a string"},
+    };
+    for (const auto &[json, want] : badResults) {
+        triage::JsonValue doc;
+        ASSERT_TRUE(triage::JsonValue::parse(json, &doc, &err)) << err;
+        err.clear();
+        EXPECT_FALSE(triage::resultFromJson(doc, &r, &err)) << json;
+        EXPECT_EQ(err.rfind(want, 0), 0u) << json << " -> " << err;
+    }
+
+    // A stale per-counter key of an older build is ignored: `counters`
+    // is the one copy, so a journal written then still loads.
+    triage::JsonValue stale;
+    ASSERT_TRUE(triage::JsonValue::parse(
+        R"({"cycles":1,"error":{"reason":"none"},)"
+        R"("counters":[["lsq.violations",3]],"violations":12})",
+        &stale, &err));
+    sim::RunResult loaded;
+    ASSERT_TRUE(triage::resultFromJson(stale, &loaded, &err)) << err;
+    EXPECT_EQ(loaded.counter("lsq.violations"), 3u);
+
+    // Campaign submissions decode through the same tables, and the
+    // program check runs at admission.
+    sim::ChaosSweepParams params;
+    params.seeds = {1};
+    params.configs = {"dsre"};
+    triage::ProgramRef ref;
+    ref.kernel = "parserish";
+    triage::JsonValue sweep = serve::sweepSubmission(params, ref);
+    triage::JsonValue p = *sweep.get("params");
+    p.set("max_cycles", triage::JsonValue::str("abc"));
+    sweep.set("params", std::move(p));
+    sim::ChaosSweepParams gotParams;
+    triage::ProgramRef gotRef;
+    EXPECT_FALSE(
+        serve::sweepSubmissionFromJson(sweep, &gotParams, &gotRef, &err));
+    EXPECT_EQ(err.rfind("params.max_cycles: expected an integer", 0), 0u)
+        << err;
+
+    triage::JsonValue fuzz = serve::fuzzSubmission(fuzz::FuzzOptions{});
+    triage::JsonValue gen = *fuzz.get("gen");
+    gen.set("fuel", triage::JsonValue::i64(-1));
+    fuzz.set("gen", std::move(gen));
+    fuzz::FuzzOptions gotOpts;
+    EXPECT_FALSE(serve::fuzzSubmissionFromJson(fuzz, &gotOpts, &err));
+    EXPECT_EQ(err.rfind("gen.fuel: expected an integer", 0), 0u) << err;
+
+    wl::KernelParams kp;
+    kp.iterations = 10;
+    sweep = serve::sweepSubmission(
+        params, triage::embeddedRef("bad", wl::build("parserish", kp)));
+    ASSERT_TRUE(
+        serve::sweepSubmissionFromJson(sweep, &gotParams, &gotRef, &err))
+        << err;
+    triage::JsonValue prog = *sweep.get("program");
+    triage::JsonValue body = *prog.get("embedded");
+    body.set("entry", triage::JsonValue::u64(9999));
+    prog.set("embedded", std::move(body));
+    sweep.set("program", std::move(prog));
+    EXPECT_FALSE(
+        serve::sweepSubmissionFromJson(sweep, &gotParams, &gotRef, &err));
+    EXPECT_NE(err.find("program.embedded: invalid program: "),
+              std::string::npos)
+        << err;
 }
 
 TEST(ConfigWire, RetiredEngineKeyIsIgnored)
 {
     // Builds that had a second cycle loop wrote "engine" into every
-    // config, and builds that had a second hang detector wrote its
-    // two core.livelock_* knobs; the decoder skips keys it does not
+    // config, builds that had a second hang detector wrote its two
+    // core.livelock_* knobs, and older builds wrote the never-read
+    // core.reg_ports_per_bank; the decoder skips keys it does not
     // know, so such a config still loads and runs to the same result.
     triage::JsonValue doc = triage::configToJson(sim::Configs::dsre());
     triage::JsonValue old = doc;
@@ -383,6 +464,7 @@ TEST(ConfigWire, RetiredEngineKeyIsIgnored)
     triage::JsonValue core = *old.get("core");
     core.set("livelock_interval", triage::JsonValue::u64(25000));
     core.set("livelock_repeats", triage::JsonValue::u64(4));
+    core.set("reg_ports_per_bank", triage::JsonValue::u64(2));
     old.set("core", std::move(core));
     core::MachineConfig a, b;
     std::string err;

@@ -37,7 +37,7 @@ TEST_P(WorkloadXMechanism, ArchitecturalEquivalence)
 
     if (config == "conservative") {
         // A policy that never speculates can never violate.
-        EXPECT_EQ(r.violations, 0u) << kernel;
+        EXPECT_EQ(r.counter("lsq.violations"), 0u) << kernel;
     }
 }
 

@@ -967,8 +967,11 @@ main(int argc, char **argv)
                 ull(r.committedInsts), r.ipc());
     std::printf("violations %llu, flushes %llu (+%llu ctrl), "
                 "resends %llu, upgrades %llu, holds %llu\n",
-                ull(r.violations), ull(r.violFlushes), ull(r.ctrlFlushes),
-                ull(r.resends), ull(r.upgrades), ull(r.policyHolds));
+                ull(r.counter("lsq.violations")),
+                ull(r.counter("core.viol_flushes")),
+                ull(r.counter("core.ctrl_flushes")),
+                ull(r.counter("lsq.resends")), ull(r.counter("core.upgrades")),
+                ull(r.counter("lsq.policy_holds")));
     if (r.chaosSeed || r.injections.total() || r.invariantChecks) {
         std::printf(
             "chaos seed %llu: %llu injections (%llu hop, %llu dup, "
